@@ -1,9 +1,12 @@
 """Arrival-time density and mean for a point detector.
 
 The density is |psi_nD(x_D, t)|^2 normalized to unit mass over
-[t0, infinity); the mean arrival time is its first moment.  Moments are
-computed on the same node set as the normalizer so the quadrature bias
-cancels in the ratio.
+[t0, infinity); the mean arrival time is its first moment.  The density is
+read off the scenario's cached occupation profile (the integrand whose
+running integral gives the point entry curve) and interpolated onto the
+entry curve's uniform grid, so a point run integrates it only once.
+Moments are computed on the same node set as the normalizer so the
+quadrature bias cancels in the ratio.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ import numpy as np
 
 from .errors import IntegrationError
 from .geometry import EmissionEvent, _as_vec3
-from .quadrature import QuadratureSpec, SemiInfiniteResult, semiinfinite_profile
-from .probability import resolve_time_controls, _profile_key, _stop_floor
-from .wavepacket import MomentumAmplitude, PointDensityCurve
+from .quadrature import QuadratureSpec, SemiInfiniteResult
+from .probability import resolve_time_controls, _occupation_profile
+from .wavepacket import MomentumAmplitude
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,24 +80,14 @@ def stats_from_samples(taus, values, t0: float = 0.0,
                             spread=float(np.sqrt(max(var, 0.0))))
 
 
-_SAMPLE_CACHE: dict = {}
-_SAMPLE_CACHE_MAX = 8
-
-
 def _uniform_point_samples(amp: MomentumAmplitude, x_detector,
                            source: EmissionEvent, quad: QuadratureSpec | None):
     x_detector = _as_vec3(x_detector, "x_detector")
     distance = float(np.linalg.norm(x_detector - source.x0))
     quad = resolve_time_controls(amp, source, max(distance, 1e-300), 0.0,
                                  quad or QuadratureSpec())
-    key = _profile_key(amp, x_detector, source, quad)
-    hit = _SAMPLE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    evaluator = PointDensityCurve(amp, x_detector, source, quad)
-    t_min = _stop_floor(amp, source, evaluator.distance, quad.t_cap)
-    _, _, _, tail = semiinfinite_profile(evaluator, quad, step_growth=True,
-                                         t_min_stop=t_min)
+    profile = _occupation_profile(amp, x_detector, source, quad)
+    tail = profile.result
     if not tail.converged:
         raise IntegrationError(
             "arrival normalizer did not reach its tail criterion before the "
@@ -102,7 +95,7 @@ def _uniform_point_samples(amp: MomentumAmplitude, x_detector,
             estimate=tail.error_estimate, value=tail.value)
     n = int(round(tail.t_max / quad.dt))
     taus = quad.dt * np.arange(n + 1)
-    values = evaluator(taus)
+    values = np.interp(taus, profile.tau, profile.values)
     mass = float(np.trapezoid(values, taus))
     if not mass > 0.0:
         raise IntegrationError("arrival density vanishes along the line of sight",
@@ -111,11 +104,7 @@ def _uniform_point_samples(amp: MomentumAmplitude, x_detector,
         value=mass,
         error_estimate=max(tail.error_estimate, abs(tail.value - mass)),
         t_max=source.t0 + tail.t_max, converged=True)
-    out = (taus, values, normalizer, evaluator.distance)
-    if len(_SAMPLE_CACHE) >= _SAMPLE_CACHE_MAX:
-        _SAMPLE_CACHE.pop(next(iter(_SAMPLE_CACHE)))
-    _SAMPLE_CACHE[key] = out
-    return out
+    return taus, values, normalizer, distance
 
 
 def arrival_density(amp: MomentumAmplitude, x_detector, source: EmissionEvent,

@@ -13,6 +13,7 @@ detector replaces the volume integral by the single-point density
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -162,6 +163,8 @@ class OccupationProfile:
 
 _PROFILE_CACHE: dict = {}
 _PROFILE_CACHE_MAX = 16
+# guards lookup, eviction and insertion; sweep rows run on threads
+_PROFILE_LOCK = threading.Lock()
 
 
 def _amp_signature(amp: MomentumAmplitude) -> tuple:
@@ -187,7 +190,8 @@ def _profile_key(amp, target, source, quad) -> tuple:
 def _occupation_profile(amp: MomentumAmplitude, target, source: EmissionEvent,
                         quad: QuadratureSpec) -> OccupationProfile:
     key = _profile_key(amp, target, source, quad)
-    hit = _PROFILE_CACHE.get(key)
+    with _PROFILE_LOCK:
+        hit = _PROFILE_CACHE.get(key)
     if hit is not None:
         return hit
     if isinstance(target, DetectorGeometry):
@@ -202,9 +206,10 @@ def _occupation_profile(amp: MomentumAmplitude, target, source: EmissionEvent,
     profile = OccupationProfile(t0=source.t0, tau=tau, values=vals,
                                 cumulative=cum, result=res,
                                 quad_error=evaluator.error_rel)
-    if len(_PROFILE_CACHE) >= _PROFILE_CACHE_MAX:
-        _PROFILE_CACHE.pop(next(iter(_PROFILE_CACHE)))
-    _PROFILE_CACHE[key] = profile
+    with _PROFILE_LOCK:
+        if len(_PROFILE_CACHE) >= _PROFILE_CACHE_MAX:
+            _PROFILE_CACHE.pop(next(iter(_PROFILE_CACHE)))
+        _PROFILE_CACHE[key] = profile
     return profile
 
 

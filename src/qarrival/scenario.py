@@ -141,14 +141,18 @@ def _parse_value(key: str, raw: str):
             parts = raw.split()
             if len(parts) != 3:
                 raise ValueError("expected 3 numbers")
-            return tuple(float(p) for p in parts)
-        if kind == _FLOAT:
-            return float(raw)
-        if kind == _INT:
+            value = tuple(float(p) for p in parts)
+        elif kind == _FLOAT:
+            value = float(raw)
+        elif kind == _INT:
             return int(raw)
-        return raw
+        else:
+            return raw
     except ValueError as exc:
         raise ScenarioError(key, f"cannot parse value {raw!r} ({exc})") from None
+    if not np.all(np.isfinite(value)):
+        raise ScenarioError(key, f"must be finite, got {raw!r}")
+    return value
 
 
 def parse_scenario_text(text: str, base_dir: str = ".") -> Scenario:

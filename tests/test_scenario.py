@@ -1,11 +1,15 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
 import qarrival as qa
 from qarrival import ScenarioError
+from qarrival import arrival as arrival_mod
+from qarrival import probability as prob_mod
+from qarrival import quadrature as quad_mod
 from qarrival.cli import main as cli_main
 from qarrival.scenario import apply_parameter, load_table
 
@@ -65,6 +69,20 @@ def test_bad_values_name_fields():
     with pytest.raises(ScenarioError) as err:
         qa.parse_scenario_text("detector.kind = cap\ndetector.axis = 0 0 1\n")
     assert err.value.field == "detector.half_angle"
+
+
+@pytest.mark.parametrize("line", [
+    "emission.t0 = nan",
+    "quadrature.dt = inf",
+    "amplitude.sigma_p = inf",
+    "amplitude.p0 = inf",
+    "emission.x0 = 0 nan 0",
+])
+def test_cli_nonfinite_value_names_key(tmp_path, capsys, line):
+    path = tmp_path / "scn.txt"
+    path.write_text(MINIMAL + line + "\n")
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert line.split(" = ")[0] in capsys.readouterr().err
 
 
 def test_round_trip_exact():
@@ -137,6 +155,30 @@ def test_run_outputs_and_determinism(tmp_path):
     assert summary["consistency_residual_max"] <= 1e-6
 
 
+def test_point_run_builds_one_occupation_profile(tmp_path, monkeypatch):
+    real = quad_mod.semiinfinite_profile
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    # patch every binding a module may have imported, so a second pass
+    # anywhere in the pipeline is counted
+    for mod in (quad_mod, prob_mod, arrival_mod):
+        if hasattr(mod, "semiinfinite_profile"):
+            monkeypatch.setattr(mod, "semiinfinite_profile", counted)
+    monkeypatch.setattr(prob_mod, "_PROFILE_CACHE", {})
+    qa.run_scenario(qa.parse_scenario_text(POINT_FAST), tmp_path)
+    assert len(calls) == 1
+
+    def t_column(name):
+        lines = (tmp_path / name).read_bytes().splitlines()[1:]
+        return [line.split(b",")[0] for line in lines]
+
+    assert t_column("arrival.csv") == t_column("entry_curve.csv")
+
+
 def test_volume_run_has_no_arrival_csv(tmp_path):
     s = qa.parse_scenario_text(MINIMAL)
     summary = qa.run_scenario(s, tmp_path / "out")
@@ -175,6 +217,27 @@ def test_sweep_distance_tracks_classical_flight(tmp_path):
     for row, expected in zip(rows, (10.0, 20.0, 40.0)):
         assert row["status"] == "ok"
         assert abs(row["mean_arrival"] - expected) <= 0.01 * expected
+
+
+def test_threaded_sweep_survives_profile_eviction(tmp_path, monkeypatch):
+    # a one-entry cache makes every row evict the previous row's profile
+    monkeypatch.setattr(prob_mod, "_PROFILE_CACHE", {})
+    monkeypatch.setattr(prob_mod, "_PROFILE_CACHE_MAX", 1)
+    (tmp_path / "scn.txt").write_text(POINT_FAST)
+    (tmp_path / "sweep.txt").write_text(
+        "sweep.scenario = scn.txt\n"
+        "sweep.parameter = detector.distance\n"
+        "sweep.values = 50 75 100 150\n")
+    spec = qa.parse_sweep(tmp_path / "sweep.txt")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = qa.run_sweep(spec, tmp_path / "threaded", jobs=2)
+    finally:
+        sys.setswitchinterval(interval)
+    single = qa.run_sweep(spec, tmp_path / "single", jobs=1)
+    assert [row["status"] for row in threaded] == ["ok"] * 4
+    assert threaded == single
 
 
 def test_sweep_coupling_ratio(tmp_path):
