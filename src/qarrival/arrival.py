@@ -18,7 +18,8 @@ import numpy as np
 from .errors import IntegrationError
 from .geometry import EmissionEvent, _as_vec3
 from .quadrature import QuadratureSpec, SemiInfiniteResult
-from .probability import resolve_time_controls, _occupation_profile
+from .probability import resolve_time_controls, write_columns_csv, \
+    _occupation_profile
 from .wavepacket import MomentumAmplitude
 
 
@@ -49,10 +50,7 @@ class ArrivalTimeStats:
 
 
 def write_arrival_csv(stats: ArrivalTimeStats, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,density\n")
-        for t, d in zip(stats.t, stats.density):
-            fh.write(f"{t:.17g},{d:.17g}\n")
+    write_columns_csv(path, "t,density", stats.t, stats.density)
 
 
 def stats_from_samples(taus, values, t0: float = 0.0,

@@ -27,6 +27,7 @@ from .wavepacket import MomentumAmplitude, PointDensityCurve, \
     momentum_norm_squared, normalize, radial_density_integral
 
 _NORM_TOL = 1e-6
+_CSV_BLOCK = 4096      # rows formatted per write in write_columns_csv
 
 
 @dataclass(frozen=True)
@@ -92,10 +93,19 @@ class EntryProbabilityCurve:
 
 
 def write_entry_curve_csv(curve: EntryProbabilityCurve, path):
+    write_columns_csv(path, "t,p_conditional,p_entry", curve.t,
+                      curve.p_conditional, curve.p_entry)
+
+
+def write_columns_csv(path, header: str, *columns: np.ndarray):
+    """CSV of float columns at %.17g, formatted and written _CSV_BLOCK rows at
+    a time so the text in memory never exceeds one block."""
+    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,p_conditional,p_entry\n")
-        for t, pc, pe in zip(curve.t, curve.p_conditional, curve.p_entry):
-            fh.write(f"{t:.17g},{pc:.17g},{pe:.17g}\n")
+        fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK):
+            fh.write("".join(map(row.format, *(c[lo:lo + _CSV_BLOCK].tolist()
+                                              for c in columns))))
 
 
 def resolve_time_controls(amp: MomentumAmplitude, source: EmissionEvent,

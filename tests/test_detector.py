@@ -25,6 +25,71 @@ def synthetic_schedule(t, angle, k=0.9):
                             entry_rate=np.zeros_like(t), curve=curve)
 
 
+def reference_rk4_step(c0, c1, a0, a_mid, a1, h):
+    k1_0 = -1j * a0 * c1
+    k1_1 = -1j * a0 * c0
+    y0 = c0 + 0.5 * h * k1_0
+    y1 = c1 + 0.5 * h * k1_1
+    k2_0 = -1j * a_mid * y1
+    k2_1 = -1j * a_mid * y0
+    y0 = c0 + 0.5 * h * k2_0
+    y1 = c1 + 0.5 * h * k2_1
+    k3_0 = -1j * a_mid * y1
+    k3_1 = -1j * a_mid * y0
+    y0 = c0 + h * k3_0
+    y1 = c1 + h * k3_1
+    k4_0 = -1j * a1 * y1
+    k4_1 = -1j * a1 * y0
+    return (c0 + (h / 6.0) * (k1_0 + 2.0 * (k2_0 + k3_0) + k4_0),
+            c1 + (h / 6.0) * (k1_1 + 2.0 * (k2_1 + k3_1) + k4_1))
+
+
+def reference_integrate_interval(c0, c1, a_lo, slope, h, local_tol):
+    """Scalar step doubling on one interval: (c0, c1, substeps accepted)."""
+    substeps = 1
+    prev = None
+    for _ in range(8):
+        u0, u1 = c0, c1
+        hs = h / substeps
+        for j in range(substeps):
+            ta = j * hs
+            u0, u1 = reference_rk4_step(u0, u1, a_lo + slope * ta,
+                                        a_lo + slope * (ta + 0.5 * hs),
+                                        a_lo + slope * (ta + hs), hs)
+        if prev is not None and abs(u0 - prev[0]) + abs(u1 - prev[1]) <= local_tol:
+            return u0, u1, substeps
+        prev = (u0, u1)
+        substeps *= 2
+    raise RuntimeError("detector propagation step size underflow")
+
+
+def reference_states(sched, t_end=None, local_tol=1e-9):
+    """The per-interval scalar RK4 loop on (c0, c1) that the vectorized
+    closure replaces: states at the nodes up to t_end (the last interval cut
+    at t_end with the full interval's slope) and the substeps each took."""
+    grid, rate = sched.t.tolist(), sched.rate.tolist()
+    t_end = grid[-1] if t_end is None else t_end
+    c0, c1 = 1.0 + 0.0j, 0.0 + 0.0j
+    states, substeps = [(c0, c1)], []
+    for i in range(len(grid) - 1):
+        if grid[i] >= t_end:
+            break
+        slope = (rate[i + 1] - rate[i]) / (grid[i + 1] - grid[i])
+        c0, c1, n = reference_integrate_interval(
+            c0, c1, rate[i], slope, min(grid[i + 1], t_end) - grid[i], local_tol)
+        states.append((c0, c1))
+        substeps.append(n)
+    return np.array(states), np.array(substeps)
+
+
+def steep_schedule():
+    """5000 intervals; the angle rises in two tanh steps about 12 intervals
+    wide, one on each side of node 4096."""
+    t = np.linspace(0.0, 10.0, 5001)
+    steps = np.tanh((t - 4.0) / 0.01) + np.tanh((t - 9.0) / 0.01)
+    return synthetic_schedule(t, 0.3 * (2.0 + steps))
+
+
 def test_zero_entry_gives_zero_coupling():
     t = np.linspace(0.0, 1.0, 11)
     sched = qa.coupling_schedule(synthetic_curve(t, np.zeros(11)), 0.5)
@@ -99,6 +164,24 @@ def test_ode_constant_rate_rabi_rotation():
     state = qa.evolve_ode(sched, 2.0)
     assert state.c0 == pytest.approx(np.cos(2.0 * a), abs=1e-9)
     assert state.c1 == pytest.approx(-1j * np.sin(2.0 * a), abs=1e-9)
+
+
+def test_ode_trajectory_matches_scalar_reference(standard_curve):
+    sched = qa.coupling_schedule(standard_curve, 0.5)
+    reference, _ = reference_states(sched)
+    assert np.max(np.abs(qa.evolve_ode_trajectory(sched) - reference)) <= 1e-12
+
+
+def test_ode_trajectory_matches_reference_across_blocks():
+    sched = steep_schedule()
+    reference, substeps = reference_states(sched)
+    assert sched.t.size - 1 > 4096
+    assert substeps.min() == 2 and substeps.max() >= 4
+    assert np.max(np.abs(qa.evolve_ode_trajectory(sched) - reference)) <= 1e-12
+    t_mid = 0.3 * sched.t[4499] + 0.7 * sched.t[4500]
+    state = qa.evolve_ode(sched, t_mid)
+    expected = reference_states(sched, t_mid)[0][-1]
+    assert abs(state.c0 - expected[0]) + abs(state.c1 - expected[1]) <= 1e-12
 
 
 def test_ode_matches_closed_form_on_standard_scenario(standard_curve):

@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import qarrival as qa
 from qarrival import ScenarioError
 from qarrival import arrival as arrival_mod
+from qarrival import detector as detector_mod
 from qarrival import probability as prob_mod
 from qarrival import quadrature as quad_mod
 from qarrival.cli import main as cli_main
@@ -322,6 +324,50 @@ def test_cli_strict_nonconvergence(tmp_path):
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out2")]) == 0
 
 
+def test_cli_closure_underflow_is_numerical_error(tmp_path, capsys):
+    path = tmp_path / "scn.txt"
+    path.write_text("amplitude.sigma_p = 0.05\ndetector.kind = point\n"
+                    "detector.position = 0 0 100\ncoupling.k = 0.99\n"
+                    "grid.dt = 60\n")
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "numerical error: detector propagation" in capsys.readouterr().err
+
+
 def test_cli_missing_file(tmp_path):
     missing = str(tmp_path / "nope.txt")
     assert cli_main(["validate", missing]) == 4
+
+
+def csv_columns():
+    """Five columns of 5000 rows (two write blocks) with signed zeros,
+    subnormals, huge values, exact integers and values that need all 17
+    significant digits."""
+    rng = np.random.default_rng(3)
+    cols = rng.standard_normal((5, 5000)) * 10.0 ** rng.integers(-300, 300, (5, 5000))
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, 42.0, -7.0,
+               2.0 ** 53, 0.1, 1.0 / 3.0, np.pi, 1e-300, 2.2250738585072014e-308]
+    for j, col in enumerate(cols):
+        col[j:j + len(special)] = special
+        col[4090 + j:4090 + j + len(special)] = special[::-1]
+    return cols
+
+
+@pytest.mark.parametrize("writer", ["entry_curve", "schedule", "arrival"])
+def test_csv_writers_match_per_row_format(tmp_path, writer):
+    t, a, b, c, d = csv_columns()
+    if writer == "entry_curve":
+        obj = SimpleNamespace(t=t, p_conditional=a, p_entry=b)
+        header, columns = "t,p_conditional,p_entry", (t, a, b)
+        prob_mod.write_entry_curve_csv(obj, tmp_path / "out.csv")
+    elif writer == "schedule":
+        obj = SimpleNamespace(t=t, rate=a, angle=b, entry_rate=d)
+        header = "t,rate,angle,p_registered,entry_rate"
+        columns = (t, a, b, np.sin(b) ** 2, d)
+        detector_mod.write_schedule_csv(obj, tmp_path / "out.csv")
+    else:
+        obj = SimpleNamespace(t=t, density=a)
+        header, columns = "t,density", (t, a)
+        arrival_mod.write_arrival_csv(obj, tmp_path / "out.csv")
+    expected = header + "\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*columns))
+    assert (tmp_path / "out.csv").read_bytes() == expected.encode("utf-8")
