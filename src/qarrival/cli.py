@@ -1,7 +1,8 @@
 """Command-line interface: validate, run, and sweep scenario files.
 
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence
-(fatal only under --strict, or when no outputs could be produced),
+(a missed tail criterion or a closure residual above 1e-6 is fatal only
+under --strict; a failed integral that leaves no outputs always is),
 4 I/O error.
 """
 
@@ -19,6 +20,8 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+CLOSURE_RESIDUAL_MAX = 1e-6   # acceptance criterion 3: max |population - k p_entry|
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -33,7 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="output directory (default: the scenario's "
                           "output.dir, else ./out)")
     run.add_argument("--strict", action="store_true",
-                     help="exit 3 when any integral misses its tail criterion")
+                     help="exit 3 when any integral misses its tail criterion "
+                          "or the closure residual exceeds 1e-6")
 
     sweep = sub.add_parser("sweep", help="run a one-parameter sweep file")
     sweep.add_argument("sweep", help="path to the sweep file")
@@ -41,11 +45,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--jobs", type=int, default=1,
                        help="concurrent rows (default: 1)")
     sweep.add_argument("--strict", action="store_true",
-                       help="exit 3 when any row misses a tail criterion")
+                       help="exit 3 when any row misses a tail criterion "
+                            "or its closure residual exceeds 1e-6")
 
     validate = sub.add_parser("validate", help="check a scenario file")
     validate.add_argument("scenario", help="path to the scenario file")
     return parser
+
+
+def _strict_problem(summary: dict) -> str | None:
+    """Why a run's summary fails --strict, or None."""
+    if not summary["converged"]:
+        return "tail criterion missed"
+    residual = summary["consistency_residual_max"]
+    if residual > CLOSURE_RESIDUAL_MAX:
+        return f"closure residual {residual:.3e} exceeds {CLOSURE_RESIDUAL_MAX:g}"
+    return None
 
 
 def main(argv=None) -> int:
@@ -65,18 +80,22 @@ def main(argv=None) -> int:
             summary = run_scenario(scenario, out)
             print(f"wrote {os.path.join(out, 'summary.json')} "
                   f"(p_entry_final = {summary['p_entry_final']:.6g})")
-            if args.strict and not summary["converged"]:
-                print("tail criterion missed (strict mode)", file=sys.stderr)
+            problem = _strict_problem(summary) if args.strict else None
+            if problem:
+                print(f"{problem} (strict mode)", file=sys.stderr)
                 return EXIT_NUMERICAL
             return EXIT_OK
         spec = parse_sweep(args.sweep)
         rows = run_sweep(spec, args.out, jobs=max(1, args.jobs))
         failed = [r for r in rows if r["status"] != "ok"]
         print(f"wrote {args.out}/sweep.csv ({len(rows)} rows, {len(failed)} failed)")
-        if args.strict and any(not r.get("converged", False) for r in rows
-                               if r["status"] == "ok"):
-            print("tail criterion missed in a row (strict mode)", file=sys.stderr)
-            return EXIT_NUMERICAL
+        if args.strict:
+            for row in rows:
+                problem = row["status"] == "ok" and _strict_problem(row)
+                if problem:
+                    print(f"{problem} in row {row['parameter']} = "
+                          f"{row['value']:.17g} (strict mode)", file=sys.stderr)
+                    return EXIT_NUMERICAL
         return EXIT_OK
     except ScenarioError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

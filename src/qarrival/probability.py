@@ -51,7 +51,9 @@ class EntryProbabilityCurve:
     """Sampled entry probabilities on a uniform time grid from t0.
 
     p_entry = p_direction * p_conditional holds pointwise by construction;
-    p_entry is nondecreasing, starts at 0, and stays within [0, 1].
+    p_entry is nondecreasing, starts at 0, and stays within [0, 1].  A curve
+    that breaks these invariants comes from a failed integration, so the
+    checks raise IntegrationError.
     """
 
     t: np.ndarray
@@ -65,14 +67,16 @@ class EntryProbabilityCurve:
 
     def __post_init__(self):
         if np.any(self.p_conditional < -1e-12) or np.any(self.p_conditional > 1.0 + 1e-12):
-            raise ValueError("conditional probabilities leave [0, 1]")
+            raise IntegrationError("conditional probabilities leave [0, 1]")
         if np.any(np.diff(self.p_entry) < -1e-10):
-            raise ValueError("entry probability is not nondecreasing")
+            raise IntegrationError("entry probability is not nondecreasing")
         if abs(self.p_entry[0]) > 1e-300:
-            raise ValueError("entry probability must start at 0")
+            raise IntegrationError("entry probability must start at 0")
         residual = np.max(np.abs(self.p_entry - self.p_direction * self.p_conditional))
         if residual > 1e-12:
-            raise ValueError(f"entry probability fails to factorize (residual {residual})")
+            raise IntegrationError(
+                f"entry probability fails to factorize (residual {residual})",
+                estimate=float(residual))
 
     @property
     def dt(self) -> float:

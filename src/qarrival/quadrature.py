@@ -180,7 +180,7 @@ def semiinfinite_profile(f, spec: QuadratureSpec, *, step_growth: bool = True,
     consecutive doublings (counted only past `t_min_stop`), or t_cap is hit
     (converged=False then).  Within each window the rule is the composite
     trapezoid at step `dt`; with `step_growth` the step is allowed to grow in
-    later windows so each window holds at most ~WINDOW_NODES samples.
+    later windows so each window holds at most WINDOW_NODES_MAX samples.
 
     Returns (tau_grid, f_values, cumulative, SemiInfiniteResult); the
     cumulative array holds the running integral at the grid nodes.

@@ -609,7 +609,8 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
             row_dir = os.path.join(out_dir, f"{spec.parameter}={_fmt(value)}")
             summary = run_scenario(scn, row_dir)
             for name in ("p_direction", "p_entry_final", "p_registered_final",
-                         "mean_arrival", "classical_flight", "t_max", "converged"):
+                         "mean_arrival", "classical_flight", "t_max", "converged",
+                         "consistency_residual_max"):
                 row[name] = summary[name]
         except Exception as exc:  # noqa: BLE001 - rows must not kill the sweep
             row["status"] = "error"

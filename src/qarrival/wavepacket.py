@@ -323,66 +323,26 @@ def _radial_panels(amp: MomentumAmplitude, quad: QuadratureSpec, rate: float,
     return max(quad.radial_panels, int(np.ceil(n_target / quad.radial_nodes)))
 
 
-_POWER_BLOCK = 128
-
-
-def _uniform_step(taus: np.ndarray) -> float | None:
-    """The common spacing of a uniform grid, or None."""
-    if taus.size < 16:
-        return None
-    d = np.diff(taus)
-    h = d[0]
-    if h > 0.0 and np.all(np.abs(d - h) <= 1e-9 * max(h, 1e-300)):
-        return float(h)
-    return None
-
-
-def _evolution_matrix(omega: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """exp(-i omega_j tau_i) as a (T, P) matrix.
-
-    Uniform tau blocks are built from products of the one-step phase (one
-    exp per column instead of one per entry) anchored block by block; the
-    phase drift of the repeated products is ~T*eps, far below the
-    quadrature tolerances.
-    """
-    taus = np.asarray(taus, dtype=float)
-    n_t, n_p = taus.size, omega.size
-    h = _uniform_step(taus)
-    if h is not None:
-        step = np.exp(-1j * h * omega)
-        n_block = min(_POWER_BLOCK, n_t)
-        powers = np.empty((n_block, n_p), dtype=complex)
-        powers[0] = step
-        for i in range(1, n_block):
-            np.multiply(powers[i - 1], step, out=powers[i])
-        out = np.empty((n_t, n_p), dtype=complex)
-        out[0] = np.exp(-1j * taus[0] * omega)
-        filled = 1
-        while filled < n_t:
-            m = min(n_block, n_t - filled)
-            np.multiply(out[filled - 1][None, :], powers[:m],
-                        out=out[filled:filled + m])
-            filled += m
-        return out
-    return np.exp(-1j * np.outer(taus, omega))
-
-
 # ---------------------------------------------------------------------------
 # single-point evaluation
 # ---------------------------------------------------------------------------
 
-def _radial_integral_converged(amp: MomentumAmplitude, quad: QuadratureSpec,
-                               r: float, tau: float, mass: float) -> complex:
-    """(2 pi)^(-3/2) Integral p^2 dp scale R(p) exp(i p r - i p^2 tau / 2m)."""
+def _radial_sum_converged(amp: MomentumAmplitude, quad: QuadratureSpec,
+                          rs: np.ndarray, gains: np.ndarray, tau: float,
+                          mass: float) -> complex:
+    """Sum_a gains[a] (2 pi)^(-3/2) Integral p^2 dp scale R(p)
+    exp(i p rs[a] - i p^2 tau / 2m), refined by radial panel doubling."""
     p_lo, p_hi = _effective_p_range(amp, quad)
-    rate = _max_phase_rate(r, r, p_lo, p_hi, tau, mass)
+    rate = _max_phase_rate(float(rs.min()), float(rs.max()), p_lo, p_hi, tau, mass)
     panels = _radial_panels(amp, quad, rate, p_lo, p_hi)
+    gain_bound = float(np.sum(np.abs(gains)))
 
     def at(n_panels: int) -> tuple[complex, float]:
         p, w = gauss_legendre_panels(p_lo, p_hi, n_panels, quad.radial_nodes)
         base = w * p * p * amp.scale * amp.radial_profile(p) / TWO_PI_32
-        phase = np.exp(1j * (p * r - p * p * tau / (2.0 * mass)))
-        return complex(np.sum(base * phase)), float(np.sum(np.abs(base)))
+        phases = np.exp(1j * (np.outer(rs, p) - (p * p * tau / (2.0 * mass))[None, :]))
+        return (complex(gains @ (phases * base).sum(axis=1)),
+                float(np.sum(np.abs(base))) * gain_bound)
 
     prev, bound = at(panels)
     err = np.inf
@@ -407,7 +367,8 @@ def eval_angular_component(amp: MomentumAmplitude, request: AngularComponentRequ
     g = 1.0 + 0.0j
     if not amp.is_isotropic:
         g = complex(amp.angular_profile(float(request.direction @ amp.axis)))
-    return g * _radial_integral_converged(amp, quad, r, tau, source.mass)
+    return g * _radial_sum_converged(amp, quad, np.array([r]), np.ones(1), tau,
+                                     source.mass)
 
 
 def eval_detector_wavefunction(amp: MomentumAmplitude, position, time: float,
@@ -423,37 +384,22 @@ def eval_detector_wavefunction(amp: MomentumAmplitude, position, time: float,
     g = dw.astype(complex)
     if not amp.is_isotropic:
         g = g * amp.angular_profile(dirs @ amp.axis)
-    rel = position - source.x0
-    rs = dirs @ rel
-    p_lo, p_hi = _effective_p_range(amp, quad)
-    rate = _max_phase_rate(float(rs.min()), float(rs.max()), p_lo, p_hi, tau, source.mass)
-    panels = _radial_panels(amp, quad, rate, p_lo, p_hi)
-
-    def at(n_panels: int) -> tuple[complex, float]:
-        p, w = gauss_legendre_panels(p_lo, p_hi, n_panels, quad.radial_nodes)
-        base = w * p * p * amp.scale * amp.radial_profile(p) / TWO_PI_32
-        phases = np.exp(1j * (np.outer(rs, p) - (p * p * tau / (2.0 * source.mass))[None, :]))
-        return complex(g @ (phases @ base)), float(np.sum(np.abs(base)) * np.sum(np.abs(g)))
-
-    prev, bound = at(panels)
-    err = np.inf
-    for k in range(1, _MAX_DOUBLINGS + 1):
-        cur, bound = at(panels * 2 ** k)
-        err = abs(cur - prev)
-        if err <= quad.rtol * max(abs(cur), 1e-3 * bound):
-            return cur
-        prev = cur
-    raise IntegrationError(
-        f"radial quadrature did not converge (residual {err:.3e})", estimate=err)
+    return _radial_sum_converged(amp, quad, dirs @ (position - source.x0), g, tau,
+                                 source.mass)
 
 
 # ---------------------------------------------------------------------------
 # curve evaluators (vectorized over time)
 # ---------------------------------------------------------------------------
 
-_TAU_CHUNK = 2048
+_TAU_CHUNK = 2048       # rows per (T, C) @ (C, X) block of the volume density
 _ERR_SUBSAMPLE = 4
 _FORCE_DIRECT = False  # test hook: disable the Chebyshev channel compression
+_P_BLOCK = 1024         # momentum columns per block of the phase-sum kernel
+_DIRECT_ROWS = 256      # samples per block of the kernel's direct branch
+_PANEL_PHASE = 16.0     # phase half-width [rad] of one Chebyshev tau-panel
+_PANEL_NODES = 44       # its Chebyshev nodes: interpolates exp(i k x), |k x| <= 16,
+                        # to ~3e-15 (the 1.4 * 16 + 16 = 39 rule leaves 3.5e-12)
 
 
 def _cheb_points(lo: float, hi: float, n: int) -> np.ndarray:
@@ -476,6 +422,71 @@ def _cheb_interp_matrix(lo: float, hi: float, n: int, targets: np.ndarray) -> np
     if np.any(exact_rows):
         mat[exact_rows] = hit[exact_rows].astype(float)
     return mat
+
+
+def _uniform_step(taus: np.ndarray) -> float | None:
+    """The spacing of a uniform grid of at least 16 samples, or None.
+
+    The step is the mean spacing: a single difference carries the rounding
+    of the grid's offset, which would drift the phases along the grid.
+    """
+    if taus.size < 16:
+        return None
+    h = (taus[-1] - taus[0]) / (taus.size - 1)
+    if h > 0.0 and np.all(np.abs(np.diff(taus) - h) <= 1e-9 * h):
+        return float(h)
+    return None
+
+
+def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Sum_p exp(-i omega_p tau_i) coeffs[p, ...] for every tau_i.
+
+    The sum is band-limited in tau.  On a uniform grid the samples are split
+    into panels over which the band-centred sum turns by at most
+    _PANEL_PHASE radians either way from the panel centre; it is evaluated
+    exactly on the panel's Chebyshev nodes and mapped onto the samples by one
+    barycentric matrix shared by all panels (the band-limited compression
+    behind NUFFTs).  Short, non-uniform or undersampled grids are summed
+    directly.  Both branches walk the momentum axis in blocks of _P_BLOCK
+    columns, so no time-by-momentum matrix is ever held.
+    """
+    taus = np.asarray(taus, dtype=float)
+    n_t = taus.size
+    h = _uniform_step(taus)
+    w_mid = 0.5 * (omega.max() + omega.min())
+    half_band = 0.5 * (omega.max() - omega.min())
+    per_panel = 0
+    if h is not None:
+        span = 2.0 * _PANEL_PHASE / max(half_band * h, 1e-300)
+        per_panel = int(min(span, n_t - 1)) + 1
+    # with fewer samples per panel than half its node count, the node sums
+    # cost more than summing the samples directly
+    if per_panel < _PANEL_NODES // 2:
+        out = np.zeros((n_t,) + coeffs.shape[1:], dtype=complex)
+        for p0 in range(0, omega.size, _P_BLOCK):
+            cols = slice(p0, p0 + _P_BLOCK)
+            for t0 in range(0, n_t, _DIRECT_ROWS):
+                rows = slice(t0, t0 + _DIRECT_ROWS)
+                out[rows] += np.exp(np.outer(taus[rows], -1j * omega[cols])) @ coeffs[cols]
+        return out
+    n_panels = -(-n_t // per_panel)
+    half_span = 0.5 * (per_panel - 1) * h
+    nodes = _cheb_points(-half_span, half_span, _PANEL_NODES)
+    interp = _cheb_interp_matrix(-half_span, half_span, _PANEL_NODES,
+                                 h * np.arange(per_panel) - half_span)
+    centres = taus[0] + half_span + h * per_panel * np.arange(n_panels)
+    flat = coeffs.reshape(omega.size, -1)
+    node_sums = np.zeros((n_panels, _PANEL_NODES, flat.shape[1]), dtype=complex)
+    for p0 in range(0, omega.size, _P_BLOCK):
+        cols = slice(p0, p0 + _P_BLOCK)
+        shifted = -1j * (omega[cols] - w_mid)
+        table = np.exp(np.outer(nodes, shifted))        # (nodes, P_block)
+        anchors = np.exp(np.outer(centres, shifted))    # (panels, P_block)
+        for k in range(n_panels):
+            node_sums[k] += table @ (anchors[k, :, None] * flat[cols])
+    samples = np.matmul(interp, node_sums).reshape(n_panels * per_panel, -1)[:n_t]
+    samples *= np.exp(-1j * w_mid * taus)[:, None]
+    return samples.reshape((n_t,) + coeffs.shape[1:])
 
 
 class _CurveEvaluatorBase:
@@ -539,15 +550,9 @@ class _CurveEvaluatorBase:
             self._seed_scale()
         self._ensure(float(taus.max()) if taus.size else 0.0)
         for attempt in range(4):
-            out = np.empty(taus.size)
-            worst = 0.0
-            for start in range(0, taus.size, _TAU_CHUNK):
-                block = taus[start:start + _TAU_CHUNK]
-                fine = self._field_square(self._fine, block)
-                probe = block[::_ERR_SUBSAMPLE]
-                coarse = self._field_square(self._coarse, probe)
-                worst = max(worst, float(np.max(np.abs(fine[::_ERR_SUBSAMPLE] - coarse))))
-                out[start:start + _TAU_CHUNK] = fine
+            out = self._field_square(self._fine, taus)
+            coarse = self._field_square(self._coarse, taus[::_ERR_SUBSAMPLE])
+            worst = float(np.max(np.abs(out[::_ERR_SUBSAMPLE] - coarse), initial=0.0))
             batch_scale = max(self.scale, float(out.max(initial=0.0)))
             if worst <= self.quad.rtol * max(batch_scale, 1e-300) or attempt == 3:
                 if worst > self.quad.rtol * max(batch_scale, 1e-300):
@@ -593,20 +598,7 @@ class PointDensityCurve(_CurveEvaluatorBase):
 
     def _field_square(self, state, taus: np.ndarray) -> np.ndarray:
         omega, base = state
-        h = _uniform_step(taus)
-        if h is not None:
-            # single channel: iterate the weighted momentum vector in place
-            # instead of materializing the time-by-momentum phase matrix
-            step = np.exp(-1j * h * omega)
-            work = base * np.exp(-1j * taus[0] * omega)
-            out = np.empty(taus.size)
-            for i in range(taus.size):
-                if i:
-                    work *= step
-                total = work.sum()
-                out[i] = total.real ** 2 + total.imag ** 2
-            return self._g2 * out
-        fields = _evolution_matrix(omega, taus) @ base
+        fields = _phase_sums(omega, taus, base)
         return self._g2 * (fields.real ** 2 + fields.imag ** 2)
 
 
@@ -636,42 +628,47 @@ class VolumeOccupationCurve(_CurveEvaluatorBase):
         self._vol_w = vol_w
         super().__init__(amp, source, quad,
                          float(r_chan.min()), float(r_chan.max()))
+        n_points, n_dirs = r_chan.shape
+        halfband = 0.5 * (self._p_hi - self._p_lo)
+        half_len = 0.5 * max(self._r_hi - self._r_lo, 1e-12)
+        order = int(np.ceil(1.4 * halfband * half_len)) + 16
+        self._mix = None
+        if not (_FORCE_DIRECT or order >= n_points):
+            # exact values on Chebyshev r-nodes, barycentric map to the
+            # channels; the map depends on the geometry, not on the radial
+            # rule, so every _build shares it
+            self._p_mid = 0.5 * (self._p_lo + self._p_hi)
+            self._r_nodes = _cheb_points(self._r_lo, self._r_hi, order)
+            interp = _cheb_interp_matrix(self._r_lo, self._r_hi, order,
+                                         r_chan.ravel())                  # (X*A, C)
+            carrier = (gw[None, :] * np.exp(1j * self._p_mid * r_chan)).ravel()
+            weighted = interp * carrier[:, None]
+            self._mix = weighted.reshape(n_points, n_dirs, order).sum(axis=1).T  # (C, X)
 
     def _build(self, panels: int):
         p, w = gauss_legendre_panels(self._p_lo, self._p_hi, panels, self.quad.radial_nodes)
         base = w * p * p * self.amp.scale * self.amp.radial_profile(p) / TWO_PI_32
         omega = p * p / (2.0 * self.source.mass)
-        n_points, n_dirs = self._r_chan.shape
-        halfband = 0.5 * (self._p_hi - self._p_lo)
-        half_len = 0.5 * max(self._r_hi - self._r_lo, 1e-12)
-        order = int(np.ceil(1.4 * halfband * half_len)) + 16
-        if _FORCE_DIRECT or order >= n_points:
+        if self._mix is None:
             # compression would not pay off; fold directions in directly
+            n_points, n_dirs = self._r_chan.shape
             chan = np.zeros((p.size, n_points), dtype=complex)
             for a0 in range(0, n_dirs, 8):
                 block = slice(a0, min(a0 + 8, n_dirs))
                 phases = np.exp(1j * self._r_chan[:, block, None] * p[None, None, :])
                 chan += np.einsum("xap,a->px", phases, self._gw[block])
             chan *= base[:, None]
-            return omega, ("direct", chan)
-        # exact values on Chebyshev r-nodes, barycentric map to the channels
-        p_mid = 0.5 * (self._p_lo + self._p_hi)
-        r_nodes = _cheb_points(self._r_lo, self._r_hi, order)
-        basis = base[:, None] * np.exp(1j * np.outer(p - p_mid, r_nodes))   # (P, C)
-        interp = _cheb_interp_matrix(self._r_lo, self._r_hi, order,
-                                     self._r_chan.ravel())                  # (X*A, C)
-        carrier = (self._gw[None, :] * np.exp(1j * p_mid * self._r_chan)).ravel()
-        weighted = interp * carrier[:, None]
-        mix = weighted.reshape(n_points, n_dirs, order).sum(axis=1).T       # (C, X)
-        return omega, ("cheb", basis, mix)
+            return omega, chan, None
+        basis = base[:, None] * np.exp(1j * np.outer(p - self._p_mid, self._r_nodes))  # (P, C)
+        return omega, basis, self._mix
 
     def _field_square(self, state, taus: np.ndarray) -> np.ndarray:
-        omega, payload = state
-        evo = _evolution_matrix(omega, taus)
-        if payload[0] == "direct":
-            fields = evo @ payload[1]                     # (T, X)
-        else:
-            _, basis, mix = payload
-            fields = (evo @ basis) @ mix                  # (T, C) @ (C, X)
-        dens = fields.real ** 2 + fields.imag ** 2
-        return dens @ self._vol_w
+        omega, coeffs, mix = state
+        sums = _phase_sums(omega, taus, coeffs)           # (T, C), or (T, X) direct
+        dens = np.empty(taus.size)
+        for lo in range(0, taus.size, _TAU_CHUNK):
+            fields = sums[lo:lo + _TAU_CHUNK]
+            if mix is not None:
+                fields = fields @ mix                     # (T, C) @ (C, X)
+            dens[lo:lo + _TAU_CHUNK] = (fields.real ** 2 + fields.imag ** 2) @ self._vol_w
+        return dens

@@ -167,3 +167,20 @@ def test_unconverged_denominator_surfaces(iso_amp, standard_det, source):
 def test_time_before_emission_rejected(iso_amp, standard_det, source):
     with pytest.raises(ValueError):
         qa.conditional_entry_probability(iso_amp, standard_det, source, -1.0)
+
+
+@pytest.mark.parametrize("conditional, p_direction, entry_shift", [
+    ([0.0, 0.6, 0.4, 1.0], 1.0, 0.0),     # decreasing
+    ([0.0, 0.5, 1.2, 1.2], 1.0, 0.0),     # leaves [0, 1]
+    ([0.1, 0.5, 0.8, 1.0], 1.0, 0.0),     # nonzero start
+    ([0.0, 0.5, 0.8, 1.0], 0.5, 1e-9),    # p_entry != p_direction * p_conditional
+])
+def test_curve_invariant_failures_are_numerical(conditional, p_direction, entry_shift):
+    conditional = np.array(conditional)
+    entry = p_direction * conditional
+    entry[1:] += entry_shift
+    with pytest.raises(IntegrationError):
+        qa.EntryProbabilityCurve(
+            t=np.arange(4.0), p_direction=p_direction, p_conditional=conditional,
+            p_entry=entry, denominator=qa.SemiInfiniteResult(1.0, 0.0, 3.0, True),
+            point_detector=True)

@@ -324,6 +324,32 @@ def test_cli_strict_nonconvergence(tmp_path):
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out2")]) == 0
 
 
+def test_cli_strict_closure_residual(tmp_path, capsys):
+    # a 4-node grid leaves the closure residual far above criterion 3's 1e-6
+    path = tmp_path / "scn.txt"
+    path.write_text("amplitude.sigma_p = 0.05\ndetector.kind = point\n"
+                    "detector.position = 0 0 100\ncoupling.k = 0.5\n"
+                    "grid.dt = 60\n")
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "lax")]) == 0
+    summary = json.loads((tmp_path / "lax" / "summary.json").read_text())
+    assert summary["converged"] is True
+    assert summary["consistency_residual_max"] > 0.1
+    capsys.readouterr()
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "strict"),
+                     "--strict"]) == 3
+    err = capsys.readouterr().err
+    assert f"closure residual {summary['consistency_residual_max']:.3e}" in err
+    assert ((tmp_path / "strict" / "summary.json").read_bytes()
+            == (tmp_path / "lax" / "summary.json").read_bytes())
+    sweep = tmp_path / "k.sweep"
+    sweep.write_text("sweep.scenario = scn.txt\nsweep.parameter = coupling.k\n"
+                     "sweep.values = 0.5\n")
+    assert cli_main(["sweep", str(sweep), "--out", str(tmp_path / "sw")]) == 0
+    assert cli_main(["sweep", str(sweep), "--out", str(tmp_path / "sw2"),
+                     "--strict"]) == 3
+    assert "closure residual" in capsys.readouterr().err
+
+
 def test_cli_closure_underflow_is_numerical_error(tmp_path, capsys):
     path = tmp_path / "scn.txt"
     path.write_text("amplitude.sigma_p = 0.05\ndetector.kind = point\n"

@@ -134,16 +134,78 @@ def test_cap_angular_self_convergence(iso_amp, source):
     assert abs(coarse - fine) <= 1e-6 * abs(fine)
 
 
-def test_evolution_phases_unimodular():
-    p = np.linspace(1.0, 9.0, 257)
-    phases = np.exp(-1j * p * p * 3.7 / 2.0)
-    assert np.max(np.abs(np.abs(phases) - 1.0)) <= 1e-15
-    # the accumulated uniform-block construction drifts only at the eps level
-    taus = 0.5 + 0.002 * np.arange(4096)
-    matrix = wp._evolution_matrix(p * p / 2.0, taus)
-    assert np.max(np.abs(np.abs(matrix) - 1.0)) <= 1e-11
-    direct = np.exp(-1j * np.outer(taus[-1:], p * p / 2.0))
-    assert np.max(np.abs(matrix[-1] - direct[0])) <= 1e-10
+def _brute_phase_sums(omega, taus, coeffs):
+    return np.exp(-1j * np.outer(taus, omega)) @ coeffs
+
+
+def _panel_samples(omega, h):
+    """Samples per tau-panel of the kernel's Chebyshev branch."""
+    half_band = 0.5 * (omega.max() - omega.min())
+    return int(2.0 * wp._PANEL_PHASE / (half_band * h)) + 1
+
+
+@pytest.mark.parametrize("n_t, h, t0, columns, panels", [
+    (3001, 0.004, 26.8, None, True),   # several panels, partial last one
+    (3001, 0.004, 26.8, 3, True),      # the same with 2-d coefficients
+    (700, 0.03, 0.0, 2, True),         # short panels near the branch threshold
+    (40, 0.004, 5.0, None, True),      # one panel holding every sample
+    (400, 2.5, 3.0, None, False),      # undersampled: summed directly
+    (15, 0.004, 5.0, 2, False),        # fewer than 16 samples: summed directly
+])
+def test_phase_sums_match_brute_force(n_t, h, t0, columns, panels):
+    rng = np.random.default_rng(n_t)
+    p = np.sort(rng.uniform(1.0, 9.0, 2 * wp._P_BLOCK + 37))   # three blocks
+    omega = p * p / 2.0
+    per_panel = min(_panel_samples(omega, h), n_t)
+    assert (n_t >= 16 and per_panel >= wp._PANEL_NODES // 2) == panels
+    if n_t == 3001:
+        assert n_t % per_panel and n_t > 2 * per_panel
+    shape = (p.size,) if columns is None else (p.size, columns)
+    coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    taus = t0 + h * np.arange(n_t)
+    got = wp._phase_sums(omega, taus, coeffs)
+    assert got.shape == (n_t,) + shape[1:]
+    bound = 1e-12 * np.sum(np.abs(coeffs), axis=0)
+    assert np.all(np.abs(got - _brute_phase_sums(omega, taus, coeffs)) <= bound)
+
+
+def test_phase_sums_band_edges_and_non_uniform_grid():
+    # single frequencies at the band edges are the worst case for the panels
+    omega = np.linspace(0.5, 40.5, 9)
+    taus = 30.0 + 0.003 * np.arange(2600)
+    for j in (0, omega.size - 1):
+        unit = np.zeros(omega.size, dtype=complex)
+        unit[j] = 1.0
+        assert np.max(np.abs(wp._phase_sums(omega, taus, unit)
+                             - np.exp(-1j * omega[j] * taus))) <= 1e-12
+    rng = np.random.default_rng(7)
+    jittered = np.sort(rng.uniform(0.0, 40.0, 300))
+    coeffs = rng.normal(size=(omega.size, 2)) + 0j
+    assert wp._uniform_step(jittered) is None
+    np.testing.assert_allclose(wp._phase_sums(omega, jittered, coeffs),
+                               _brute_phase_sums(omega, jittered, coeffs),
+                               rtol=0.0, atol=1e-12 * np.abs(coeffs).sum())
+
+
+def test_curve_evaluators_match_exact_phases(iso_amp, narrow_amp, standard_det,
+                                             source):
+    # both evaluators against their own momentum state summed with exact
+    # phases, on a uniform tail window long enough for the panel branch
+    quad = QuadratureSpec(polar_nodes=4, azimuth_nodes=4)
+    point = wp.PointDensityCurve(narrow_amp, np.array([0.0, 0.0, 100.0]),
+                                 source, quad)
+    volume = wp.VolumeOccupationCurve(iso_amp, standard_det, source, quad)
+    for curve, taus in ((point, np.linspace(14.0, 26.0, 3001)),
+                        (volume, np.linspace(2.0, 8.0, 3001))):
+        values = curve(taus)
+        omega, *payload = curve._fine
+        sums = _brute_phase_sums(omega, taus, payload[0])
+        if curve is point:
+            ref = curve._g2 * np.abs(sums) ** 2
+        else:
+            fields = sums if payload[1] is None else sums @ payload[1]
+            ref = (np.abs(fields) ** 2) @ curve._vol_w
+        assert np.max(np.abs(values - ref)) <= 1e-11 * ref.max()
 
 
 def test_linearity(source):
