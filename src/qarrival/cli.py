@@ -23,6 +23,16 @@ EXIT_IO = 4
 CLOSURE_RESIDUAL_MAX = 1e-6   # acceptance criterion 3: max |population - k p_entry|
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qarrival",
@@ -42,8 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a one-parameter sweep file")
     sweep.add_argument("sweep", help="path to the sweep file")
     sweep.add_argument("--out", default="out", help="output directory (default: out)")
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="concurrent rows (default: 1)")
+    sweep.add_argument("--jobs", type=_positive_int, default=1,
+                       help="rows run at once in worker processes, at most "
+                            "one per usable core (default: 1)")
     sweep.add_argument("--strict", action="store_true",
                        help="exit 3 when any row misses a tail criterion "
                             "or its closure residual exceeds 1e-6")
@@ -86,7 +97,7 @@ def main(argv=None) -> int:
                 return EXIT_NUMERICAL
             return EXIT_OK
         spec = parse_sweep(args.sweep)
-        rows = run_sweep(spec, args.out, jobs=max(1, args.jobs))
+        rows = run_sweep(spec, args.out, jobs=args.jobs)
         failed = [r for r in rows if r["status"] != "ok"]
         print(f"wrote {args.out}/sweep.csv ({len(rows)} rows, {len(failed)} failed)")
         if args.strict:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -592,36 +591,66 @@ _SWEEP_COLUMNS = ("parameter", "value", "status", "error", "p_direction",
                   "classical_flight", "t_max", "converged")
 
 
+def _sweep_row(template: Scenario, parameter: str, out_dir, value: float) -> dict:
+    """Run one sweep row; a failure is recorded in the row, not raised."""
+    row = {"parameter": parameter, "value": value, "status": "ok", "error": ""}
+    try:
+        scn = apply_parameter(template, parameter, value)
+        row_dir = os.path.join(out_dir, f"{parameter}={_fmt(value)}")
+        summary = run_scenario(scn, row_dir)
+        for name in ("p_direction", "p_entry_final", "p_registered_final",
+                     "mean_arrival", "classical_flight", "t_max", "converged",
+                     "consistency_residual_max"):
+            row[name] = summary[name]
+    except Exception as exc:  # noqa: BLE001 - rows must not kill the sweep
+        row["status"] = "error"
+        row["error"] = str(exc)
+    return row
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
     """One scenario run per value; rows are independent and sorted by value.
 
-    Per-row failures are recorded in the row and the sweep continues.
+    Per-row failures are recorded in the row and the sweep continues.  With
+    jobs > 1 the rows run in at most min(jobs, rows, usable cores) worker
+    processes (fork where the platform has it), each with its own caches;
+    rows whose worker died are recorded as errors.
     """
     template = parse_scenario(spec.scenario_path)
     values = sorted(spec.values)
     os.makedirs(out_dir, exist_ok=True)
 
-    def run_one(value: float) -> dict:
-        row = {"parameter": spec.parameter, "value": value, "status": "ok",
-               "error": ""}
-        try:
-            scn = apply_parameter(template, spec.parameter, value)
-            row_dir = os.path.join(out_dir, f"{spec.parameter}={_fmt(value)}")
-            summary = run_scenario(scn, row_dir)
-            for name in ("p_direction", "p_entry_final", "p_registered_final",
-                         "mean_arrival", "classical_flight", "t_max", "converged",
-                         "consistency_residual_max"):
-                row[name] = summary[name]
-        except Exception as exc:  # noqa: BLE001 - rows must not kill the sweep
-            row["status"] = "error"
-            row["error"] = str(exc)
-        return row
+    workers = min(jobs, len(values), _usable_cores())
+    if workers > 1:
+        # fork: the executor forks every worker before it starts its own
+        # thread, and workers inherit the imported modules.  Not forkserver:
+        # its workers are not descendants of this process, so their CPU time
+        # would be missing from the sweep's wait4/getrusage accounting.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_one, values))
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context(method)) as pool:
+            futures = [pool.submit(_sweep_row, template, spec.parameter, out_dir, v)
+                       for v in values]
+            rows = []
+            for value, future in zip(values, futures):
+                try:
+                    rows.append(future.result())
+                except BrokenProcessPool:
+                    rows.append({"parameter": spec.parameter, "value": value,
+                                 "status": "error",
+                                 "error": "worker process exited before the row finished"})
     else:
-        rows = [run_one(v) for v in values]
+        rows = [_sweep_row(template, spec.parameter, out_dir, v) for v in values]
 
     with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8",
               newline="\n") as fh:

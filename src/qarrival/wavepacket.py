@@ -392,7 +392,6 @@ def eval_detector_wavefunction(amp: MomentumAmplitude, position, time: float,
 # curve evaluators (vectorized over time)
 # ---------------------------------------------------------------------------
 
-_TAU_CHUNK = 2048       # rows per (T, C) @ (C, X) block of the volume density
 _ERR_SUBSAMPLE = 4
 _FORCE_DIRECT = False  # test hook: disable the Chebyshev channel compression
 _P_BLOCK = 1024         # momentum columns per block of the phase-sum kernel
@@ -644,6 +643,9 @@ class VolumeOccupationCurve(_CurveEvaluatorBase):
             carrier = (gw[None, :] * np.exp(1j * self._p_mid * r_chan)).ravel()
             weighted = interp * carrier[:, None]
             self._mix = weighted.reshape(n_points, n_dirs, order).sum(axis=1).T  # (C, X)
+            # sum_x w_x |(s M)_x|^2 = |R s|^2 with (M diag(sqrt w))^T = Q R,
+            # so the density costs C^2 per sample instead of C X
+            self._mix_r = np.linalg.qr((self._mix * np.sqrt(vol_w)).T, mode="r").T  # (C, C)
 
     def _build(self, panels: int):
         p, w = gauss_legendre_panels(self._p_lo, self._p_hi, panels, self.quad.radial_nodes)
@@ -665,10 +667,7 @@ class VolumeOccupationCurve(_CurveEvaluatorBase):
     def _field_square(self, state, taus: np.ndarray) -> np.ndarray:
         omega, coeffs, mix = state
         sums = _phase_sums(omega, taus, coeffs)           # (T, C), or (T, X) direct
-        dens = np.empty(taus.size)
-        for lo in range(0, taus.size, _TAU_CHUNK):
-            fields = sums[lo:lo + _TAU_CHUNK]
-            if mix is not None:
-                fields = fields @ mix                     # (T, C) @ (C, X)
-            dens[lo:lo + _TAU_CHUNK] = (fields.real ** 2 + fields.imag ** 2) @ self._vol_w
-        return dens
+        if mix is None:
+            return (sums.real ** 2 + sums.imag ** 2) @ self._vol_w
+        fields = sums @ self._mix_r                       # (T, C) @ (C, C)
+        return (fields.real ** 2 + fields.imag ** 2).sum(axis=1)

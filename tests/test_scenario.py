@@ -1,6 +1,8 @@
+import concurrent.futures
 import json
 import os
 import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +14,7 @@ from qarrival import arrival as arrival_mod
 from qarrival import detector as detector_mod
 from qarrival import probability as prob_mod
 from qarrival import quadrature as quad_mod
+from qarrival import scenario as scenario_mod
 from qarrival.cli import main as cli_main
 from qarrival.scenario import apply_parameter, load_table
 
@@ -240,6 +243,123 @@ def test_threaded_sweep_survives_profile_eviction(tmp_path, monkeypatch):
     single = qa.run_sweep(spec, tmp_path / "single", jobs=1)
     assert [row["status"] for row in threaded] == ["ok"] * 4
     assert threaded == single
+
+
+def _tree_bytes(root):
+    files = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, root)] = fh.read()
+    return files
+
+
+@pytest.mark.parametrize("parameter, values", [
+    ("coupling.k", "0.25 0.5 0.75"),          # one profile shared by every row
+    ("detector.distance", "50 100 150"),      # one profile per row
+])
+def test_process_pool_sweep_matches_single_job(tmp_path, monkeypatch, parameter, values):
+    monkeypatch.setattr(scenario_mod, "_usable_cores", lambda: 2)
+    (tmp_path / "scn.txt").write_text(POINT_FAST)
+    (tmp_path / "sweep.txt").write_text(
+        f"sweep.scenario = scn.txt\nsweep.parameter = {parameter}\n"
+        f"sweep.values = {values}\n")
+    spec = qa.parse_sweep(tmp_path / "sweep.txt")
+    pooled = qa.run_sweep(spec, tmp_path / "pooled", jobs=2)
+    single = qa.run_sweep(spec, tmp_path / "single", jobs=1)
+    assert [row["status"] for row in pooled] == ["ok"] * 3
+    assert pooled == single
+    pooled_files = _tree_bytes(tmp_path / "pooled")
+    assert len(pooled_files) == 1 + 3 * 4        # sweep.csv + 4 files per row
+    assert pooled_files == _tree_bytes(tmp_path / "single")
+
+
+def test_sweep_survives_dead_worker(tmp_path, monkeypatch, capsys):
+    # the worker of the last row exits once the other rows have written
+    # their summaries; fork children inherit the patched run_scenario
+    monkeypatch.setattr(scenario_mod, "_usable_cores", lambda: 2)
+    run_scenario = scenario_mod.run_scenario
+    out = tmp_path / "out"
+    others = [out / "coupling.k=0.25" / "summary.json",
+              out / "coupling.k=0.5" / "summary.json"]
+
+    def dying_run_scenario(s, out_dir):
+        if s.coupling_k != 0.75:
+            return run_scenario(s, out_dir)
+        deadline = time.monotonic() + 60.0
+        while not all(p.exists() for p in others) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.5)                  # let the finished rows reach the parent
+        os._exit(1)
+
+    monkeypatch.setattr(scenario_mod, "run_scenario", dying_run_scenario)
+    (tmp_path / "scn.txt").write_text(POINT_FAST)
+    sweep = tmp_path / "k.sweep"
+    sweep.write_text("sweep.scenario = scn.txt\nsweep.parameter = coupling.k\n"
+                     "sweep.values = 0.25 0.5 0.75\n")
+    assert cli_main(["sweep", str(sweep), "--out", str(out), "--jobs", "2"]) == 0
+    assert "(3 rows, 1 failed)" in capsys.readouterr().out
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 4
+    statuses = [line.split(",")[2] for line in lines[1:]]
+    assert statuses == ["ok", "ok", "error"]
+    assert "worker process exited" in lines[3]
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records the worker count and runs
+    each row in this process."""
+
+    started: list = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("jobs, n_values, cores, expected", [
+    (64, 3, 4, [3]),            # capped by the row count
+    (64, 8, 4, [4]),            # capped by the usable cores
+    (2, 8, 4, [2]),             # as asked
+    (8, 8, 1, []),              # one usable core: the plain loop, no pool
+    (1, 8, 4, []),
+])
+def test_sweep_worker_count_is_bounded(tmp_path, monkeypatch, jobs, n_values, cores,
+                                       expected):
+    monkeypatch.setattr(_RecordingExecutor, "started", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(scenario_mod, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(scenario_mod, "run_scenario", lambda s, out_dir: {
+        name: 0.0 for name in ("p_direction", "p_entry_final", "p_registered_final",
+                               "mean_arrival", "classical_flight", "t_max",
+                               "converged", "consistency_residual_max")})
+    (tmp_path / "scn.txt").write_text(POINT_FAST)
+    values = " ".join(str(0.1 * (i + 1)) for i in range(n_values))
+    (tmp_path / "k.sweep").write_text("sweep.scenario = scn.txt\n"
+                                      "sweep.parameter = coupling.k\n"
+                                      f"sweep.values = {values}\n")
+    rows = qa.run_sweep(qa.parse_sweep(tmp_path / "k.sweep"), tmp_path / "out", jobs=jobs)
+    assert [row["status"] for row in rows] == ["ok"] * n_values
+    assert _RecordingExecutor.started == expected
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["sweep", str(tmp_path / "k.sweep"), "--jobs", jobs])
+    assert exit_info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_sweep_coupling_ratio(tmp_path):
