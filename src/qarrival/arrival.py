@@ -39,12 +39,6 @@ class ArrivalTimeStats:
     classical_time: float | None = None
     spread: float | None = None
 
-    def metadata(self) -> dict:
-        return {"mean_arrival": self.mean_time,
-                "classical_flight": self.classical_time,
-                "spread": self.spread,
-                "normalizer": self.normalizer.as_dict()}
-
     def write_csv(self, path):
         write_arrival_csv(self, path)
 

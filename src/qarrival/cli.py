@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .errors import IntegrationError, ScenarioError
+from .errors import IntegrationError
 from .scenario import parse_scenario, parse_sweep, run_scenario, run_sweep
 
 EXIT_OK = 0
@@ -108,10 +108,7 @@ def main(argv=None) -> int:
                           f"{row['value']:.17g} (strict mode)", file=sys.stderr)
                     return EXIT_NUMERICAL
         return EXIT_OK
-    except ScenarioError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except ValueError as exc:          # ScenarioError is a ValueError
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except IntegrationError as exc:

@@ -40,10 +40,6 @@ class DetectorState:
             raise ValueError(f"detector state is not normalized (norm^2 = {norm!r})")
 
     @property
-    def norm_squared(self) -> float:
-        return abs(self.c0) ** 2 + abs(self.c1) ** 2
-
-    @property
     def p_triggered(self) -> float:
         return abs(self.c1) ** 2
 
@@ -83,10 +79,6 @@ class CouplingSchedule:
             raise ValueError(f"time {t} lies outside the schedule grid "
                              f"[{self.t[0]}, {self.t[-1]}]")
         return float(np.interp(t, self.t, self.angle))
-
-    def metadata(self) -> dict:
-        return {"k": self.k, "angle_max": float(self.angle[-1]),
-                "p_registered_final": float(np.sin(self.angle[-1]) ** 2)}
 
     def write_csv(self, path):
         write_schedule_csv(self, path)

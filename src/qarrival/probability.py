@@ -63,7 +63,6 @@ class EntryProbabilityCurve:
     denominator: SemiInfiniteResult
     point_detector: bool
     quad_error: float = 0.0
-    omega: float | None = None
 
     def __post_init__(self):
         if np.any(self.p_conditional < -1e-12) or np.any(self.p_conditional > 1.0 + 1e-12):
@@ -81,16 +80,6 @@ class EntryProbabilityCurve:
     @property
     def dt(self) -> float:
         return float(self.t[1] - self.t[0]) if self.t.size > 1 else 0.0
-
-    def metadata(self) -> dict:
-        return {
-            "p_direction": self.p_direction,
-            "omega": self.omega,
-            "t_max": self.denominator.t_max,
-            "point_detector": self.point_detector,
-            "denominator": self.denominator.as_dict(),
-            "quad_error": self.quad_error,
-        }
 
     def write_csv(self, path):
         write_entry_curve_csv(self, path)
@@ -215,8 +204,7 @@ def _occupation_profile(amp: MomentumAmplitude, target, source: EmissionEvent,
         evaluator = PointDensityCurve(amp, target, source, quad)
         reach = evaluator.distance
     t_min = _stop_floor(amp, source, reach, quad.t_cap)
-    tau, vals, cum, res = semiinfinite_profile(evaluator, quad,
-                                               step_growth=True, t_min_stop=t_min)
+    tau, vals, cum, res = semiinfinite_profile(evaluator, quad, t_min_stop=t_min)
     profile = OccupationProfile(t0=source.t0, tau=tau, values=vals,
                                 cumulative=cum, result=res,
                                 quad_error=evaluator.error_rel)
@@ -295,8 +283,7 @@ def entry_probability(amp: MomentumAmplitude, det: DetectorGeometry,
 
 def _curve_from_profile(profile: OccupationProfile, p_direction: float,
                         quad: QuadratureSpec, grid: TimeGridSpec | None,
-                        point_detector: bool,
-                        omega: float | None) -> EntryProbabilityCurve:
+                        point_detector: bool) -> EntryProbabilityCurve:
     grid = grid or TimeGridSpec()
     dt = grid.dt if grid.dt is not None else quad.dt
     tau_end = (grid.t_end - profile.t0) if grid.t_end is not None \
@@ -311,7 +298,7 @@ def _curve_from_profile(profile: OccupationProfile, p_direction: float,
         t=profile.t0 + tau_out, p_direction=p_direction,
         p_conditional=conditional, p_entry=p_direction * conditional,
         denominator=profile.result, point_detector=point_detector,
-        quad_error=profile.quad_error, omega=omega)
+        quad_error=profile.quad_error)
 
 
 def build_entry_curve(amp: MomentumAmplitude, det: DetectorGeometry,
@@ -330,7 +317,7 @@ def build_entry_curve(amp: MomentumAmplitude, det: DetectorGeometry,
     profile = _occupation_profile(amp, det, source, quad)
     _checked_denominator(profile, allow_unconverged)
     return _curve_from_profile(profile, p_direction, quad, grid,
-                               point_detector=False, omega=det.omega)
+                               point_detector=False)
 
 
 def point_detector_curve(amp: MomentumAmplitude, x_detector,
@@ -354,7 +341,6 @@ def point_detector_curve(amp: MomentumAmplitude, x_detector,
         raise GeometryError("point detector coincides with the source")
     quad = quad or QuadratureSpec()
     p_direction = 1.0
-    omega = None
     if reference_solid_angle is not None:
         if not 0.0 < reference_solid_angle <= 4.0 * np.pi:
             raise ValueError("reference_solid_angle must lie in (0, 4 pi]")
@@ -362,10 +348,10 @@ def point_detector_curve(amp: MomentumAmplitude, x_detector,
             np.clip(1.0 - reference_solid_angle / (2.0 * np.pi), -1.0, 1.0)))
         cone = cap_detector(rel, half_angle, 0.5 * distance, 1.5 * distance, source)
         p_direction = direction_probability(amp, cone, source, quad)
-        omega = reference_solid_angle
-    quad = resolve_time_controls(amp, source, max(distance, 1e-300), 0.0,
-                                 quad, p_direction)
+    # no direction bound: the arrival statistics resolve the same controls
+    # and must find this profile in the cache
+    quad = resolve_time_controls(amp, source, max(distance, 1e-300), 0.0, quad)
     profile = _occupation_profile(amp, x_detector, source, quad)
     _checked_denominator(profile, allow_unconverged)
     return _curve_from_profile(profile, p_direction, quad, grid,
-                               point_detector=True, omega=omega)
+                               point_detector=True)

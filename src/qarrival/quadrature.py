@@ -15,9 +15,9 @@ import numpy as np
 from .geometry import DetectorGeometry, orthonormal_frame
 
 #: window sizing of the semi-infinite integrator: the first window holds
-#: WINDOW_NODES samples of step dt; with step growth enabled, later
-#: (doubled) windows keep step dt until they would exceed WINDOW_NODES_MAX
-#: samples, after which the step grows with the window.
+#: WINDOW_NODES samples of step dt; later (doubled) windows keep step dt
+#: until they would exceed WINDOW_NODES_MAX samples, after which the step
+#: grows with the window.
 WINDOW_NODES = 1024
 WINDOW_NODES_MAX = 8192
 
@@ -122,21 +122,15 @@ def volume_grid(det: DetectorGeometry,
     n_r = max(4, spec.polar_nodes)
     if det.kind == "sphere":
         r, wr = gauss_legendre_panels(0.0, det.radius, 1, n_r)
-        u, wu = gauss_legendre_panels(-1.0, 1.0, 1, spec.polar_nodes)
+        cos_lo = -1.0
         origin = det.center
     elif det.kind == "cap":
         r, wr = gauss_legendre_panels(det.r_inner, det.r_outer, 1, n_r)
-        u, wu = gauss_legendre_panels(np.cos(det.half_angle), 1.0, 1, spec.polar_nodes)
+        cos_lo = np.cos(det.half_angle)
         origin = det.apex
     else:
         raise ValueError(f"unsupported detector kind {det.kind!r}")
-    phi = 2.0 * np.pi * np.arange(spec.azimuth_nodes) / spec.azimuth_nodes
-    wphi = 2.0 * np.pi / spec.azimuth_nodes
-    e1, e2 = orthonormal_frame(det.axis)
-    sin_t = np.sqrt(np.maximum(0.0, 1.0 - u * u))
-    ring = np.cos(phi)[None, :, None] * e1 + np.sin(phi)[None, :, None] * e2
-    dirs = (sin_t[:, None, None] * ring + u[:, None, None] * det.axis).reshape(-1, 3)
-    ang_w = np.repeat(wu * wphi, spec.azimuth_nodes)
+    dirs, ang_w = cap_directions(det.axis, cos_lo, spec.polar_nodes, spec.azimuth_nodes)
     points = origin[None, None, :] + r[:, None, None] * dirs[None, :, :]
     weights = (wr * r * r)[:, None] * ang_w[None, :]
     return points.reshape(-1, 3), weights.ravel()
@@ -171,16 +165,15 @@ def differentiate_sampled(values, dt: float) -> np.ndarray:
     return out
 
 
-def semiinfinite_profile(f, spec: QuadratureSpec, *, step_growth: bool = True,
-                         t_min_stop: float = 0.0):
+def semiinfinite_profile(f, spec: QuadratureSpec, *, t_min_stop: float = 0.0):
     """Integrate f(tau) >= 0 over [0, infinity) by window doubling.
 
     The window [0, T] is extended in doublings until the last window
     contributes less than eps_tail of the accumulated value for two
     consecutive doublings (counted only past `t_min_stop`), or t_cap is hit
     (converged=False then).  Within each window the rule is the composite
-    trapezoid at step `dt`; with `step_growth` the step is allowed to grow in
-    later windows so each window holds at most WINDOW_NODES_MAX samples.
+    trapezoid at step `dt`; the step grows in later windows so each window
+    holds at most WINDOW_NODES_MAX samples.
 
     Returns (tau_grid, f_values, cumulative, SemiInfiniteResult); the
     cumulative array holds the running integral at the grid nodes.
@@ -202,11 +195,7 @@ def semiinfinite_profile(f, spec: QuadratureSpec, *, step_growth: bool = True,
 
     while True:
         length = t_hi - t_lo
-        if step_growth:
-            n = min(int(round(length / dt)), WINDOW_NODES_MAX)
-        else:
-            n = int(round(length / dt))
-        n = max(n, 1)
+        n = max(min(int(round(length / dt)), WINDOW_NODES_MAX), 1)
         h = length / n
         grid = t_lo + h * np.arange(1, n + 1)
         grid[-1] = t_hi
@@ -242,13 +231,11 @@ def semiinfinite_profile(f, spec: QuadratureSpec, *, step_growth: bool = True,
 
 
 def integrate_time_semiinfinite(f, t0: float, spec: QuadratureSpec, *,
-                                step_growth: bool = True,
                                 t_min_stop: float = 0.0) -> SemiInfiniteResult:
     """Tail-controlled integral of a nonnegative, eventually decaying f over
     [t0, infinity).  `f` must accept an array of absolute times."""
     _, _, _, result = semiinfinite_profile(
-        lambda tau: f(t0 + tau), spec, step_growth=step_growth,
-        t_min_stop=t_min_stop)
+        lambda tau: f(t0 + tau), spec, t_min_stop=t_min_stop)
     return SemiInfiniteResult(value=result.value,
                               error_estimate=result.error_estimate,
                               t_max=t0 + result.t_max, converged=result.converged)

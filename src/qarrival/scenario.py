@@ -9,6 +9,7 @@ JSON summary.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -117,6 +118,24 @@ _KEYS = {
     "output.dir": _STR,
 }
 
+# sections whose keys are fields of Scenario itself (coupling.k -> coupling_k)
+_TOP_LEVEL = ("coupling", "output")
+
+
+def _get(s: Scenario, key: str):
+    section, name = key.split(".")
+    if section in _TOP_LEVEL:
+        return getattr(s, f"{section}_{name}")
+    return getattr(getattr(s, section), name)
+
+
+def _set(s: Scenario, key: str, value) -> Scenario:
+    section, name = key.split(".")
+    if section in _TOP_LEVEL:
+        return replace(s, **{f"{section}_{name}": value})
+    return replace(s, **{section: replace(getattr(s, section), **{name: value})})
+
+
 _DETECTOR_KIND_KEYS = {
     "sphere": {"detector.center", "detector.radius"},
     "cap": {"detector.axis", "detector.half_angle", "detector.r_inner",
@@ -154,22 +173,29 @@ def _parse_value(key: str, raw: str):
     return value
 
 
-def parse_scenario_text(text: str, base_dir: str = ".") -> Scenario:
-    values: dict = {}
+def _read_pairs(text: str, allowed) -> dict:
+    """Raw `key = value` pairs of a flat key file, checked in file order: a
+    line without '=', a key not in `allowed` or a repeated key is an error.
+    Blank lines and '#' comments are skipped."""
+    pairs: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
+        key, eq, raw = stripped.partition("=")
+        if not eq:
             raise ScenarioError(f"line {lineno}", f"expected 'key = value', got {stripped!r}")
-        key, _, raw = stripped.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if key not in _KEYS:
+        if key not in allowed:
             raise ScenarioError(key, "unknown key")
-        if key in values:
+        if key in pairs:
             raise ScenarioError(key, "duplicate key")
-        values[key] = _parse_value(key, raw)
+        pairs[key] = raw.strip()
+    return pairs
+
+
+def parse_scenario_text(text: str, base_dir: str = ".") -> Scenario:
+    values = {key: _parse_value(key, raw) for key, raw in _read_pairs(text, _KEYS).items()}
     return _assemble(values, base_dir)
 
 
@@ -180,8 +206,7 @@ def parse_scenario(path) -> Scenario:
 
 
 def _assemble(values: dict, base_dir: str) -> Scenario:
-    def take(key, default=None):
-        return values.get(key, default)
+    take = values.get
 
     mass = take("emission.mass", 1.0)
     if not mass > 0.0:
@@ -294,54 +319,27 @@ def _assemble(values: dict, base_dir: str) -> Scenario:
 
 # --- emission ---------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
+def _fmt(kind: str, value) -> str:
+    if kind == _VEC:
+        return " ".join(_fmt(_FLOAT, v) for v in value)
+    if kind == _FLOAT:
+        return f"{float(value):.17g}"
     return str(value)
 
 
+_DEFAULTS = Scenario()
+
+
 def emit_scenario(s: Scenario) -> str:
+    """Scenario text in `_KEYS` order; unset keys and quadrature keys at
+    their defaults are left out."""
     lines = [_HEADER]
-
-    def put(key, value):
-        if value is None:
-            return
-        if isinstance(value, tuple):
-            value = " ".join(_fmt(float(v)) for v in value)
-        else:
-            value = _fmt(value)
-        lines.append(f"{key} = {value}\n")
-
-    put("emission.x0", tuple(float(v) for v in s.emission.x0))
-    put("emission.t0", float(s.emission.t0))
-    put("emission.mass", float(s.emission.mass))
-    put("amplitude.kind", s.amplitude.kind)
-    put("amplitude.p0", s.amplitude.p0)
-    put("amplitude.sigma_p", s.amplitude.sigma_p)
-    put("amplitude.axis", s.amplitude.axis)
-    put("amplitude.angular_sigma", s.amplitude.angular_sigma)
-    put("amplitude.radial_file", s.amplitude.radial_file)
-    put("amplitude.angular_file", s.amplitude.angular_file)
-    put("detector.kind", s.detector.kind)
-    put("detector.center", s.detector.center)
-    put("detector.radius", s.detector.radius)
-    put("detector.axis", s.detector.axis)
-    put("detector.half_angle", s.detector.half_angle)
-    put("detector.r_inner", s.detector.r_inner)
-    put("detector.r_outer", s.detector.r_outer)
-    put("detector.position", s.detector.position)
-    put("detector.reference_solid_angle", s.detector.reference_solid_angle)
-    put("coupling.k", float(s.coupling_k))
-    q = s.quadrature
-    defaults = QuadratureSpec()
-    for name in ("radial_nodes", "radial_panels", "polar_nodes", "azimuth_nodes",
-                 "dt", "eps_tail", "t_cap", "rtol", "p_max"):
-        value = getattr(q, name)
-        if value != getattr(defaults, name):
-            put(f"quadrature.{name}", value)
-    put("grid.dt", s.grid.dt)
-    put("grid.t_end", s.grid.t_end)
-    put("output.dir", s.output_dir)
+    for key, kind in _KEYS.items():
+        value = _get(s, key)
+        if value is None or (key.startswith("quadrature.")
+                             and value == _get(_DEFAULTS, key)):
+            continue
+        lines.append(f"{key} = {_fmt(kind, value)}\n")
     return "".join(lines)
 
 
@@ -505,73 +503,48 @@ class SweepSpec:
             raise ScenarioError("sweep.values", "value list must not be empty")
 
 
-_SWEEPABLE = {
-    "coupling.k": lambda s, v: replace(s, coupling_k=v),
-    "emission.mass": lambda s, v: replace(s, emission=replace(s.emission, mass=v)),
-    "emission.t0": lambda s, v: replace(s, emission=replace(s.emission, t0=v)),
-    "amplitude.p0": lambda s, v: replace(s, amplitude=replace(s.amplitude, p0=v)),
-    "amplitude.sigma_p": lambda s, v: replace(s, amplitude=replace(s.amplitude, sigma_p=v)),
-    "amplitude.angular_sigma": lambda s, v: replace(
-        s, amplitude=replace(s.amplitude, angular_sigma=v)),
-    "detector.radius": lambda s, v: replace(s, detector=replace(s.detector, radius=v)),
-    "detector.half_angle": lambda s, v: replace(
-        s, detector=replace(s.detector, half_angle=v)),
-    "quadrature.dt": lambda s, v: replace(s, quadrature=replace(s.quadrature, dt=v)),
-    "quadrature.t_cap": lambda s, v: replace(s, quadrature=replace(s.quadrature, t_cap=v)),
-    "quadrature.eps_tail": lambda s, v: replace(
-        s, quadrature=replace(s.quadrature, eps_tail=v)),
-    "grid.dt": lambda s, v: replace(s, grid=replace(s.grid, dt=v)),
-    "grid.t_end": lambda s, v: replace(s, grid=replace(s.grid, t_end=v)),
-}
+# scalar keys a sweep may set, plus detector.distance: the source-detector
+# separation, moving a sphere's center or a point along the line of sight
+_SWEEPABLE = frozenset({
+    "coupling.k", "emission.mass", "emission.t0", "amplitude.p0", "amplitude.sigma_p",
+    "amplitude.angular_sigma", "detector.radius", "detector.half_angle",
+    "quadrature.dt", "quadrature.t_cap", "quadrature.eps_tail", "grid.dt",
+    "grid.t_end", "detector.distance"})
+_SWEEP_KEYS = ("sweep.scenario", "sweep.parameter", "sweep.values")
+
+
+def _check_sweepable(parameter: str):
+    if parameter not in _SWEEPABLE:
+        raise ScenarioError("sweep.parameter",
+                            f"{parameter!r} is not a sweepable scalar parameter")
 
 
 def _apply_distance(s: Scenario, value: float) -> Scenario:
-    x0 = np.asarray(s.emission.x0, dtype=float)
-    if s.detector.kind == "point":
-        anchor = np.asarray(s.detector.position, dtype=float)
-    elif s.detector.kind == "sphere":
-        anchor = np.asarray(s.detector.center, dtype=float)
-    else:
+    key = {"point": "detector.position", "sphere": "detector.center"}.get(s.detector.kind)
+    if key is None:
         raise ScenarioError("sweep.parameter",
                             "detector.distance sweeps need a sphere or point detector")
-    offset = anchor - x0
+    x0 = np.asarray(s.emission.x0, dtype=float)
+    offset = np.asarray(_get(s, key), dtype=float) - x0
     length = float(np.linalg.norm(offset))
     if length == 0.0:
         raise ScenarioError("sweep.parameter",
                             "detector coincides with the source; no direction to scale")
-    moved = tuple(float(c) for c in (x0 + offset * (value / length)))
-    if s.detector.kind == "point":
-        return replace(s, detector=replace(s.detector, position=moved))
-    return replace(s, detector=replace(s.detector, center=moved))
+    return _set(s, key, tuple(float(c) for c in (x0 + offset * (value / length))))
 
 
 def apply_parameter(s: Scenario, parameter: str, value: float) -> Scenario:
+    _check_sweepable(parameter)
     if parameter == "detector.distance":
         return _apply_distance(s, value)
-    setter = _SWEEPABLE.get(parameter)
-    if setter is None:
-        raise ScenarioError("sweep.parameter",
-                            f"{parameter!r} is not a sweepable scalar parameter")
-    return setter(s, value)
+    return _set(s, parameter, value)
 
 
 def parse_sweep(path) -> SweepSpec:
     base = os.path.dirname(os.path.abspath(path))
-    entries: dict = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ScenarioError(f"line {lineno}",
-                                    f"expected 'key = value', got {stripped!r}")
-            key, _, raw = stripped.partition("=")
-            entries[key.strip()] = raw.strip()
-    unknown = set(entries) - {"sweep.scenario", "sweep.parameter", "sweep.values"}
-    if unknown:
-        raise ScenarioError(sorted(unknown)[0], "unknown key")
-    for required in ("sweep.scenario", "sweep.parameter", "sweep.values"):
+        entries = _read_pairs(fh.read(), _SWEEP_KEYS)
+    for required in _SWEEP_KEYS:
         if required not in entries:
             raise ScenarioError(required, "missing key")
     try:
@@ -579,9 +552,7 @@ def parse_sweep(path) -> SweepSpec:
     except ValueError as exc:
         raise ScenarioError("sweep.values", str(exc)) from None
     parameter = entries["sweep.parameter"]
-    if parameter != "detector.distance" and parameter not in _SWEEPABLE:
-        raise ScenarioError("sweep.parameter",
-                            f"{parameter!r} is not a sweepable scalar parameter")
+    _check_sweepable(parameter)
     return SweepSpec(scenario_path=os.path.join(base, entries["sweep.scenario"]),
                      parameter=parameter, values=values)
 
@@ -596,7 +567,7 @@ def _sweep_row(template: Scenario, parameter: str, out_dir, value: float) -> dic
     row = {"parameter": parameter, "value": value, "status": "ok", "error": ""}
     try:
         scn = apply_parameter(template, parameter, value)
-        row_dir = os.path.join(out_dir, f"{parameter}={_fmt(value)}")
+        row_dir = os.path.join(out_dir, f"{parameter}={_fmt(_FLOAT, value)}")
         summary = run_scenario(scn, row_dir)
         for name in ("p_direction", "p_entry_final", "p_registered_final",
                      "mean_arrival", "classical_flight", "t_max", "converged",
@@ -653,17 +624,10 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
         rows = [_sweep_row(template, spec.parameter, out_dir, v) for v in values]
 
     with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(",".join(_SWEEP_COLUMNS) + "\n")
+              newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_SWEEP_COLUMNS)
         for row in rows:
-            cells = []
-            for name in _SWEEP_COLUMNS:
-                value = row.get(name, "")
-                if isinstance(value, float):
-                    cells.append(f"{value:.17g}")
-                elif value is None:
-                    cells.append("")
-                else:
-                    cells.append(str(value))
-            fh.write(",".join(cells) + "\n")
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
+                             for v in map(row.get, _SWEEP_COLUMNS)])
     return rows

@@ -51,8 +51,7 @@ def test_refinement_within_error_estimate():
 
 def test_profile_cumulative_endpoint_matches_value():
     spec = QuadratureSpec(dt=1e-3, t_cap=100.0)
-    _, _, cumulative, res = semiinfinite_profile(
-        lambda t: np.exp(-t), spec, step_growth=True)
+    _, _, cumulative, res = semiinfinite_profile(lambda t: np.exp(-t), spec)
     assert cumulative[-1] == res.value
 
 

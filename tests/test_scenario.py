@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import json
 import os
 import sys
@@ -16,7 +17,10 @@ from qarrival import probability as prob_mod
 from qarrival import quadrature as quad_mod
 from qarrival import scenario as scenario_mod
 from qarrival.cli import main as cli_main
-from qarrival.scenario import apply_parameter, load_table
+from qarrival.probability import TimeGridSpec
+from qarrival.quadrature import QuadratureSpec
+from qarrival.scenario import (Scenario, ScenarioAmplitude, ScenarioDetector,
+                               ScenarioEmission, apply_parameter, load_table)
 
 MINIMAL = """
 detector.kind = sphere
@@ -119,6 +123,87 @@ def test_round_trip_exact():
         assert qa.parse_scenario_text(qa.emit_scenario(s)) == s
 
 
+HEADER = "# scenario file (flat keys; units: hbar = 1, kinetic energy p^2 / 2m)\n"
+
+# one scenario per detector kind and per amplitude kind, with the text
+# emit_scenario writes for it: keys in registry order, unset keys and
+# quadrature keys at their defaults left out, floats at 17 digits
+GOLDEN_EMIT = [
+    (Scenario(detector=ScenarioDetector(kind="sphere", center=(0.0, 0.0, 20.0),
+                                        radius=0.5)),
+     HEADER
+     + "emission.x0 = 0 0 0\n"
+       "emission.t0 = 0\n"
+       "emission.mass = 1\n"
+       "amplitude.kind = isotropic-gaussian\n"
+       "amplitude.p0 = 5\n"
+       "amplitude.sigma_p = 0.5\n"
+       "detector.kind = sphere\n"
+       "detector.center = 0 0 20\n"
+       "detector.radius = 0.5\n"
+       "coupling.k = 0.5\n"),
+    (Scenario(emission=ScenarioEmission(x0=(0.1, -0.2, 1e-300), t0=1.5, mass=2.25),
+              amplitude=ScenarioAmplitude(kind="separable", p0=4.75, sigma_p=1 / 3,
+                                          axis=(0.0, 1.0, 0.0), angular_sigma=0.04),
+              detector=ScenarioDetector(kind="cap", axis=(0.0, 1.0, 0.0),
+                                        half_angle=0.12, r_inner=18.7, r_outer=21.1),
+              coupling_k=0.75,
+              quadrature=QuadratureSpec(radial_nodes=32, polar_nodes=12, dt=0.003,
+                                        eps_tail=1e-6, rtol=1e-7),
+              grid=TimeGridSpec(t_end=40.0)),
+     HEADER
+     + "emission.x0 = 0.10000000000000001 -0.20000000000000001 1e-300\n"
+       "emission.t0 = 1.5\n"
+       "emission.mass = 2.25\n"
+       "amplitude.kind = separable\n"
+       "amplitude.p0 = 4.75\n"
+       "amplitude.sigma_p = 0.33333333333333331\n"
+       "amplitude.axis = 0 1 0\n"
+       "amplitude.angular_sigma = 0.040000000000000001\n"
+       "detector.kind = cap\n"
+       "detector.axis = 0 1 0\n"
+       "detector.half_angle = 0.12\n"
+       "detector.r_inner = 18.699999999999999\n"
+       "detector.r_outer = 21.100000000000001\n"
+       "coupling.k = 0.75\n"
+       "quadrature.polar_nodes = 12\n"
+       "quadrature.dt = 0.0030000000000000001\n"
+       "quadrature.rtol = 9.9999999999999995e-08\n"
+       "grid.t_end = 40\n"),
+    (Scenario(amplitude=ScenarioAmplitude(kind="tabulated", p0=None, sigma_p=None,
+                                          axis=(0.0, 0.0, 1.0),
+                                          radial_file="radial.txt",
+                                          angular_file="angular.txt"),
+              detector=ScenarioDetector(kind="point", position=(0.0, 0.0, 100.0),
+                                        reference_solid_angle=0.01),
+              quadrature=QuadratureSpec(t_cap=500.0, p_max=12.0),
+              grid=TimeGridSpec(dt=0.25), output_dir="out/tab"),
+     HEADER
+     + "emission.x0 = 0 0 0\n"
+       "emission.t0 = 0\n"
+       "emission.mass = 1\n"
+       "amplitude.kind = tabulated\n"
+       "amplitude.axis = 0 0 1\n"
+       "amplitude.radial_file = radial.txt\n"
+       "amplitude.angular_file = angular.txt\n"
+       "detector.kind = point\n"
+       "detector.position = 0 0 100\n"
+       "detector.reference_solid_angle = 0.01\n"
+       "coupling.k = 0.5\n"
+       "quadrature.t_cap = 500\n"
+       "quadrature.p_max = 12\n"
+       "grid.dt = 0.25\n"
+       "output.dir = out/tab\n"),
+]
+
+
+@pytest.mark.parametrize("scenario, text", GOLDEN_EMIT,
+                         ids=["sphere-isotropic", "cap-separable", "point-tabulated"])
+def test_emit_golden_text(scenario, text):
+    assert qa.emit_scenario(scenario) == text
+    assert qa.parse_scenario_text(text) == scenario
+
+
 def test_table_loading(tmp_path):
     table = tmp_path / "radial.txt"
     table.write_text("# momentum table\n1.0 0.5\n2.0 0.25,-0.75\n3.0 0\n")
@@ -160,7 +245,13 @@ def test_run_outputs_and_determinism(tmp_path):
     assert summary["consistency_residual_max"] <= 1e-6
 
 
-def test_point_run_builds_one_occupation_profile(tmp_path, monkeypatch):
+@pytest.mark.parametrize("text", [
+    POINT_FAST,
+    # the direction factor must not change the time step: the arrival
+    # statistics look the profile up without it
+    POINT_FAST + "detector.reference_solid_angle = 0.01\n",
+], ids=["no_direction_factor", "reference_solid_angle"])
+def test_point_run_builds_one_occupation_profile(tmp_path, monkeypatch, text):
     real = quad_mod.semiinfinite_profile
     calls = []
 
@@ -174,7 +265,7 @@ def test_point_run_builds_one_occupation_profile(tmp_path, monkeypatch):
         if hasattr(mod, "semiinfinite_profile"):
             monkeypatch.setattr(mod, "semiinfinite_profile", counted)
     monkeypatch.setattr(prob_mod, "_PROFILE_CACHE", {})
-    qa.run_scenario(qa.parse_scenario_text(POINT_FAST), tmp_path)
+    qa.run_scenario(qa.parse_scenario_text(text), tmp_path)
     assert len(calls) == 1
 
     def t_column(name):
@@ -388,6 +479,23 @@ def test_sweep_row_failure_recorded(tmp_path):
     sweep_csv = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert sweep_csv[0].startswith("parameter,value,status")
     assert len(sweep_csv) == 3
+    # the error message holds commas; quoting keeps it in one cell
+    with open(tmp_path / "out" / "sweep.csv", encoding="utf-8", newline="") as fh:
+        table = list(csv.reader(fh))
+    assert [len(cells) for cells in table] == [11, 11, 11]
+    assert table[2][3] == by_value[1.5]["error"]
+
+
+def test_cli_sweep_duplicate_key_names_it(tmp_path, capsys):
+    (tmp_path / "scn.txt").write_text(POINT_FAST)
+    sweep = tmp_path / "k.sweep"
+    sweep.write_text("sweep.scenario = scn.txt\n"
+                     "sweep.parameter = coupling.k\n"
+                     "sweep.values = 0.25\n"
+                     "sweep.values = 0.75\n")
+    assert cli_main(["sweep", str(sweep), "--out", str(tmp_path / "out")]) == 2
+    assert "sweep.values: duplicate key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_apply_distance_moves_along_line_of_sight():
