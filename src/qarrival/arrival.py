@@ -2,9 +2,9 @@
 
 The density is |psi_nD(x_D, t)|^2 normalized to unit mass over
 [t0, infinity); the mean arrival time is its first moment.  The density is
-read off the scenario's cached occupation profile (the integrand whose
-running integral gives the point entry curve) and interpolated onto the
-entry curve's uniform grid, so a point run integrates it only once.
+read off the scenario's occupation profile (the integrand whose running
+integral gives the point entry curve) and interpolated onto the entry
+curve's uniform grid, so a point run integrates it only once.
 Moments are computed on the same node set as the normalizer so the
 quadrature bias cancels in the ratio.
 """
@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .geometry import EmissionEvent, _as_vec3
+from .geometry import EmissionEvent
 from .quadrature import QuadratureSpec, SemiInfiniteResult
-from .probability import resolve_time_controls, write_columns_csv, \
-    _occupation_profile
+from .probability import OccupationProfile, write_columns_csv, _point_occupation
 from .wavepacket import MomentumAmplitude
 
 
@@ -40,11 +39,7 @@ class ArrivalTimeStats:
     spread: float | None = None
 
     def write_csv(self, path):
-        write_arrival_csv(self, path)
-
-
-def write_arrival_csv(stats: ArrivalTimeStats, path):
-    write_columns_csv(path, "t,density", stats.t, stats.density)
+        write_columns_csv(path, "t,density", self.t, self.density)
 
 
 def stats_from_samples(taus, values, t0: float = 0.0,
@@ -72,21 +67,18 @@ def stats_from_samples(taus, values, t0: float = 0.0,
                             spread=float(np.sqrt(max(var, 0.0))))
 
 
-def _uniform_point_samples(amp: MomentumAmplitude, x_detector,
-                           source: EmissionEvent, quad: QuadratureSpec | None):
-    x_detector = _as_vec3(x_detector, "x_detector")
-    distance = float(np.linalg.norm(x_detector - source.x0))
-    quad = resolve_time_controls(amp, source, max(distance, 1e-300), 0.0,
-                                 quad or QuadratureSpec())
-    profile = _occupation_profile(amp, x_detector, source, quad)
+def _stats_from_profile(profile: OccupationProfile,
+                        classical_time: float | None = None) -> ArrivalTimeStats:
+    """Arrival statistics read off a point occupation profile, sampled on
+    its quadrature step out to the integration limit."""
     tail = profile.result
     if not tail.converged:
         raise IntegrationError(
             "arrival normalizer did not reach its tail criterion before the "
-            f"time cap {source.t0 + tail.t_max:.6g}",
+            f"time cap {profile.t0 + tail.t_max:.6g}",
             estimate=tail.error_estimate, value=tail.value)
-    n = int(round(tail.t_max / quad.dt))
-    taus = quad.dt * np.arange(n + 1)
+    n = int(round(tail.t_max / profile.dt))
+    taus = profile.dt * np.arange(n + 1)
     values = np.interp(taus, profile.tau, profile.values)
     mass = float(np.trapezoid(values, taus))
     if not mass > 0.0:
@@ -95,25 +87,24 @@ def _uniform_point_samples(amp: MomentumAmplitude, x_detector,
     normalizer = SemiInfiniteResult(
         value=mass,
         error_estimate=max(tail.error_estimate, abs(tail.value - mass)),
-        t_max=source.t0 + tail.t_max, converged=True)
-    return taus, values, normalizer, distance
+        t_max=profile.t0 + tail.t_max, converged=True)
+    return stats_from_samples(taus, values, t0=profile.t0,
+                              classical_time=classical_time, normalizer=normalizer)
 
 
 def arrival_density(amp: MomentumAmplitude, x_detector, source: EmissionEvent,
                     quad: QuadratureSpec | None = None):
     """Sampled unit-mass arrival density: (absolute times, density values)."""
-    taus, values, normalizer, _ = _uniform_point_samples(amp, x_detector,
-                                                         source, quad)
-    return source.t0 + taus, values / normalizer.value
+    stats = mean_arrival_time(amp, x_detector, source, quad)
+    return stats.t, stats.density
 
 
 def mean_arrival_time(amp: MomentumAmplitude, x_detector, source: EmissionEvent,
                       quad: QuadratureSpec | None = None) -> ArrivalTimeStats:
     """Mean elapsed arrival time with the full sampled density attached."""
-    taus, values, normalizer, distance = _uniform_point_samples(
-        amp, x_detector, source, quad)
+    _, profile = _point_occupation(amp, x_detector, source, quad)
     classical = None
     if amp.exposed_p0 is not None:
+        distance = float(np.linalg.norm(np.asarray(x_detector, dtype=float) - source.x0))
         classical = source.mass * distance / amp.exposed_p0
-    return stats_from_samples(taus, values, t0=source.t0,
-                              classical_time=classical, normalizer=normalizer)
+    return _stats_from_profile(profile, classical)

@@ -81,7 +81,9 @@ class CouplingSchedule:
         return float(np.interp(t, self.t, self.angle))
 
     def write_csv(self, path):
-        write_schedule_csv(self, path)
+        write_columns_csv(path, "t,rate,angle,p_registered,entry_rate", self.t,
+                          self.rate, self.angle, np.sin(self.angle) ** 2,
+                          self.entry_rate)
 
 
 def coupling_schedule(curve: EntryProbabilityCurve, k: float) -> CouplingSchedule:
@@ -213,9 +215,3 @@ def ode_consistency(sched: CouplingSchedule,
     unitarity = float(np.max(np.abs(norms - 1.0)))
     return {"consistency_residual_max": residual,
             "unitarity_residual_max": unitarity}
-
-
-def write_schedule_csv(sched: CouplingSchedule, path):
-    write_columns_csv(path, "t,rate,angle,p_registered,entry_rate", sched.t,
-                      sched.rate, sched.angle, np.sin(sched.angle) ** 2,
-                      sched.entry_rate)

@@ -13,13 +13,12 @@ detector replaces the volume integral by the single-point density
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GeometryError, IntegrationError
-from .geometry import EmissionEvent, DetectorGeometry, cap_detector
+from .errors import GeometryError, IntegrationError, ScenarioError
+from .geometry import EmissionEvent, DetectorGeometry, _as_vec3, cap_detector
 from .quadrature import QuadratureSpec, SemiInfiniteResult, cap_directions, \
     semiinfinite_profile
 from .wavepacket import MomentumAmplitude, PointDensityCurve, \
@@ -82,12 +81,8 @@ class EntryProbabilityCurve:
         return float(self.t[1] - self.t[0]) if self.t.size > 1 else 0.0
 
     def write_csv(self, path):
-        write_entry_curve_csv(self, path)
-
-
-def write_entry_curve_csv(curve: EntryProbabilityCurve, path):
-    write_columns_csv(path, "t,p_conditional,p_entry", curve.t,
-                      curve.p_conditional, curve.p_entry)
+        write_columns_csv(path, "t,p_conditional,p_entry", self.t,
+                          self.p_conditional, self.p_entry)
 
 
 def write_columns_csv(path, header: str, *columns: np.ndarray):
@@ -154,9 +149,11 @@ def _stop_floor(amp: MomentumAmplitude, source: EmissionEvent, reach: float,
 
 @dataclass
 class OccupationProfile:
-    """Internal: sampled occupation integrand with its running integral."""
+    """Internal: sampled occupation integrand with its running integral and
+    the resolved quadrature step `dt`."""
 
     t0: float
+    dt: float
     tau: np.ndarray
     values: np.ndarray
     cumulative: np.ndarray
@@ -164,39 +161,8 @@ class OccupationProfile:
     quad_error: float
 
 
-_PROFILE_CACHE: dict = {}
-_PROFILE_CACHE_MAX = 16
-# guards lookup, eviction and insertion; sweep rows run on threads
-_PROFILE_LOCK = threading.Lock()
-
-
-def _amp_signature(amp: MomentumAmplitude) -> tuple:
-    return (amp.kind, amp.p0, amp.sigma_p, amp.angular_sigma, amp.scale,
-            None if amp.axis is None else amp.axis.tobytes(),
-            None if amp.p_grid is None else amp.p_grid.tobytes(),
-            None if amp.radial_values is None else amp.radial_values.tobytes(),
-            None if amp.cos_grid is None else amp.cos_grid.tobytes(),
-            None if amp.angular_values is None else amp.angular_values.tobytes())
-
-
-def _profile_key(amp, target, source, quad) -> tuple:
-    if isinstance(target, DetectorGeometry):
-        tsig = (target.kind, target.center.tobytes(), target.radius,
-                target.half_angle, target.r_inner, target.r_outer,
-                target.axis.tobytes())
-    else:
-        tsig = ("point", np.asarray(target, dtype=float).tobytes())
-    return (_amp_signature(amp), tsig,
-            (source.x0.tobytes(), source.t0, source.mass), quad)
-
-
 def _occupation_profile(amp: MomentumAmplitude, target, source: EmissionEvent,
                         quad: QuadratureSpec) -> OccupationProfile:
-    key = _profile_key(amp, target, source, quad)
-    with _PROFILE_LOCK:
-        hit = _PROFILE_CACHE.get(key)
-    if hit is not None:
-        return hit
     if isinstance(target, DetectorGeometry):
         evaluator = VolumeOccupationCurve(amp, target, source, quad)
         reach = target.distance + 0.5 * target.extent_along_axis
@@ -205,14 +171,9 @@ def _occupation_profile(amp: MomentumAmplitude, target, source: EmissionEvent,
         reach = evaluator.distance
     t_min = _stop_floor(amp, source, reach, quad.t_cap)
     tau, vals, cum, res = semiinfinite_profile(evaluator, quad, t_min_stop=t_min)
-    profile = OccupationProfile(t0=source.t0, tau=tau, values=vals,
-                                cumulative=cum, result=res,
-                                quad_error=evaluator.error_rel)
-    with _PROFILE_LOCK:
-        if len(_PROFILE_CACHE) >= _PROFILE_CACHE_MAX:
-            _PROFILE_CACHE.pop(next(iter(_PROFILE_CACHE)))
-        _PROFILE_CACHE[key] = profile
-    return profile
+    return OccupationProfile(t0=source.t0, dt=quad.dt, tau=tau, values=vals,
+                             cumulative=cum, result=res,
+                             quad_error=evaluator.error_rel)
 
 
 def _checked_denominator(profile: OccupationProfile, allow_unconverged: bool):
@@ -282,15 +243,26 @@ def entry_probability(amp: MomentumAmplitude, det: DetectorGeometry,
 
 
 def _curve_from_profile(profile: OccupationProfile, p_direction: float,
-                        quad: QuadratureSpec, grid: TimeGridSpec | None,
-                        point_detector: bool) -> EntryProbabilityCurve:
+                        grid: TimeGridSpec | None, point_detector: bool, *,
+                        allow_unconverged: bool = False,
+                        min_samples: int = 1) -> EntryProbabilityCurve:
+    """Entry curve on the output grid.  A grid that starts before the
+    emission time or holds fewer than `min_samples` samples is an error
+    naming `grid.t_end` when it is set, else `grid.dt`."""
+    _checked_denominator(profile, allow_unconverged)
     grid = grid or TimeGridSpec()
-    dt = grid.dt if grid.dt is not None else quad.dt
+    key = "grid.t_end" if grid.t_end is not None else "grid.dt"
+    dt = grid.dt if grid.dt is not None else profile.dt
     tau_end = (grid.t_end - profile.t0) if grid.t_end is not None \
         else profile.result.t_max
     if tau_end < 0.0:
-        raise ValueError("grid t_end precedes the emission time")
+        raise ScenarioError(key, f"t_end {grid.t_end!r} precedes the emission "
+                                 f"time {profile.t0!r}")
     n = int(round(tau_end / dt)) if tau_end > 0.0 else 0
+    if n + 1 < min_samples:
+        raise ScenarioError(key, f"the output grid of step {dt:.6g} over [{profile.t0:.6g}, "
+                                 f"{profile.t0 + tau_end:.6g}] holds {n + 1} samples; "
+                                 f"a run needs at least {min_samples}")
     tau_out = dt * np.arange(n + 1)
     conditional = np.interp(tau_out, profile.tau, profile.cumulative) \
         / profile.result.value
@@ -299,6 +271,43 @@ def _curve_from_profile(profile: OccupationProfile, p_direction: float,
         p_conditional=conditional, p_entry=p_direction * conditional,
         denominator=profile.result, point_detector=point_detector,
         quad_error=profile.quad_error)
+
+
+def _volume_occupation(amp: MomentumAmplitude, det: DetectorGeometry,
+                       source: EmissionEvent, quad: QuadratureSpec | None = None
+                       ) -> tuple[float, OccupationProfile]:
+    """Direction factor and occupation profile of a volume detector, with the
+    time controls resolved against the direction factor."""
+    quad = quad or QuadratureSpec()
+    p_direction = direction_probability(amp, det, source, quad)
+    quad = resolve_time_controls(amp, source, det.distance,
+                                 det.extent_along_axis, quad, p_direction)
+    return p_direction, _occupation_profile(amp, det, source, quad)
+
+
+def _point_occupation(amp: MomentumAmplitude, x_detector, source: EmissionEvent,
+                      quad: QuadratureSpec | None = None,
+                      reference_solid_angle: float | None = None
+                      ) -> tuple[float, OccupationProfile]:
+    """Direction factor and occupation profile of a point detector.  The
+    factor stays out of the time controls, so the entry curve and the
+    arrival statistics read the same profile."""
+    x_detector = _as_vec3(x_detector, "x_detector")
+    rel = x_detector - source.x0
+    distance = float(np.linalg.norm(rel))
+    if distance == 0.0:
+        raise GeometryError("point detector coincides with the source")
+    quad = quad or QuadratureSpec()
+    p_direction = 1.0
+    if reference_solid_angle is not None:
+        if not 0.0 < reference_solid_angle <= 4.0 * np.pi:
+            raise ValueError("reference_solid_angle must lie in (0, 4 pi]")
+        half_angle = float(np.arccos(
+            np.clip(1.0 - reference_solid_angle / (2.0 * np.pi), -1.0, 1.0)))
+        cone = cap_detector(rel, half_angle, 0.5 * distance, 1.5 * distance, source)
+        p_direction = direction_probability(amp, cone, source, quad)
+    quad = resolve_time_controls(amp, source, distance, 0.0, quad)
+    return p_direction, _occupation_profile(amp, x_detector, source, quad)
 
 
 def build_entry_curve(amp: MomentumAmplitude, det: DetectorGeometry,
@@ -310,14 +319,9 @@ def build_entry_curve(amp: MomentumAmplitude, det: DetectorGeometry,
 
     The occupation normalizer is computed once and shared by every sample.
     """
-    quad = quad or QuadratureSpec()
-    p_direction = direction_probability(amp, det, source, quad)
-    quad = resolve_time_controls(amp, source, det.distance,
-                                 det.extent_along_axis, quad, p_direction)
-    profile = _occupation_profile(amp, det, source, quad)
-    _checked_denominator(profile, allow_unconverged)
-    return _curve_from_profile(profile, p_direction, quad, grid,
-                               point_detector=False)
+    p_direction, profile = _volume_occupation(amp, det, source, quad)
+    return _curve_from_profile(profile, p_direction, grid, point_detector=False,
+                               allow_unconverged=allow_unconverged)
 
 
 def point_detector_curve(amp: MomentumAmplitude, x_detector,
@@ -334,24 +338,7 @@ def point_detector_curve(amp: MomentumAmplitude, x_detector,
     derives the factor from a direction cone of that size around the line
     of sight.
     """
-    x_detector = np.asarray(x_detector, dtype=float)
-    rel = x_detector - source.x0
-    distance = float(np.linalg.norm(rel))
-    if distance == 0.0:
-        raise GeometryError("point detector coincides with the source")
-    quad = quad or QuadratureSpec()
-    p_direction = 1.0
-    if reference_solid_angle is not None:
-        if not 0.0 < reference_solid_angle <= 4.0 * np.pi:
-            raise ValueError("reference_solid_angle must lie in (0, 4 pi]")
-        half_angle = float(np.arccos(
-            np.clip(1.0 - reference_solid_angle / (2.0 * np.pi), -1.0, 1.0)))
-        cone = cap_detector(rel, half_angle, 0.5 * distance, 1.5 * distance, source)
-        p_direction = direction_probability(amp, cone, source, quad)
-    # no direction bound: the arrival statistics resolve the same controls
-    # and must find this profile in the cache
-    quad = resolve_time_controls(amp, source, max(distance, 1e-300), 0.0, quad)
-    profile = _occupation_profile(amp, x_detector, source, quad)
-    _checked_denominator(profile, allow_unconverged)
-    return _curve_from_profile(profile, p_direction, quad, grid,
-                               point_detector=True)
+    p_direction, profile = _point_occupation(amp, x_detector, source, quad,
+                                            reference_solid_angle)
+    return _curve_from_profile(profile, p_direction, grid, point_detector=True,
+                               allow_unconverged=allow_unconverged)

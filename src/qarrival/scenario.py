@@ -301,11 +301,13 @@ def _assemble(values: dict, base_dir: str) -> Scenario:
     quad_kwargs = {}
     for key in values:
         if key.startswith("quadrature."):
-            quad_kwargs[key.split(".", 1)[1]] = values[key]
-    try:
-        quad = QuadratureSpec(**quad_kwargs)
-    except ValueError as exc:
-        raise ScenarioError("quadrature", str(exc)) from None
+            name = key.split(".", 1)[1]
+            try:                # every check of QuadratureSpec reads one field
+                QuadratureSpec(**{name: values[key]})
+            except ValueError as exc:
+                raise ScenarioError(key, str(exc)) from None
+            quad_kwargs[name] = values[key]
+    quad = QuadratureSpec(**quad_kwargs)
 
     try:
         grid = prob_mod.TimeGridSpec(dt=take("grid.dt"), t_end=take("grid.t_end"))
@@ -411,6 +413,21 @@ def make_detector(s: Scenario, source: EmissionEvent) -> DetectorGeometry | None
 
 # --- running -----------------------------------------------------------------
 
+def _prepare(s: Scenario) -> tuple:
+    """Source, amplitude, detector (None for a point), direction factor and
+    occupation profile: all a run computes before its output grid."""
+    source = make_source(s)
+    amp = make_amplitude(s)
+    det = make_detector(s, source)
+    if det is not None:
+        occupation = prob_mod._volume_occupation(amp, det, source, s.quadrature)
+    else:
+        occupation = prob_mod._point_occupation(
+            amp, s.detector.position, source, s.quadrature,
+            s.detector.reference_solid_angle)
+    return (source, amp, det, *occupation)
+
+
 def run_scenario(s: Scenario, out_dir) -> dict:
     """Execute the full pipeline and write curve CSVs plus summary.json.
 
@@ -418,31 +435,29 @@ def run_scenario(s: Scenario, out_dir) -> dict:
     normalizers are recorded in the summary rather than raised; callers
     that want them fatal check summary["converged"].
     """
-    os.makedirs(out_dir, exist_ok=True)
-    source = make_source(s)
-    amp = make_amplitude(s)
-    det = make_detector(s, source)
+    return _run(s, out_dir)
 
-    arrival_stats = None
-    arrival_converged = True
+
+def _run(s: Scenario, out_dir, prepared: tuple | None = None) -> dict:
+    """`run_scenario`, from a sweep's shared `_prepare` result if given."""
+    os.makedirs(out_dir, exist_ok=True)
+    source, amp, det, p_direction, profile = prepared or _prepare(s)
+    curve = prob_mod._curve_from_profile(profile, p_direction, s.grid,
+                                         point_detector=det is None,
+                                         allow_unconverged=True, min_samples=3)
     if det is not None:
-        distance = det.distance
-        curve = prob_mod.build_entry_curve(amp, det, source, s.quadrature,
-                                           s.grid, allow_unconverged=True)
-        omega = det.omega
-        volume = det.volume
+        distance, omega, volume = det.distance, det.omega, det.volume
     else:
         position = np.asarray(s.detector.position, dtype=float)
         distance = float(np.linalg.norm(position - source.x0))
-        curve = prob_mod.point_detector_curve(
-            amp, position, source, s.quadrature, s.grid,
-            reference_solid_angle=s.detector.reference_solid_angle,
-            allow_unconverged=True)
-        omega = s.detector.reference_solid_angle
-        volume = None
+        omega, volume = s.detector.reference_solid_angle, None
+    classical = None if amp.exposed_p0 is None \
+        else source.mass * distance / amp.exposed_p0
+    arrival_stats = None
+    arrival_converged = True
+    if det is None:
         try:
-            arrival_stats = arrival_mod.mean_arrival_time(amp, position, source,
-                                                          s.quadrature)
+            arrival_stats = arrival_mod._stats_from_profile(profile, classical)
         except IntegrationError:
             arrival_converged = False
 
@@ -453,10 +468,6 @@ def run_scenario(s: Scenario, out_dir) -> dict:
     sched.write_csv(os.path.join(out_dir, "schedule.csv"))
     if arrival_stats is not None:
         arrival_stats.write_csv(os.path.join(out_dir, "arrival.csv"))
-
-    classical = None
-    if amp.exposed_p0 is not None:
-        classical = source.mass * distance / amp.exposed_p0
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -510,6 +521,10 @@ _SWEEPABLE = frozenset({
     "amplitude.angular_sigma", "detector.radius", "detector.half_angle",
     "quadrature.dt", "quadrature.t_cap", "quadrature.eps_tail", "grid.dt",
     "grid.t_end", "detector.distance"})
+# sweepable keys that change neither the direction factor nor the occupation
+# profile (k scales the schedule; the output grid is laid out from the
+# profile), so a sweep over one computes its template's profile once
+_PROFILE_INVARIANT = frozenset({"coupling.k", "grid.dt", "grid.t_end"})
 _SWEEP_KEYS = ("sweep.scenario", "sweep.parameter", "sweep.values")
 
 
@@ -562,13 +577,14 @@ _SWEEP_COLUMNS = ("parameter", "value", "status", "error", "p_direction",
                   "classical_flight", "t_max", "converged")
 
 
-def _sweep_row(template: Scenario, parameter: str, out_dir, value: float) -> dict:
-    """Run one sweep row; a failure is recorded in the row, not raised."""
+def _sweep_row(template: Scenario, parameter: str, out_dir, value: float,
+               prepared: tuple | None) -> dict:
+    """Run one sweep row, from `prepared` if given; failures are recorded."""
     row = {"parameter": parameter, "value": value, "status": "ok", "error": ""}
     try:
         scn = apply_parameter(template, parameter, value)
         row_dir = os.path.join(out_dir, f"{parameter}={_fmt(_FLOAT, value)}")
-        summary = run_scenario(scn, row_dir)
+        summary = _run(scn, row_dir, prepared)
         for name in ("p_direction", "p_entry_final", "p_registered_final",
                      "mean_arrival", "classical_flight", "t_max", "converged",
                      "consistency_residual_max"):
@@ -588,14 +604,22 @@ def _usable_cores() -> int:
 def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
     """One scenario run per value; rows are independent and sorted by value.
 
-    Per-row failures are recorded in the row and the sweep continues.  With
-    jobs > 1 the rows run in at most min(jobs, rows, usable cores) worker
-    processes (fork where the platform has it), each with its own caches;
-    rows whose worker died are recorded as errors.
+    Per-row failures are recorded in the row and the sweep continues.  A
+    `_PROFILE_INVARIANT` sweep computes the template's profile here, before
+    any worker starts, and passes it to every row (if that fails, each row
+    runs on its own).  With jobs > 1 the rows run in at most
+    min(jobs, rows, usable cores) worker processes (fork where the platform
+    has it); rows whose worker died are recorded as errors.
     """
     template = parse_scenario(spec.scenario_path)
     values = sorted(spec.values)
     os.makedirs(out_dir, exist_ok=True)
+    prepared = None
+    if spec.parameter in _PROFILE_INVARIANT:
+        try:
+            prepared = _prepare(template)
+        except Exception:  # noqa: BLE001 - the rows record it
+            pass
 
     workers = min(jobs, len(values), _usable_cores())
     if workers > 1:
@@ -610,8 +634,8 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context(method)) as pool:
-            futures = [pool.submit(_sweep_row, template, spec.parameter, out_dir, v)
-                       for v in values]
+            futures = [pool.submit(_sweep_row, template, spec.parameter, out_dir,
+                                   v, prepared) for v in values]
             rows = []
             for value, future in zip(values, futures):
                 try:
@@ -621,7 +645,8 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
                                  "status": "error",
                                  "error": "worker process exited before the row finished"})
     else:
-        rows = [_sweep_row(template, spec.parameter, out_dir, v) for v in values]
+        rows = [_sweep_row(template, spec.parameter, out_dir, v, prepared)
+                for v in values]
 
     with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8",
               newline="") as fh:

@@ -4,7 +4,7 @@ import pytest
 import qarrival as qa
 from qarrival import DetectorState, SemiInfiniteResult
 from qarrival.probability import EntryProbabilityCurve
-from qarrival.detector import CouplingSchedule, write_schedule_csv
+from qarrival.detector import CouplingSchedule
 
 
 def synthetic_curve(t, conditional, p_direction=1.0):
@@ -261,6 +261,6 @@ def test_time_outside_grid_rejected(standard_curve):
 def test_schedule_csv(tmp_path, standard_curve):
     sched = qa.coupling_schedule(standard_curve, 0.5)
     path = tmp_path / "schedule.csv"
-    write_schedule_csv(sched, path)
+    sched.write_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == "t,rate,angle,p_registered,entry_rate"

@@ -2,7 +2,6 @@ import concurrent.futures
 import csv
 import json
 import os
-import sys
 import time
 from types import SimpleNamespace
 
@@ -78,6 +77,12 @@ def test_bad_values_name_fields():
     with pytest.raises(ScenarioError) as err:
         qa.parse_scenario_text("detector.kind = cap\ndetector.axis = 0 0 1\n")
     assert err.value.field == "detector.half_angle"
+    with pytest.raises(ScenarioError) as err:
+        qa.parse_scenario_text(MINIMAL + "quadrature.eps_tail = 2\n")
+    assert err.value.field == "quadrature.eps_tail"
+    with pytest.raises(ScenarioError) as err:
+        qa.parse_scenario_text(MINIMAL + "quadrature.polar_nodes = 0\n")
+    assert err.value.field == "quadrature.polar_nodes"
 
 
 @pytest.mark.parametrize("line", [
@@ -245,13 +250,8 @@ def test_run_outputs_and_determinism(tmp_path):
     assert summary["consistency_residual_max"] <= 1e-6
 
 
-@pytest.mark.parametrize("text", [
-    POINT_FAST,
-    # the direction factor must not change the time step: the arrival
-    # statistics look the profile up without it
-    POINT_FAST + "detector.reference_solid_angle = 0.01\n",
-], ids=["no_direction_factor", "reference_solid_angle"])
-def test_point_run_builds_one_occupation_profile(tmp_path, monkeypatch, text):
+def count_profiles(monkeypatch) -> list:
+    """Count semiinfinite_profile calls: one entry per occupation profile."""
     real = quad_mod.semiinfinite_profile
     calls = []
 
@@ -264,7 +264,17 @@ def test_point_run_builds_one_occupation_profile(tmp_path, monkeypatch, text):
     for mod in (quad_mod, prob_mod, arrival_mod):
         if hasattr(mod, "semiinfinite_profile"):
             monkeypatch.setattr(mod, "semiinfinite_profile", counted)
-    monkeypatch.setattr(prob_mod, "_PROFILE_CACHE", {})
+    return calls
+
+
+@pytest.mark.parametrize("text", [
+    POINT_FAST,
+    # the direction factor must not change the time step: the arrival
+    # statistics read the entry curve's profile
+    POINT_FAST + "detector.reference_solid_angle = 0.01\n",
+], ids=["no_direction_factor", "reference_solid_angle"])
+def test_point_run_builds_one_occupation_profile(tmp_path, monkeypatch, text):
+    calls = count_profiles(monkeypatch)
     qa.run_scenario(qa.parse_scenario_text(text), tmp_path)
     assert len(calls) == 1
 
@@ -283,22 +293,60 @@ def test_volume_run_has_no_arrival_csv(tmp_path):
     assert summary["omega"] == pytest.approx(0.0019638023005622307)
 
 
-def test_sweep_single_value_equals_run(tmp_path):
+@pytest.mark.parametrize("parameter, value", [("coupling.k", "0.5"),
+                                              ("grid.dt", "0.25")])
+def test_sweep_single_value_equals_run(tmp_path, parameter, value):
+    # the row runs on the template's shared profile, the single run on its own
     (tmp_path / "scn.txt").write_text(POINT_FAST)
     (tmp_path / "sweep.txt").write_text(
         "sweep.scenario = scn.txt\n"
-        "sweep.parameter = coupling.k\n"
-        "sweep.values = 0.5\n")
+        f"sweep.parameter = {parameter}\n"
+        f"sweep.values = {value}\n")
     spec = qa.parse_sweep(tmp_path / "sweep.txt")
     rows = qa.run_sweep(spec, tmp_path / "sweep_out")
-    single = qa.run_scenario(qa.parse_scenario(tmp_path / "scn.txt"),
-                             tmp_path / "single_out")
+    single = qa.run_scenario(
+        qa.parse_scenario_text(POINT_FAST + f"{parameter} = {value}\n"),
+        tmp_path / "single_out")
     assert len(rows) == 1 and rows[0]["status"] == "ok"
     for key in ("p_direction", "p_entry_final", "p_registered_final",
                 "mean_arrival", "classical_flight", "t_max", "converged"):
         assert rows[0][key] == single[key]
-    row_summary = (tmp_path / "sweep_out" / "coupling.k=0.5" / "summary.json").read_bytes()
-    assert row_summary == (tmp_path / "single_out" / "summary.json").read_bytes()
+    row_files = _tree_bytes(tmp_path / "sweep_out" / f"{parameter}={value}")
+    assert len(row_files) == 4
+    assert row_files == _tree_bytes(tmp_path / "single_out")
+
+
+@pytest.mark.parametrize("parameter, values, profiles", [
+    ("coupling.k", "0.25 0.5 0.75", 1),
+    ("grid.dt", "0.1 0.2 0.4", 1),
+    ("detector.distance", "50 100 150", 3),
+])
+def test_sweep_profile_count(tmp_path, monkeypatch, parameter, values, profiles):
+    calls = count_profiles(monkeypatch)
+    (tmp_path / "scn.txt").write_text(POINT_FAST)
+    (tmp_path / "sweep.txt").write_text(
+        f"sweep.scenario = scn.txt\nsweep.parameter = {parameter}\n"
+        f"sweep.values = {values}\n")
+    rows = qa.run_sweep(qa.parse_sweep(tmp_path / "sweep.txt"), tmp_path / "out")
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    assert len(calls) == profiles
+
+
+def test_shared_profile_failure_recorded_in_every_row(tmp_path):
+    (tmp_path / "scn.txt").write_text("amplitude.kind = tabulated\n"
+                                      "amplitude.radial_file = missing.txt\n"
+                                      "detector.position = 0 0 20\n")
+    (tmp_path / "sweep.txt").write_text(
+        "sweep.scenario = scn.txt\nsweep.parameter = coupling.k\n"
+        "sweep.values = 0.25 0.5\n")
+    rows = qa.run_sweep(qa.parse_sweep(tmp_path / "sweep.txt"), tmp_path / "out")
+    assert [row["status"] for row in rows] == ["error", "error"]
+    assert all(row["error"].startswith("amplitude.radial_file: ") for row in rows)
+    # each row made its directory before it failed, as a standalone run does
+    assert sorted(os.listdir(tmp_path / "out")) == [
+        "coupling.k=0.25", "coupling.k=0.5", "sweep.csv"]
+    assert os.listdir(tmp_path / "out" / "coupling.k=0.25") == []
+    assert os.listdir(tmp_path / "out" / "coupling.k=0.5") == []
 
 
 def test_sweep_distance_tracks_classical_flight(tmp_path):
@@ -315,27 +363,6 @@ def test_sweep_distance_tracks_classical_flight(tmp_path):
         assert abs(row["mean_arrival"] - expected) <= 0.01 * expected
 
 
-def test_threaded_sweep_survives_profile_eviction(tmp_path, monkeypatch):
-    # a one-entry cache makes every row evict the previous row's profile
-    monkeypatch.setattr(prob_mod, "_PROFILE_CACHE", {})
-    monkeypatch.setattr(prob_mod, "_PROFILE_CACHE_MAX", 1)
-    (tmp_path / "scn.txt").write_text(POINT_FAST)
-    (tmp_path / "sweep.txt").write_text(
-        "sweep.scenario = scn.txt\n"
-        "sweep.parameter = detector.distance\n"
-        "sweep.values = 50 75 100 150\n")
-    spec = qa.parse_sweep(tmp_path / "sweep.txt")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = qa.run_sweep(spec, tmp_path / "threaded", jobs=2)
-    finally:
-        sys.setswitchinterval(interval)
-    single = qa.run_sweep(spec, tmp_path / "single", jobs=1)
-    assert [row["status"] for row in threaded] == ["ok"] * 4
-    assert threaded == single
-
-
 def _tree_bytes(root):
     files = {}
     for dirpath, _, names in os.walk(root):
@@ -348,6 +375,7 @@ def _tree_bytes(root):
 
 @pytest.mark.parametrize("parameter, values", [
     ("coupling.k", "0.25 0.5 0.75"),          # one profile shared by every row
+    ("grid.dt", "0.1 0.2 0.4"),               # one profile shared by every row
     ("detector.distance", "50 100 150"),      # one profile per row
 ])
 def test_process_pool_sweep_matches_single_job(tmp_path, monkeypatch, parameter, values):
@@ -368,23 +396,23 @@ def test_process_pool_sweep_matches_single_job(tmp_path, monkeypatch, parameter,
 
 def test_sweep_survives_dead_worker(tmp_path, monkeypatch, capsys):
     # the worker of the last row exits once the other rows have written
-    # their summaries; fork children inherit the patched run_scenario
+    # their summaries; fork children inherit the patched _run
     monkeypatch.setattr(scenario_mod, "_usable_cores", lambda: 2)
-    run_scenario = scenario_mod.run_scenario
+    run = scenario_mod._run
     out = tmp_path / "out"
     others = [out / "coupling.k=0.25" / "summary.json",
               out / "coupling.k=0.5" / "summary.json"]
 
-    def dying_run_scenario(s, out_dir):
+    def dying_run(s, out_dir, prepared=None):
         if s.coupling_k != 0.75:
-            return run_scenario(s, out_dir)
+            return run(s, out_dir, prepared)
         deadline = time.monotonic() + 60.0
         while not all(p.exists() for p in others) and time.monotonic() < deadline:
             time.sleep(0.01)
         time.sleep(0.5)                  # let the finished rows reach the parent
         os._exit(1)
 
-    monkeypatch.setattr(scenario_mod, "run_scenario", dying_run_scenario)
+    monkeypatch.setattr(scenario_mod, "_run", dying_run)
     (tmp_path / "scn.txt").write_text(POINT_FAST)
     sweep = tmp_path / "k.sweep"
     sweep.write_text("sweep.scenario = scn.txt\nsweep.parameter = coupling.k\n"
@@ -431,7 +459,8 @@ def test_sweep_worker_count_is_bounded(tmp_path, monkeypatch, jobs, n_values, co
     monkeypatch.setattr(_RecordingExecutor, "started", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
     monkeypatch.setattr(scenario_mod, "_usable_cores", lambda: cores)
-    monkeypatch.setattr(scenario_mod, "run_scenario", lambda s, out_dir: {
+    monkeypatch.setattr(scenario_mod, "_prepare", lambda s: None)
+    monkeypatch.setattr(scenario_mod, "_run", lambda s, out_dir, prepared: {
         name: 0.0 for name in ("p_direction", "p_entry_final", "p_registered_final",
                                "mean_arrival", "classical_flight", "t_max",
                                "converged", "consistency_residual_max")})
@@ -587,6 +616,18 @@ def test_cli_closure_underflow_is_numerical_error(tmp_path, capsys):
     assert "numerical error: detector propagation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lines, key", [
+    ("grid.t_end = 0.001\n", "grid.t_end"),
+    ("grid.dt = 1000\n", "grid.dt"),
+    ("emission.t0 = 5\ngrid.t_end = 1\n", "grid.t_end"),
+])
+def test_cli_short_grid_names_key(tmp_path, capsys, lines, key):
+    path = tmp_path / "scn.txt"
+    path.write_text("detector.position = 0 0 20\n" + lines)
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"validation error: {key}: " in capsys.readouterr().err
+
+
 def test_cli_missing_file(tmp_path):
     missing = str(tmp_path / "nope.txt")
     assert cli_main(["validate", missing]) == 4
@@ -612,16 +653,16 @@ def test_csv_writers_match_per_row_format(tmp_path, writer):
     if writer == "entry_curve":
         obj = SimpleNamespace(t=t, p_conditional=a, p_entry=b)
         header, columns = "t,p_conditional,p_entry", (t, a, b)
-        prob_mod.write_entry_curve_csv(obj, tmp_path / "out.csv")
+        prob_mod.EntryProbabilityCurve.write_csv(obj, tmp_path / "out.csv")
     elif writer == "schedule":
         obj = SimpleNamespace(t=t, rate=a, angle=b, entry_rate=d)
         header = "t,rate,angle,p_registered,entry_rate"
         columns = (t, a, b, np.sin(b) ** 2, d)
-        detector_mod.write_schedule_csv(obj, tmp_path / "out.csv")
+        detector_mod.CouplingSchedule.write_csv(obj, tmp_path / "out.csv")
     else:
         obj = SimpleNamespace(t=t, density=a)
         header, columns = "t,density", (t, a)
-        arrival_mod.write_arrival_csv(obj, tmp_path / "out.csv")
+        arrival_mod.ArrivalTimeStats.write_csv(obj, tmp_path / "out.csv")
     expected = header + "\n" + "".join(
         ",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*columns))
     assert (tmp_path / "out.csv").read_bytes() == expected.encode("utf-8")
