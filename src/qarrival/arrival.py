@@ -3,8 +3,9 @@
 The density is |psi_nD(x_D, t)|^2 normalized to unit mass over
 [t0, infinity); the mean arrival time is its first moment.  The density is
 read off the scenario's occupation profile (the integrand whose running
-integral gives the point entry curve) and interpolated onto the entry
-curve's uniform grid, so a point run integrates it only once.
+integral gives the point entry curve) and interpolated onto the default
+entry-curve grid, which ends where the occupation mass is in, so a point
+run integrates it only once.
 Moments are computed on the same node set as the normalizer so the
 quadrature bias cancels in the ratio.
 """
@@ -18,7 +19,8 @@ import numpy as np
 from .errors import IntegrationError
 from .geometry import EmissionEvent
 from .quadrature import QuadratureSpec, SemiInfiniteResult
-from .probability import OccupationProfile, write_columns_csv, _point_occupation
+from .probability import OccupationProfile, write_columns_csv, _mass_end, \
+    _point_occupation
 from .wavepacket import MomentumAmplitude
 
 
@@ -70,14 +72,15 @@ def stats_from_samples(taus, values, t0: float = 0.0,
 def _stats_from_profile(profile: OccupationProfile,
                         classical_time: float | None = None) -> ArrivalTimeStats:
     """Arrival statistics read off a point occupation profile, sampled on
-    its quadrature step out to the integration limit."""
+    the default output grid: the quadrature step out to where at most
+    float64 eps of the mass remains (`_mass_end`)."""
     tail = profile.result
     if not tail.converged:
         raise IntegrationError(
             "arrival normalizer did not reach its tail criterion before the "
             f"time cap {profile.t0 + tail.t_max:.6g}",
             estimate=tail.error_estimate, value=tail.value)
-    n = int(round(tail.t_max / profile.dt))
+    n = _mass_end(profile, min_samples=3)   # a run's entry curve ends here too
     taus = profile.dt * np.arange(n + 1)
     values = np.interp(taus, profile.tau, profile.values)
     mass = float(np.trapezoid(values, taus))

@@ -13,7 +13,8 @@ import os
 import sys
 
 from .errors import IntegrationError
-from .scenario import parse_scenario, parse_sweep, run_scenario, run_sweep
+from .scenario import check_scenario, parse_scenario, parse_sweep, run_scenario, \
+    run_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -78,7 +79,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "validate":
-            parse_scenario(args.scenario)
+            check_scenario(parse_scenario(args.scenario))
             print(f"{args.scenario}: valid")
             return EXIT_OK
         if args.command == "run":

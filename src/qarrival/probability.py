@@ -33,7 +33,10 @@ _CSV_BLOCK = 4096      # rows formatted per write in write_columns_csv
 class TimeGridSpec:
     """Output grid for sampled curves: step and absolute end time.
 
-    Unset fields fall back to the quadrature step and the effective upper
+    With both fields unset the grid runs on the quadrature step and ends
+    at the first step past which at most float64 eps of the occupation
+    mass remains.  With either set, an unset `dt` falls back to the
+    quadrature step and an unset `t_end` to the effective upper
     integration limit found by the tail control.
     """
 
@@ -242,27 +245,55 @@ def entry_probability(amp: MomentumAmplitude, det: DetectorGeometry,
             * conditional_entry_probability(amp, det, source, t, quad))
 
 
+def _mass_end(profile: OccupationProfile, min_samples: int) -> int:
+    """Last index of the default output grid (step `profile.dt`): the first
+    step at or after the profile node past which at most float64 eps of the
+    occupation mass remains, clamped to [min_samples - 1, round(t_max / dt)].
+
+    The remaining mass sums the profile's own trapezoid increments from the
+    end, so the rule is scale invariant; `cumulative` has no significant
+    digits left to difference in the tail."""
+    tau, v = profile.tau, profile.values
+    increments = 0.5 * np.diff(tau) * (v[1:] + v[:-1])
+    remaining = np.append(np.cumsum(increments[::-1])[::-1], 0.0)
+    node = int(np.argmax(remaining <= np.finfo(float).eps * remaining[0]))
+    n_max = int(round(profile.result.t_max / profile.dt))
+    return min(max(int(np.ceil(tau[node] / profile.dt)), min_samples - 1), n_max)
+
+
+def _grid_steps(grid: TimeGridSpec, t0: float, dt: float, tau_end: float,
+                min_samples: int) -> tuple[float, int]:
+    """Step and last index of the output grid, with `dt` and the elapsed
+    `tau_end` standing in for unset fields.  A grid that starts before the
+    emission time t0 or holds fewer than `min_samples` samples is an error
+    naming `grid.t_end` when it is set, else `grid.dt`."""
+    key = "grid.t_end" if grid.t_end is not None else "grid.dt"
+    dt = grid.dt if grid.dt is not None else dt
+    tau_end = (grid.t_end - t0) if grid.t_end is not None else tau_end
+    if tau_end < 0.0:
+        raise ScenarioError(key, f"t_end {grid.t_end!r} precedes the emission "
+                                 f"time {t0!r}")
+    n = int(round(tau_end / dt)) if tau_end > 0.0 else 0
+    if n + 1 < min_samples:
+        raise ScenarioError(key, f"the output grid of step {dt:.6g} over [{t0:.6g}, "
+                                 f"{t0 + tau_end:.6g}] holds {n + 1} samples; "
+                                 f"a run needs at least {min_samples}")
+    return dt, n
+
+
 def _curve_from_profile(profile: OccupationProfile, p_direction: float,
                         grid: TimeGridSpec | None, point_detector: bool, *,
                         allow_unconverged: bool = False,
                         min_samples: int = 1) -> EntryProbabilityCurve:
-    """Entry curve on the output grid.  A grid that starts before the
-    emission time or holds fewer than `min_samples` samples is an error
-    naming `grid.t_end` when it is set, else `grid.dt`."""
+    """Entry curve on the output grid (see `_grid_steps` for its errors).  A
+    grid with neither field set ends where the occupation mass is in
+    (`_mass_end`); one with either set keeps t_max as its default end."""
     _checked_denominator(profile, allow_unconverged)
     grid = grid or TimeGridSpec()
-    key = "grid.t_end" if grid.t_end is not None else "grid.dt"
-    dt = grid.dt if grid.dt is not None else profile.dt
-    tau_end = (grid.t_end - profile.t0) if grid.t_end is not None \
-        else profile.result.t_max
-    if tau_end < 0.0:
-        raise ScenarioError(key, f"t_end {grid.t_end!r} precedes the emission "
-                                 f"time {profile.t0!r}")
-    n = int(round(tau_end / dt)) if tau_end > 0.0 else 0
-    if n + 1 < min_samples:
-        raise ScenarioError(key, f"the output grid of step {dt:.6g} over [{profile.t0:.6g}, "
-                                 f"{profile.t0 + tau_end:.6g}] holds {n + 1} samples; "
-                                 f"a run needs at least {min_samples}")
+    dt, n = _grid_steps(grid, profile.t0, profile.dt, profile.result.t_max,
+                        min_samples)
+    if grid.dt is None and grid.t_end is None:
+        n = _mass_end(profile, min_samples)
     tau_out = dt * np.arange(n + 1)
     conditional = np.interp(tau_out, profile.tau, profile.cumulative) \
         / profile.result.value

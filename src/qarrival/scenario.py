@@ -20,7 +20,7 @@ from . import arrival as arrival_mod
 from . import detector as detector_mod
 from . import probability as prob_mod
 from . import wavepacket as wp
-from .errors import IntegrationError, ScenarioError
+from .errors import GeometryError, IntegrationError, ScenarioError
 from .geometry import EmissionEvent, DetectorGeometry, sphere_detector, cap_detector
 from .quadrature import QuadratureSpec
 
@@ -413,12 +413,37 @@ def make_detector(s: Scenario, source: EmissionEvent) -> DetectorGeometry | None
 
 # --- running -----------------------------------------------------------------
 
-def _prepare(s: Scenario) -> tuple:
-    """Source, amplitude, detector (None for a point), direction factor and
-    occupation profile: all a run computes before its output grid."""
+def check_scenario(s: Scenario) -> tuple:
+    """Source, amplitude and detector (None for a point) of a scenario whose
+    output grid can hold the 3 samples a run needs.
+
+    The grid check runs before any occupation profile, on bounds: the end
+    is grid.t_end when set, else the time cap (t_max <= t_cap), and the
+    step is grid.dt when set, else the finest one the time controls resolve
+    for any direction factor.  `_curve_from_profile` repeats it exactly.
+    """
     source = make_source(s)
     amp = make_amplitude(s)
     det = make_detector(s, source)
+    if det is not None:
+        distance, extent = det.distance, det.extent_along_axis
+    else:
+        position = np.asarray(s.detector.position, dtype=float)
+        distance, extent = float(np.linalg.norm(position - source.x0)), 0.0
+        if distance == 0.0:
+            raise GeometryError("point detector coincides with the source")
+    # a direction bound of 1 gives the finest step; 0 the coarsest, so the latest cap
+    fine, coarse = (prob_mod.resolve_time_controls(amp, source, distance, extent,
+                                                   s.quadrature, bound)
+                    for bound in (1.0, 0.0))
+    prob_mod._grid_steps(s.grid, source.t0, fine.dt, coarse.t_cap, min_samples=3)
+    return source, amp, det
+
+
+def _prepare(s: Scenario) -> tuple:
+    """Source, amplitude, detector (None for a point), direction factor and
+    occupation profile: all a run computes before its output grid."""
+    source, amp, det = check_scenario(s)
     if det is not None:
         occupation = prob_mod._volume_occupation(amp, det, source, s.quadrature)
     else:

@@ -42,8 +42,8 @@ def standard_det(source):
 
 @pytest.fixture(scope="module")
 def standard_curve(iso_amp, standard_det, source):
-    # default (auto-resolved) quadrature controls; after criterion 1 this
-    # resolves from the pipeline cache
+    # default (auto-resolved) quadrature controls; computes its own
+    # occupation profile, as every public builder call does
     return qa.build_entry_curve(iso_amp, standard_det, source)
 
 

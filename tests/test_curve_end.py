@@ -1,0 +1,114 @@
+"""Where the default output grid ends: at the first quadrature step past
+which at most float64 eps of the occupation mass remains."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import qarrival as qa
+from qarrival import probability as prob
+from qarrival import quadrature as quad_mod
+from qarrival.cli import main as cli_main
+from qarrival.quadrature import SemiInfiniteResult
+
+
+@pytest.fixture(scope="module")
+def iso_occupation(iso_amp, source):
+    det = qa.sphere_detector([0.0, 0.0, 20.0], 0.5, source)
+    return prob._volume_occupation(iso_amp, det, source)
+
+
+@pytest.fixture(scope="module")
+def narrow_occupation(narrow_amp, source):
+    return prob._point_occupation(narrow_amp, [0.0, 0.0, 100.0], source)
+
+
+@pytest.mark.parametrize("occupation, point", [("iso_occupation", False),
+                                               ("narrow_occupation", True)])
+def test_default_curve_is_prefix_of_full_grid(request, occupation, point):
+    p_direction, profile = request.getfixturevalue(occupation)
+    full_grid = qa.TimeGridSpec(t_end=profile.t0 + profile.result.t_max)
+    short = prob._curve_from_profile(profile, p_direction, None, point, min_samples=3)
+    full = prob._curve_from_profile(profile, p_direction, full_grid, point,
+                                    min_samples=3)
+    n = short.t.size
+    assert 3 <= n < full.t.size
+    for name in ("t", "p_conditional", "p_entry"):
+        np.testing.assert_array_equal(getattr(short, name), getattr(full, name)[:n])
+    assert abs(short.p_conditional[-1] - full.p_conditional[-1]) <= qa.QuadratureSpec().eps_tail
+    # the schedule's last row takes the one-sided end stencil instead
+    s_short, s_full = qa.coupling_schedule(short, 0.5), qa.coupling_schedule(full, 0.5)
+    for name in ("t", "angle", "rate", "entry_rate"):
+        np.testing.assert_array_equal(getattr(s_short, name)[:-1],
+                                      getattr(s_full, name)[:n - 1])
+    np.testing.assert_array_equal(s_short.angle, s_full.angle[:n])
+
+
+def synthetic_profile(values, dt=0.5, t0=2.0) -> prob.OccupationProfile:
+    values = np.asarray(values, dtype=float)
+    tau = dt * np.arange(values.size)
+    cumulative = np.concatenate(([0.0], np.cumsum(0.5 * dt * (values[1:] + values[:-1]))))
+    result = SemiInfiniteResult(value=float(cumulative[-1]), error_estimate=0.0,
+                                t_max=float(tau[-1]), converged=True)
+    return prob.OccupationProfile(t0=t0, dt=dt, tau=tau, values=values,
+                                  cumulative=cumulative, result=result, quad_error=0.0)
+
+
+def test_mass_at_first_node_keeps_three_samples():
+    profile = synthetic_profile(np.r_[1.0, np.zeros(200)])
+    curve = prob._curve_from_profile(profile, 1.0, None, True, min_samples=3)
+    assert curve.t.size == 3
+    assert curve.p_conditional[-1] == 1.0
+
+
+def test_slow_tail_keeps_full_grid():
+    profile = synthetic_profile(1.0 / (1.0 + 0.5 * np.arange(401)))
+    curve = prob._curve_from_profile(profile, 1.0, None, True, min_samples=3)
+    assert curve.t.size == round(profile.result.t_max / profile.dt) + 1
+
+
+@pytest.mark.parametrize("grid", [qa.TimeGridSpec(dt=0.5), qa.TimeGridSpec(t_end=102.0)])
+def test_explicit_grid_keeps_integration_limit(grid):
+    profile = synthetic_profile(np.r_[1.0, np.zeros(200)])
+    curve = prob._curve_from_profile(profile, 1.0, grid, True, min_samples=3)
+    assert curve.t.size == 201
+    assert curve.t[-1] == profile.t0 + profile.result.t_max
+
+
+def test_volume_curve_end_is_scale_invariant(iso_amp, source):
+    # the volume twin of test_arrival.py::test_scale_invariance; the
+    # direction factor needs a normalized amplitude, so the profiles are
+    # taken directly on the base amplitude's time controls
+    det = qa.sphere_detector([0.0, 0.0, 20.0], 0.5, source)
+    bound = qa.direction_probability(iso_amp, det, source)
+    quad = prob.resolve_time_controls(iso_amp, source, det.distance,
+                                      det.extent_along_axis, qa.QuadratureSpec(), bound)
+    scaled = dataclasses.replace(iso_amp, scale=iso_amp.scale * 3.0)
+    curves = [prob._curve_from_profile(prob._occupation_profile(amp, det, source, quad),
+                                       bound, None, False, min_samples=3)
+              for amp in (iso_amp, scaled)]
+    assert curves[0].t.size < round(curves[0].denominator.t_max / quad.dt) + 1
+    assert curves[1].t.size == curves[0].t.size
+    np.testing.assert_allclose(curves[1].p_conditional, curves[0].p_conditional,
+                               rtol=1e-12, atol=1e-15)
+
+
+def test_validate_rejects_grid_before_profile(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = quad_mod.semiinfinite_profile
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quad_mod, "semiinfinite_profile", counting)
+    monkeypatch.setattr(prob, "semiinfinite_profile", counting)
+    path = tmp_path / "scn.txt"
+    path.write_text("amplitude.sigma_p = 0.05\ndetector.kind = point\n"
+                    "detector.position = 0 0 100\ngrid.dt = 1000\n")
+    assert cli_main(["validate", str(path)]) == 2
+    assert "validation error: grid.dt: " in capsys.readouterr().err
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "validation error: grid.dt: " in capsys.readouterr().err
+    assert calls == []
