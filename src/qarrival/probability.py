@@ -20,10 +20,10 @@ import numpy as np
 from .errors import GeometryError, IntegrationError, ScenarioError
 from .geometry import EmissionEvent, DetectorGeometry, _as_vec3, cap_detector
 from .quadrature import QuadratureSpec, SemiInfiniteResult, cap_directions, \
-    semiinfinite_profile
+    refine_by_doubling, semiinfinite_profile
 from .wavepacket import MomentumAmplitude, PointDensityCurve, \
-    VolumeOccupationCurve, characteristic_momentum, characteristic_spread, \
-    momentum_norm_squared, normalize, radial_density_integral
+    VolumeOccupationCurve, momentum_norm_squared, normalize, \
+    radial_density_integral, radial_moments
 
 _NORM_TOL = 1e-6
 _CSV_BLOCK = 4096      # rows formatted per write in write_columns_csv
@@ -115,8 +115,7 @@ def resolve_time_controls(amp: MomentumAmplitude, source: EmissionEvent,
     """
     if quad.dt is not None and quad.t_cap is not None:
         return quad
-    p_char = characteristic_momentum(amp)
-    sigma_char = characteristic_spread(amp)
+    p_char, sigma_char = radial_moments(amp)
     mass = source.mass
     flight = mass * distance / p_char
     width = (mass * distance * sigma_char / p_char ** 2
@@ -146,7 +145,7 @@ def _stop_floor(amp: MomentumAmplitude, source: EmissionEvent, reach: float,
     """Earliest elapsed time at which the tail criterion may fire: past the
     arrival of the slowest momentum component that carries any weight."""
     lo, _ = amp.p_support
-    p_floor = max(lo, characteristic_momentum(amp) / 50.0)
+    p_floor = max(lo, radial_moments(amp)[0] / 50.0)
     return min(source.mass * reach / p_floor, 0.5 * t_cap)
 
 
@@ -203,17 +202,27 @@ def direction_probability(amp: MomentumAmplitude, det: DetectorGeometry,
     if amp.is_isotropic:
         angular = det.omega
     else:
-        prev = None
-        n_polar, n_azimuth = quad.polar_nodes, quad.azimuth_nodes
-        for _ in range(6):
-            dirs, w = cap_directions(det.axis, det.cos_cone, n_polar, n_azimuth)
-            angular = float(w @ np.abs(amp.angular_profile(dirs @ amp.axis)) ** 2)
-            if prev is not None and abs(angular - prev) <= quad.rtol * max(abs(angular), 1e-300):
-                break
-            prev = angular
-            n_polar *= 2
-            n_azimuth *= 2
+        def level(m: int) -> tuple[float, float]:
+            dirs, w = cap_directions(det.axis, det.cos_cone, m * quad.polar_nodes,
+                                     m * quad.azimuth_nodes)
+            return float(w @ np.abs(amp.angular_profile(dirs @ amp.axis)) ** 2), 1e-300
+
+        angular = refine_by_doubling(level, 1, 5, quad.rtol, "direction factor")
     return float(min(max(radial * angular, 0.0), 1.0))
+
+
+def _entry_terms(amp: MomentumAmplitude, det: DetectorGeometry,
+                 source: EmissionEvent, t: float,
+                 quad: QuadratureSpec | None) -> tuple[float, float]:
+    """Direction factor and conditional entry probability at time t, from
+    one occupation profile."""
+    tau = float(t) - source.t0
+    if tau < 0.0:
+        raise ValueError(f"time {t} precedes the emission time {source.t0}")
+    p_direction, profile = _volume_occupation(amp, det, source, quad)
+    _checked_denominator(profile, allow_unconverged=False)
+    head = float(np.interp(tau, profile.tau, profile.cumulative))
+    return p_direction, head / profile.result.value
 
 
 def conditional_entry_probability(amp: MomentumAmplitude, det: DetectorGeometry,
@@ -222,27 +231,17 @@ def conditional_entry_probability(amp: MomentumAmplitude, det: DetectorGeometry,
     """Ratio of the occupation integral over [t0, t] to its full value.
 
     Indifferent to any rescaling of the amplitude: the ratio cancels it,
-    and the step heuristic works on a normalized copy.
+    and it is computed on a normalized copy.
     """
-    quad = quad or QuadratureSpec()
-    bound = direction_probability(normalize(amp), det, source, quad)
-    quad = resolve_time_controls(amp, source, det.distance, det.extent_along_axis,
-                                 quad, bound)
-    tau = float(t) - source.t0
-    if tau < 0.0:
-        raise ValueError(f"time {t} precedes the emission time {source.t0}")
-    profile = _occupation_profile(amp, det, source, quad)
-    _checked_denominator(profile, allow_unconverged=False)
-    head = float(np.interp(tau, profile.tau, profile.cumulative))
-    return head / profile.result.value
+    return _entry_terms(normalize(amp), det, source, t, quad)[1]
 
 
 def entry_probability(amp: MomentumAmplitude, det: DetectorGeometry,
                       source: EmissionEvent, t: float,
                       quad: QuadratureSpec | None = None) -> float:
     """Probability that the particle entered the detector during [t0, t]."""
-    return (direction_probability(amp, det, source, quad)
-            * conditional_entry_probability(amp, det, source, t, quad))
+    p_direction, conditional = _entry_terms(amp, det, source, t, quad)
+    return p_direction * conditional
 
 
 def _mass_end(profile: OccupationProfile, min_samples: int) -> int:

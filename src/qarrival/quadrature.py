@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import IntegrationError
 from .geometry import DetectorGeometry, orthonormal_frame
 
 #: window sizing of the semi-infinite integrator: the first window holds
@@ -95,6 +96,22 @@ def gauss_legendre_panels(a: float, b: float, panels: int,
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
+
+
+def refine_by_doubling(level, n0: int, doublings: int, rtol: float, what: str):
+    """Value of the first of the levels n = n0 * 2^k, k = 1..doublings, that
+    agrees with the level before it: |cur - prev| <= rtol * max(|cur|, floor),
+    where `level(n)` returns (value, floor).  IntegrationError naming `what`
+    when the last doubling still disagrees."""
+    prev, _ = level(n0)
+    for k in range(1, doublings + 1):
+        cur, floor = level(n0 * 2 ** k)
+        err = abs(cur - prev)
+        if err <= rtol * max(abs(cur), floor):
+            return cur
+        prev = cur
+    raise IntegrationError(f"{what} did not converge (residual {err:.3e})",
+                           estimate=float(err))
 
 
 def cap_directions(axis: np.ndarray, cos_half: float, n_polar: int,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import arrival as arrival_mod
 from . import detector as detector_mod
 from . import probability as prob_mod
 from . import wavepacket as wp
-from .errors import GeometryError, IntegrationError, ScenarioError
+from .errors import IntegrationError, ScenarioError
 from .geometry import EmissionEvent, DetectorGeometry, sphere_detector, cap_detector
 from .quadrature import QuadratureSpec
 
@@ -129,27 +130,84 @@ def _get(s: Scenario, key: str):
     return getattr(getattr(s, section), name)
 
 
+@contextmanager
+def _named(key: str):
+    """Re-raise a reader's or builder's error as a ScenarioError naming `key`."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(key, str(exc)) from None
+
+
 def _set(s: Scenario, key: str, value) -> Scenario:
+    """`s` with `key` set to `value`.  QuadratureSpec and TimeGridSpec check
+    each field on its own, so an error they raise is an error of `key`."""
     section, name = key.split(".")
     if section in _TOP_LEVEL:
         return replace(s, **{f"{section}_{name}": value})
-    return replace(s, **{section: replace(getattr(s, section), **{name: value})})
+    with _named(key):
+        return replace(s, **{section: replace(getattr(s, section), **{name: value})})
 
 
-_DETECTOR_KIND_KEYS = {
-    "sphere": {"detector.center", "detector.radius"},
-    "cap": {"detector.axis", "detector.half_angle", "detector.r_inner",
-            "detector.r_outer"},
-    "point": {"detector.position", "detector.reference_solid_angle"},
+# keys of each kind: those it requires, then those it may leave unset
+_AMPLITUDE_KINDS = {
+    "isotropic-gaussian": ((), ("amplitude.p0", "amplitude.sigma_p")),
+    "separable": (("amplitude.axis", "amplitude.angular_sigma"),
+                  ("amplitude.p0", "amplitude.sigma_p")),
+    "tabulated": (("amplitude.radial_file",), ("amplitude.angular_file",
+                                               "amplitude.axis")),
+}
+_DETECTOR_KINDS = {
+    "sphere": (("detector.center", "detector.radius"), ()),
+    "cap": (("detector.axis", "detector.half_angle", "detector.r_inner",
+             "detector.r_outer"), ()),
+    "point": (("detector.position",), ("detector.reference_solid_angle",)),
 }
 
-_AMPLITUDE_KIND_KEYS = {
-    "isotropic-gaussian": {"amplitude.p0", "amplitude.sigma_p"},
-    "separable": {"amplitude.p0", "amplitude.sigma_p", "amplitude.axis",
-                  "amplitude.angular_sigma"},
-    "tabulated": {"amplitude.radial_file", "amplitude.angular_file",
-                  "amplitude.axis"},
+# ranged keys: an excluded lower bound of 0, the upper bound, and whether the
+# upper bound is included
+_RANGES = {
+    "emission.mass": (np.inf, False),
+    "amplitude.p0": (np.inf, False),
+    "amplitude.sigma_p": (np.inf, False),
+    "amplitude.angular_sigma": (np.inf, False),
+    "detector.radius": (np.inf, False),
+    "detector.half_angle": (np.pi, True),
+    "detector.reference_solid_angle": (4.0 * np.pi, True),
+    "coupling.k": (1.0, False),
 }
+
+
+def _check(s: Scenario):
+    """Raise ScenarioError naming the first key, in `_KEYS` order, that the
+    kinds of `s` require but is unset, that a kind does not own but is set,
+    or that lies outside its range; then check the relations between keys."""
+    kinds = {"amplitude": _AMPLITUDE_KINDS[s.amplitude.kind],
+             "detector": _DETECTOR_KINDS[s.detector.kind]}
+    for key in _KEYS:
+        section = key.split(".")[0]
+        required, optional = kinds.get(section, ((), ()))
+        value = _get(s, key)
+        if value is None:
+            if key in required:
+                raise ScenarioError(key, f"required for {section}.kind = "
+                                         f"{_get(s, section + '.kind')}")
+        elif section in kinds and key not in (f"{section}.kind", *required, *optional):
+            raise ScenarioError(key, f"conflicts with {section}.kind = "
+                                     f"{_get(s, section + '.kind')}; a scenario "
+                                     f"holds exactly one {section} kind")
+        elif key in _RANGES:
+            hi, closed = _RANGES[key]
+            if not (0.0 < value < hi or (closed and value == hi)):
+                bounds = "be positive" if hi == np.inf \
+                    else f"lie in (0, {hi:.17g}{']' if closed else ')'}"
+                raise ScenarioError(key, f"must {bounds}, got {value}")
+    d = s.detector
+    if d.kind == "cap" and not 0.0 < d.r_inner < d.r_outer:
+        raise ScenarioError("detector.r_inner",
+                            f"need 0 < r_inner < r_outer, got [{d.r_inner}, {d.r_outer}]")
+    if s.amplitude.angular_file is not None and s.amplitude.axis is None:
+        raise ScenarioError("amplitude.axis", "required with an angular table")
 
 
 def _parse_value(key: str, raw: str):
@@ -195,128 +253,33 @@ def _read_pairs(text: str, allowed) -> dict:
 
 
 def parse_scenario_text(text: str, base_dir: str = ".") -> Scenario:
+    """Scenario of a file's text: its values set on a default Scenario of
+    the file's (known) amplitude and detector kinds, then checked."""
     values = {key: _parse_value(key, raw) for key, raw in _read_pairs(text, _KEYS).items()}
-    return _assemble(values, base_dir)
+    kinds = {}
+    for section, table, default in (
+            ("amplitude", _AMPLITUDE_KINDS, "isotropic-gaussian"),
+            ("detector", _DETECTOR_KINDS,
+             "point" if "detector.position" in values else "sphere")):
+        kind = kinds[section] = values.get(f"{section}.kind", default)
+        if kind not in table:
+            raise ScenarioError(f"{section}.kind",
+                                f"must be one of {sorted(table)}, got {kind!r}")
+    amplitude = ScenarioAmplitude(kind=kinds["amplitude"])
+    if amplitude.kind == "tabulated":
+        amplitude = replace(amplitude, p0=None, sigma_p=None)
+    s = Scenario(amplitude=amplitude, detector=ScenarioDetector(kind=kinds["detector"]),
+                 base_dir=base_dir)
+    for key, value in values.items():
+        s = _set(s, key, value)
+    _check(s)
+    return s
 
 
 def parse_scenario(path) -> Scenario:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     return parse_scenario_text(text, base_dir=os.path.dirname(os.path.abspath(path)))
-
-
-def _assemble(values: dict, base_dir: str) -> Scenario:
-    take = values.get
-
-    mass = take("emission.mass", 1.0)
-    if not mass > 0.0:
-        raise ScenarioError("emission.mass", f"must be positive, got {mass}")
-    emission = ScenarioEmission(x0=take("emission.x0", (0.0, 0.0, 0.0)),
-                                t0=take("emission.t0", 0.0), mass=mass)
-
-    amp_kind = take("amplitude.kind", "isotropic-gaussian")
-    if amp_kind not in _AMPLITUDE_KIND_KEYS:
-        raise ScenarioError("amplitude.kind",
-                            f"must be one of {sorted(_AMPLITUDE_KIND_KEYS)}, got {amp_kind!r}")
-    for key in values:
-        if key.startswith("amplitude.") and key != "amplitude.kind":
-            if key not in _AMPLITUDE_KIND_KEYS[amp_kind]:
-                raise ScenarioError(key, f"not a key of amplitude.kind = {amp_kind}")
-    if amp_kind in ("isotropic-gaussian", "separable"):
-        p0 = take("amplitude.p0", 5.0)
-        sigma_p = take("amplitude.sigma_p", 0.5)
-        if not p0 > 0.0:
-            raise ScenarioError("amplitude.p0", f"must be positive, got {p0}")
-        if not sigma_p > 0.0:
-            raise ScenarioError("amplitude.sigma_p", f"must be positive, got {sigma_p}")
-        amplitude = ScenarioAmplitude(kind=amp_kind, p0=p0, sigma_p=sigma_p,
-                                      axis=take("amplitude.axis"),
-                                      angular_sigma=take("amplitude.angular_sigma"))
-        if amp_kind == "separable":
-            if amplitude.axis is None:
-                raise ScenarioError("amplitude.axis", "required for separable amplitudes")
-            if amplitude.angular_sigma is None or not amplitude.angular_sigma > 0.0:
-                raise ScenarioError("amplitude.angular_sigma",
-                                    "required positive for separable amplitudes")
-    else:
-        radial_file = take("amplitude.radial_file")
-        if radial_file is None:
-            raise ScenarioError("amplitude.radial_file", "required for tabulated amplitudes")
-        angular_file = take("amplitude.angular_file")
-        axis = take("amplitude.axis")
-        if angular_file is not None and axis is None:
-            raise ScenarioError("amplitude.axis", "required with an angular table")
-        amplitude = ScenarioAmplitude(kind="tabulated", p0=None, sigma_p=None,
-                                      axis=axis, radial_file=radial_file,
-                                      angular_file=angular_file)
-
-    det_kind = take("detector.kind", "sphere" if "detector.position" not in values
-                    else "point")
-    if det_kind not in _DETECTOR_KIND_KEYS:
-        raise ScenarioError("detector.kind",
-                            f"must be one of {sorted(_DETECTOR_KIND_KEYS)}, got {det_kind!r}")
-    allowed = _DETECTOR_KIND_KEYS[det_kind]
-    for key in values:
-        if key.startswith("detector.") and key != "detector.kind" and key not in allowed:
-            raise ScenarioError(
-                key, f"conflicts with detector.kind = {det_kind}; a scenario "
-                     "holds exactly one of a volume detector or a point detector")
-    if det_kind == "sphere":
-        center = take("detector.center")
-        radius = take("detector.radius")
-        if center is None:
-            raise ScenarioError("detector.center", "required for sphere detectors")
-        if radius is None or not radius > 0.0:
-            raise ScenarioError("detector.radius", f"must be positive, got {radius}")
-        det = ScenarioDetector(kind="sphere", center=center, radius=radius)
-    elif det_kind == "cap":
-        axis = take("detector.axis")
-        half_angle = take("detector.half_angle")
-        r_inner, r_outer = take("detector.r_inner"), take("detector.r_outer")
-        if axis is None:
-            raise ScenarioError("detector.axis", "required for cap detectors")
-        if half_angle is None or not 0.0 < half_angle <= np.pi:
-            raise ScenarioError("detector.half_angle",
-                                f"must lie in (0, pi], got {half_angle}")
-        if r_inner is None or r_outer is None or not 0.0 < r_inner < r_outer:
-            raise ScenarioError("detector.r_inner",
-                                f"need 0 < r_inner < r_outer, got [{r_inner}, {r_outer}]")
-        det = ScenarioDetector(kind="cap", axis=axis, half_angle=half_angle,
-                               r_inner=r_inner, r_outer=r_outer)
-    else:
-        position = take("detector.position")
-        if position is None:
-            raise ScenarioError("detector.position", "required for point detectors")
-        ref = take("detector.reference_solid_angle")
-        if ref is not None and not 0.0 < ref <= 4.0 * np.pi:
-            raise ScenarioError("detector.reference_solid_angle",
-                                f"must lie in (0, 4 pi], got {ref}")
-        det = ScenarioDetector(kind="point", position=position,
-                               reference_solid_angle=ref)
-
-    k = take("coupling.k", 0.5)
-    if not 0.0 < k < 1.0:
-        raise ScenarioError("coupling.k", f"must lie in (0, 1), got {k}")
-
-    quad_kwargs = {}
-    for key in values:
-        if key.startswith("quadrature."):
-            name = key.split(".", 1)[1]
-            try:                # every check of QuadratureSpec reads one field
-                QuadratureSpec(**{name: values[key]})
-            except ValueError as exc:
-                raise ScenarioError(key, str(exc)) from None
-            quad_kwargs[name] = values[key]
-    quad = QuadratureSpec(**quad_kwargs)
-
-    try:
-        grid = prob_mod.TimeGridSpec(dt=take("grid.dt"), t_end=take("grid.t_end"))
-    except ValueError as exc:
-        raise ScenarioError("grid.dt", str(exc)) from None
-
-    return Scenario(emission=emission, amplitude=amplitude, detector=det,
-                    coupling_k=k, quadrature=quad, grid=grid,
-                    output_dir=take("output.dir"), base_dir=base_dir)
 
 
 # --- emission ---------------------------------------------------------------
@@ -381,33 +344,38 @@ def make_amplitude(s: Scenario) -> wp.MomentumAmplitude:
     a = s.amplitude
     if a.kind == "isotropic-gaussian":
         return wp.isotropic_gaussian(a.p0, a.sigma_p)
+    axis = None
+    if a.kind == "separable" or a.angular_file is not None:
+        axis = np.asarray(a.axis, dtype=float)
+        if float(np.linalg.norm(axis)) == 0.0:
+            raise ScenarioError("amplitude.axis", "must be nonzero")
     if a.kind == "separable":
-        return wp.separable_gaussian(a.p0, a.sigma_p, np.asarray(a.axis), a.angular_sigma)
-    radial_path = os.path.join(s.base_dir, a.radial_file)
-    try:
-        p_grid, radial = load_table(radial_path)
-    except (OSError, ValueError) as exc:
-        raise ScenarioError("amplitude.radial_file", str(exc)) from None
-    cos_grid = angular = axis = None
+        return wp.separable_gaussian(a.p0, a.sigma_p, axis, a.angular_sigma)
+    with _named("amplitude.radial_file"):
+        tables = load_table(os.path.join(s.base_dir, a.radial_file))
     if a.angular_file is not None:
-        try:
-            cos_grid, angular = load_table(os.path.join(s.base_dir, a.angular_file))
-        except (OSError, ValueError) as exc:
-            raise ScenarioError("amplitude.angular_file", str(exc)) from None
-        axis = np.asarray(a.axis)
+        with _named("amplitude.angular_file"):
+            tables += load_table(os.path.join(s.base_dir, a.angular_file))
     try:
-        return wp.tabulated(p_grid, radial, cos_grid, angular, axis)
-    except ValueError as exc:
-        raise ScenarioError("amplitude.radial_file", str(exc)) from None
+        return wp.tabulated(*tables, axis=axis)
+    except ValueError as exc:  # its messages open with the table they reject
+        key = "amplitude.angular_file" if str(exc).startswith("angular") \
+            else "amplitude.radial_file"
+        raise ScenarioError(key, str(exc)) from None
 
 
 def make_detector(s: Scenario, source: EmissionEvent) -> DetectorGeometry | None:
+    """The detector volume, or None for a point.  Of the arguments `_check`
+    passes, the builders reject only a source inside the ball (an error of
+    the sphere's center) and a zero cap axis."""
     d = s.detector
     if d.kind == "sphere":
-        return sphere_detector(np.asarray(d.center), d.radius, source)
+        with _named("detector.center"):
+            return sphere_detector(np.asarray(d.center), d.radius, source)
     if d.kind == "cap":
-        return cap_detector(np.asarray(d.axis), d.half_angle, d.r_inner,
-                            d.r_outer, source)
+        with _named("detector.axis"):
+            return cap_detector(np.asarray(d.axis), d.half_angle, d.r_inner,
+                                d.r_outer, source)
     return None
 
 
@@ -431,7 +399,7 @@ def check_scenario(s: Scenario) -> tuple:
         position = np.asarray(s.detector.position, dtype=float)
         distance, extent = float(np.linalg.norm(position - source.x0)), 0.0
         if distance == 0.0:
-            raise GeometryError("point detector coincides with the source")
+            raise ScenarioError("detector.position", "coincides with the source")
     # a direction bound of 1 gives the finest step; 0 the coarsest, so the latest cap
     fine, coarse = (prob_mod.resolve_time_controls(amp, source, distance, extent,
                                                    s.quadrature, bound)
@@ -574,10 +542,14 @@ def _apply_distance(s: Scenario, value: float) -> Scenario:
 
 
 def apply_parameter(s: Scenario, parameter: str, value: float) -> Scenario:
+    """`s` with a sweep row's value set, checked as a parsed file is."""
     _check_sweepable(parameter)
     if parameter == "detector.distance":
-        return _apply_distance(s, value)
-    return _set(s, parameter, value)
+        s = _apply_distance(s, value)
+    else:
+        s = _set(s, parameter, value)
+    _check(s)
+    return s
 
 
 def parse_sweep(path) -> SweepSpec:
@@ -591,6 +563,9 @@ def parse_sweep(path) -> SweepSpec:
         values = tuple(float(v) for v in entries["sweep.values"].split())
     except ValueError as exc:
         raise ScenarioError("sweep.values", str(exc)) from None
+    if not np.all(np.isfinite(values)):
+        raise ScenarioError("sweep.values",
+                            f"must be finite, got {entries['sweep.values']!r}")
     parameter = entries["sweep.parameter"]
     _check_sweepable(parameter)
     return SweepSpec(scenario_path=os.path.join(base, entries["sweep.scenario"]),

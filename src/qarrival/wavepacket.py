@@ -25,7 +25,7 @@ import numpy as np
 from .errors import GeometryError, IntegrationError, NormalizationError
 from .geometry import EmissionEvent, DetectorGeometry, unit_vector, _as_vec3
 from .quadrature import QuadratureSpec, gauss_legendre_panels, cap_directions, \
-    volume_grid, _leggauss
+    refine_by_doubling, volume_grid, _leggauss
 
 TWO_PI_32 = (2.0 * np.pi) ** 1.5
 GAUSSIAN_SUPPORT_SIGMAS = 8.0
@@ -205,16 +205,11 @@ def _piecewise_sq_integral(grid: np.ndarray, values: np.ndarray, jacobian_power:
 def _gl_converged(fn, a: float, b: float, panels0: int, nodes: int = 32,
                   rtol: float = 1e-12) -> float:
     """Gauss-Legendre panel integral refined by panel doubling."""
-    prev = None
-    panels = panels0
-    for _ in range(12):
+    def level(panels: int) -> tuple[float, float]:
         x, w = gauss_legendre_panels(a, b, panels, nodes)
-        val = float(w @ fn(x))
-        if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1e-300):
-            return val
-        prev = val
-        panels *= 2
-    return prev
+        return float(w @ fn(x)), 1e-300
+
+    return refine_by_doubling(level, panels0, 11, rtol, "panel integral")
 
 
 def radial_density_integral(amp: MomentumAmplitude, lo: float | None = None,
@@ -260,26 +255,18 @@ def normalize(amp: MomentumAmplitude) -> MomentumAmplitude:
     return replace(amp, scale=amp.scale / np.sqrt(n2))
 
 
-def characteristic_momentum(amp: MomentumAmplitude) -> float:
-    """Mean momentum under the radial density p^2 |R|^2 (auto-scale helper)."""
+def radial_moments(amp: MomentumAmplitude) -> tuple[float, float]:
+    """Mean and standard deviation of the radial density p^2 |R|^2, on 4097
+    trapezoid nodes over the support (auto-scale helper)."""
     lo, hi = amp.p_support
     p = np.linspace(lo, hi, 4097)
     dens = p * p * np.abs(amp.radial_profile(p)) ** 2
     mass = np.trapezoid(dens, p)
     if mass <= 0.0:
         raise NormalizationError("amplitude has zero radial mass")
-    return float(np.trapezoid(p * dens, p) / mass)
-
-
-def characteristic_spread(amp: MomentumAmplitude) -> float:
-    """Standard deviation of the radial density p^2 |R|^2."""
-    lo, hi = amp.p_support
-    p = np.linspace(lo, hi, 4097)
-    dens = p * p * np.abs(amp.radial_profile(p)) ** 2
-    mass = np.trapezoid(dens, p)
     mean = np.trapezoid(p * dens, p) / mass
     var = np.trapezoid((p - mean) ** 2 * dens, p) / mass
-    return float(np.sqrt(max(var, 0.0)))
+    return float(mean), float(np.sqrt(max(var, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +329,10 @@ def _radial_sum_converged(amp: MomentumAmplitude, quad: QuadratureSpec,
         base = w * p * p * amp.scale * amp.radial_profile(p) / TWO_PI_32
         phases = np.exp(1j * (np.outer(rs, p) - (p * p * tau / (2.0 * mass))[None, :]))
         return (complex(gains @ (phases * base).sum(axis=1)),
-                float(np.sum(np.abs(base))) * gain_bound)
+                1e-3 * (float(np.sum(np.abs(base))) * gain_bound))
 
-    prev, bound = at(panels)
-    err = np.inf
-    for k in range(1, _MAX_DOUBLINGS + 1):
-        cur, bound = at(panels * 2 ** k)
-        err = abs(cur - prev)
-        if err <= quad.rtol * max(abs(cur), 1e-3 * bound):
-            return cur
-        prev = cur
-    raise IntegrationError(
-        f"radial quadrature did not converge (residual {err:.3e})", estimate=err)
+    return refine_by_doubling(at, panels, _MAX_DOUBLINGS, quad.rtol,
+                              "radial quadrature")
 
 
 def eval_angular_component(amp: MomentumAmplitude, request: AngularComponentRequest,
@@ -537,7 +516,7 @@ class _CurveEvaluatorBase:
         a convergence reference."""
         self._seeded = True
         flight = self.source.mass * 0.5 * (self._r_lo + self._r_hi) \
-            / characteristic_momentum(self.amp)
+            / radial_moments(self.amp)[0]
         probes = flight * np.array([0.7, 0.85, 1.0, 1.2, 1.5])
         self._ensure(float(probes.max()))
         values = self._field_square(self._fine, probes)

@@ -666,3 +666,89 @@ def test_csv_writers_match_per_row_format(tmp_path, writer):
     expected = header + "\n" + "".join(
         ",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*columns))
     assert (tmp_path / "out.csv").read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("command, lines, key", [
+    ("validate", "detector.center = 0 0 0.3\ndetector.radius = 0.5\n",
+     "detector.center"),
+    ("validate", "detector.position = 0 0 0\n", "detector.position"),
+    ("validate", "detector.kind = cap\ndetector.axis = 0 0 0\n"
+                 "detector.half_angle = 0.1\ndetector.r_inner = 10\n"
+                 "detector.r_outer = 11\n", "detector.axis"),
+    ("validate", "amplitude.kind = separable\namplitude.axis = 0 0 0\n"
+                 "amplitude.angular_sigma = 0.1\ndetector.position = 0 0 20\n",
+     "amplitude.axis"),
+    ("run", "amplitude.kind = tabulated\namplitude.radial_file = radial.txt\n"
+            "amplitude.angular_file = angular.txt\namplitude.axis = 0 0 0\n"
+            "detector.position = 0 0 20\n", "amplitude.axis"),
+    ("run", "amplitude.kind = tabulated\namplitude.radial_file = radial.txt\n"
+            "amplitude.angular_file = unsorted.txt\namplitude.axis = 0 0 1\n"
+            "detector.position = 0 0 20\n", "amplitude.angular_file"),
+    ("sweep", "detector.center = 0 0 20\ndetector.radius = 0.5\n",
+     "detector.center"),
+], ids=["inside-sphere", "point-at-source", "cap-axis", "separable-axis",
+        "table-axis", "angular-table", "distance-row"])
+def test_cli_build_error_names_key(tmp_path, capsys, command, lines, key):
+    (tmp_path / "radial.txt").write_text("4 1\n5 1\n6 1\n")
+    (tmp_path / "angular.txt").write_text("0.5 1\n1 1\n")
+    (tmp_path / "unsorted.txt").write_text("0.5 1\n0.2 1\n")
+    (tmp_path / "scn.txt").write_text(lines)
+    out = tmp_path / "out"
+    if command != "sweep":
+        args = [command, str(tmp_path / "scn.txt")]
+        if command == "run":
+            args += ["--out", str(out)]
+        assert cli_main(args) == 2
+        assert f"validation error: {key}: " in capsys.readouterr().err
+        return
+    # a detector.distance row that puts the source inside the sphere
+    (tmp_path / "d.sweep").write_text("sweep.scenario = scn.txt\n"
+                                      "sweep.parameter = detector.distance\n"
+                                      "sweep.values = 0.3\n")
+    assert cli_main(["sweep", str(tmp_path / "d.sweep"), "--out", str(out)]) == 0
+    with open(out / "sweep.csv", encoding="utf-8", newline="") as fh:
+        row = list(csv.DictReader(fh))[0]
+    assert row["status"] == "error"
+    assert row["error"].startswith(f"{key}: ")
+
+
+@pytest.mark.parametrize("lines, what", [
+    # the cap product rule does not resolve a beam this narrow: the direction
+    # factor's levels run 0, 7e-89, ..., 5.6e-5 (a 320k-node rule gives 1)
+    ("detector.center = 0 0 20\ndetector.radius = 15\namplitude.angular_sigma = 0.003\n",
+     "direction factor"),
+    # the panel rule of the angular normalization does not resolve it either
+    ("detector.position = 0 0 20\namplitude.angular_sigma = 0.0005\n",
+     "panel integral"),
+], ids=["direction-factor", "normalization"])
+def test_cli_unresolved_refinement_is_numerical_error(tmp_path, capsys, lines, what):
+    path = tmp_path / "scn.txt"
+    path.write_text("amplitude.kind = separable\namplitude.axis = 0 0 1\n" + lines)
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert f"numerical error: {what} did not converge" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("text, parameter", [
+    (POINT_FAST, "detector.radius"),
+    (POINT_FAST, "detector.half_angle"),
+    (MINIMAL, "amplitude.angular_sigma"),
+    ("amplitude.kind = tabulated\namplitude.radial_file = radial.txt\n"
+     "detector.position = 0 0 20\n", "amplitude.p0"),
+])
+def test_sweep_key_of_another_kind_names_it(text, parameter):
+    # a row must not set a key its template's kind ignores
+    with pytest.raises(ScenarioError) as err:
+        apply_parameter(qa.parse_scenario_text(text), parameter, 0.5)
+    assert err.value.field == parameter
+
+
+def test_cli_sweep_nonfinite_value_names_key(tmp_path, capsys):
+    (tmp_path / "scn.txt").write_text(POINT_FAST)
+    (tmp_path / "t0.sweep").write_text("sweep.scenario = scn.txt\n"
+                                       "sweep.parameter = emission.t0\n"
+                                       "sweep.values = 0 nan\n")
+    assert cli_main(["sweep", str(tmp_path / "t0.sweep"), "--out",
+                     str(tmp_path / "out")]) == 2
+    assert "validation error: sweep.values: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

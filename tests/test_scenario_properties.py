@@ -11,8 +11,9 @@ import qarrival as qa  # noqa: E402
 from qarrival import ScenarioError  # noqa: E402
 from qarrival.probability import TimeGridSpec  # noqa: E402
 from qarrival.quadrature import QuadratureSpec  # noqa: E402
-from qarrival.scenario import (Scenario, ScenarioAmplitude,  # noqa: E402
-                               ScenarioDetector, ScenarioEmission, _KEYS)
+from qarrival.scenario import (_KEYS, _SWEEPABLE, Scenario,  # noqa: E402
+                               ScenarioAmplitude, ScenarioDetector,
+                               ScenarioEmission, apply_parameter)
 
 EXAMPLES = settings(max_examples=100, deadline=None, database=None)
 
@@ -99,3 +100,75 @@ def test_non_finite_value_names_key(s, key, bad, filler, slot):
         qa.parse_scenario_text("\n".join(lines))
     assert err.value.field == key
     assert "finite" in str(err.value)
+
+
+# a valid scenario of each kind a ranged key belongs to
+TEMPLATES = {
+    "sphere": "detector.center = 0 0 20\ndetector.radius = 0.5\n",
+    "separable": "amplitude.kind = separable\namplitude.axis = 0 0 1\n"
+                 "amplitude.angular_sigma = 0.1\ndetector.position = 0 0 20\n",
+    "cap": "detector.kind = cap\ndetector.axis = 0 0 1\ndetector.half_angle = 0.1\n"
+           "detector.r_inner = 19\ndetector.r_outer = 21\n",
+    "point": "detector.position = 0 0 20\ndetector.reference_solid_angle = 0.01\n",
+}
+
+
+def real(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+nonpositive = real(max_value=0.0)
+
+
+# every ranged key: its template and the values outside its range
+OUT_OF_RANGE = {
+    "emission.mass": ("sphere", nonpositive),
+    "amplitude.p0": ("sphere", nonpositive),
+    "amplitude.sigma_p": ("sphere", nonpositive),
+    "amplitude.angular_sigma": ("separable", nonpositive),
+    "detector.radius": ("sphere", nonpositive),
+    "detector.half_angle": ("cap", nonpositive | real(min_value=np.pi, exclude_min=True)),
+    "detector.reference_solid_angle": ("point", nonpositive
+                                       | real(min_value=4.0 * np.pi, exclude_min=True)),
+    "coupling.k": ("sphere", nonpositive | real(min_value=1.0)),
+    "quadrature.radial_nodes": ("sphere", st.integers(max_value=3)),
+    "quadrature.radial_panels": ("sphere", st.integers(max_value=0)),
+    "quadrature.polar_nodes": ("sphere", st.integers(max_value=0)),
+    "quadrature.azimuth_nodes": ("sphere", st.integers(max_value=0)),
+    "quadrature.dt": ("sphere", nonpositive),
+    "quadrature.eps_tail": ("sphere", nonpositive | real(min_value=1.0)),
+    "quadrature.t_cap": ("sphere", nonpositive),
+    "quadrature.rtol": ("sphere", nonpositive),
+    "grid.dt": ("sphere", nonpositive),
+}
+
+
+def out_of_range(keys):
+    return st.sampled_from(sorted(keys)).flatmap(
+        lambda key: st.tuples(st.just(key), OUT_OF_RANGE[key][1]))
+
+
+def with_value(template: str, key: str, value) -> str:
+    lines = [line for line in TEMPLATES[template].splitlines()
+             if line.partition(" = ")[0] != key]
+    return "\n".join(lines + [f"{key} = {value!r}"]) + "\n"
+
+
+@EXAMPLES
+@given(out_of_range(OUT_OF_RANGE))
+def test_out_of_range_value_names_key(case):
+    key, value = case
+    with pytest.raises(ScenarioError) as err:
+        qa.parse_scenario_text(with_value(OUT_OF_RANGE[key][0], key, value))
+    assert err.value.field == key
+
+
+
+@EXAMPLES
+@given(out_of_range(set(OUT_OF_RANGE) & _SWEEPABLE))
+def test_out_of_range_sweep_value_names_key(case):
+    key, value = case
+    template = qa.parse_scenario_text(TEMPLATES[OUT_OF_RANGE[key][0]])
+    with pytest.raises(ScenarioError) as err:
+        apply_parameter(template, key, float(value))
+    assert err.value.field == key
