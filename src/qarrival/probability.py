@@ -21,12 +21,13 @@ from .errors import GeometryError, IntegrationError, ScenarioError
 from .geometry import EmissionEvent, DetectorGeometry, _as_vec3, cap_detector
 from .quadrature import QuadratureSpec, SemiInfiniteResult, cap_directions, \
     refine_by_doubling, semiinfinite_profile
-from .wavepacket import MomentumAmplitude, PointDensityCurve, \
+from .wavepacket import MomentumAmplitude, OccupationCurve, PointDensityCurve, \
     VolumeOccupationCurve, momentum_norm_squared, normalize, \
     radial_density_integral, radial_moments
 
 _NORM_TOL = 1e-6
 _CSV_BLOCK = 4096      # rows formatted per write in write_columns_csv
+_MAX_GRID_ROWS = 2 ** 22   # output samples; default time controls need <= 2,000,001
 
 
 @dataclass(frozen=True)
@@ -163,15 +164,11 @@ class OccupationProfile:
     quad_error: float
 
 
-def _occupation_profile(amp: MomentumAmplitude, target, source: EmissionEvent,
-                        quad: QuadratureSpec) -> OccupationProfile:
-    if isinstance(target, DetectorGeometry):
-        evaluator = VolumeOccupationCurve(amp, target, source, quad)
-        reach = target.distance + 0.5 * target.extent_along_axis
-    else:
-        evaluator = PointDensityCurve(amp, target, source, quad)
-        reach = evaluator.distance
-    t_min = _stop_floor(amp, source, reach, quad.t_cap)
+def _occupation_profile(evaluator: OccupationCurve, reach: float,
+                        source: EmissionEvent, quad: QuadratureSpec) -> OccupationProfile:
+    """Profile of `evaluator`, whose tail criterion may fire once the slowest
+    weighted component has travelled `reach`."""
+    t_min = _stop_floor(evaluator.amp, source, reach, quad.t_cap)
     tau, vals, cum, res = semiinfinite_profile(evaluator, quad, t_min_stop=t_min)
     return OccupationProfile(t0=source.t0, dt=quad.dt, tau=tau, values=vals,
                              cumulative=cum, result=res,
@@ -261,36 +258,47 @@ def _mass_end(profile: OccupationProfile, min_samples: int) -> int:
 
 
 def _grid_steps(grid: TimeGridSpec, t0: float, dt: float, tau_end: float,
-                min_samples: int) -> tuple[float, int]:
+                min_samples: int, quad: QuadratureSpec | None = None) -> tuple[float, int]:
     """Step and last index of the output grid, with `dt` and the elapsed
     `tau_end` standing in for unset fields.  A grid that starts before the
     emission time t0 or holds fewer than `min_samples` samples is an error
-    naming `grid.t_end` when it is set, else `grid.dt`."""
+    naming `grid.t_end` when it is set, else `grid.dt`.  One over
+    _MAX_GRID_ROWS names the step's key if set (`grid.dt`, else `quadrature.dt`
+    of the given `quad`), else the end's (`grid.t_end`, else `quadrature.t_cap`)."""
     key = "grid.t_end" if grid.t_end is not None else "grid.dt"
     dt = grid.dt if grid.dt is not None else dt
     tau_end = (grid.t_end - t0) if grid.t_end is not None else tau_end
     if tau_end < 0.0:
         raise ScenarioError(key, f"t_end {grid.t_end!r} precedes the emission "
                                  f"time {t0!r}")
-    n = int(round(tau_end / dt)) if tau_end > 0.0 else 0
-    if n + 1 < min_samples:
-        raise ScenarioError(key, f"the output grid of step {dt:.6g} over [{t0:.6g}, "
-                                 f"{t0 + tau_end:.6g}] holds {n + 1} samples; "
-                                 f"a run needs at least {min_samples}")
-    return dt, n
+    steps = tau_end / dt if tau_end > 0.0 else 0.0
+    n = int(round(min(steps, _MAX_GRID_ROWS)))
+    if n + 1 > _MAX_GRID_ROWS:
+        key = ("grid.dt" if grid.dt is not None
+               else "quadrature.dt" if quad is not None and quad.dt is not None
+               else "grid.t_end" if grid.t_end is not None else "quadrature.t_cap")
+        bound = f"lays out at most {_MAX_GRID_ROWS}"
+    elif n + 1 < min_samples:
+        bound = f"needs at least {min_samples}"
+    else:
+        return dt, n
+    raise ScenarioError(key, f"the output grid of step {dt:.6g} over [{t0:.6g}, "
+                             f"{t0 + tau_end:.6g}] holds {steps + 1:.0f} samples; "
+                             f"a run {bound}")
 
 
 def _curve_from_profile(profile: OccupationProfile, p_direction: float,
                         grid: TimeGridSpec | None, point_detector: bool, *,
-                        allow_unconverged: bool = False,
-                        min_samples: int = 1) -> EntryProbabilityCurve:
-    """Entry curve on the output grid (see `_grid_steps` for its errors).  A
-    grid with neither field set ends where the occupation mass is in
+                        allow_unconverged: bool = False, min_samples: int = 1,
+                        quad: QuadratureSpec | None = None) -> EntryProbabilityCurve:
+    """Entry curve on the output grid (see `_grid_steps` for its errors; `quad`
+    is the spec the profile's time controls were resolved from).  A grid
+    with neither field set ends where the occupation mass is in
     (`_mass_end`); one with either set keeps t_max as its default end."""
     _checked_denominator(profile, allow_unconverged)
     grid = grid or TimeGridSpec()
     dt, n = _grid_steps(grid, profile.t0, profile.dt, profile.result.t_max,
-                        min_samples)
+                        min_samples, quad)
     if grid.dt is None and grid.t_end is None:
         n = _mass_end(profile, min_samples)
     tau_out = dt * np.arange(n + 1)
@@ -312,7 +320,9 @@ def _volume_occupation(amp: MomentumAmplitude, det: DetectorGeometry,
     p_direction = direction_probability(amp, det, source, quad)
     quad = resolve_time_controls(amp, source, det.distance,
                                  det.extent_along_axis, quad, p_direction)
-    return p_direction, _occupation_profile(amp, det, source, quad)
+    return p_direction, _occupation_profile(
+        VolumeOccupationCurve(amp, det, source, quad),
+        det.distance + 0.5 * det.extent_along_axis, source, quad)
 
 
 def _point_occupation(amp: MomentumAmplitude, x_detector, source: EmissionEvent,
@@ -337,7 +347,8 @@ def _point_occupation(amp: MomentumAmplitude, x_detector, source: EmissionEvent,
         cone = cap_detector(rel, half_angle, 0.5 * distance, 1.5 * distance, source)
         p_direction = direction_probability(amp, cone, source, quad)
     quad = resolve_time_controls(amp, source, distance, 0.0, quad)
-    return p_direction, _occupation_profile(amp, x_detector, source, quad)
+    return p_direction, _occupation_profile(
+        PointDensityCurve(amp, x_detector, source, quad), distance, source, quad)
 
 
 def build_entry_curve(amp: MomentumAmplitude, det: DetectorGeometry,
@@ -351,7 +362,7 @@ def build_entry_curve(amp: MomentumAmplitude, det: DetectorGeometry,
     """
     p_direction, profile = _volume_occupation(amp, det, source, quad)
     return _curve_from_profile(profile, p_direction, grid, point_detector=False,
-                               allow_unconverged=allow_unconverged)
+                               allow_unconverged=allow_unconverged, quad=quad)
 
 
 def point_detector_curve(amp: MomentumAmplitude, x_detector,
@@ -371,4 +382,4 @@ def point_detector_curve(amp: MomentumAmplitude, x_detector,
     p_direction, profile = _point_occupation(amp, x_detector, source, quad,
                                             reference_solid_angle)
     return _curve_from_profile(profile, p_direction, grid, point_detector=True,
-                               allow_unconverged=allow_unconverged)
+                               allow_unconverged=allow_unconverged, quad=quad)

@@ -84,18 +84,27 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def gauss_legendre_panels(a: float, b: float, panels: int,
-                          nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule: `panels` equal panels on [a, b]."""
+def gauss_legendre_panels(a: float, b: float, panels: int, nodes_per_panel: int,
+                          breaks=()) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule: `panels` equal panels on [a, b], also
+    split at the `breaks` inside (a, b).  A split piece keeps the panel's
+    node density, with at least 4 nodes (or the panel's, when fewer)."""
     if not b > a:
         raise ValueError(f"empty integration range [{a}, {b}]")
-    x, w = _leggauss(nodes_per_panel)
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    breaks = np.asarray(breaks, dtype=float)
+    edges = np.sort(np.concatenate((np.linspace(a, b, panels + 1),
+                                    breaks[(breaks > a) & (breaks < b)])))
+    edges = edges[np.append(True, np.diff(edges) > 0.0)]
+    counts = np.minimum(np.maximum(np.ceil(
+        nodes_per_panel * panels * np.diff(edges) / (b - a)), 4), nodes_per_panel)
+    nodes, weights = [], []
+    for m in sorted(set(counts.tolist())):    # not np.unique: it imports numpy.ma
+        x, w = _leggauss(int(m))
+        lo, hi = edges[:-1][counts == m], edges[1:][counts == m]
+        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        nodes.append((mid[:, None] + half[:, None] * x[None, :]).ravel())
+        weights.append((half[:, None] * w[None, :]).ravel())
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def refine_by_doubling(level, n0: int, doublings: int, rtol: float, what: str):

@@ -404,7 +404,8 @@ def check_scenario(s: Scenario) -> tuple:
     fine, coarse = (prob_mod.resolve_time_controls(amp, source, distance, extent,
                                                    s.quadrature, bound)
                     for bound in (1.0, 0.0))
-    prob_mod._grid_steps(s.grid, source.t0, fine.dt, coarse.t_cap, min_samples=3)
+    prob_mod._grid_steps(s.grid, source.t0, fine.dt, coarse.t_cap, min_samples=3,
+                         quad=s.quadrature)
     return source, amp, det
 
 
@@ -437,7 +438,8 @@ def _run(s: Scenario, out_dir, prepared: tuple | None = None) -> dict:
     source, amp, det, p_direction, profile = prepared or _prepare(s)
     curve = prob_mod._curve_from_profile(profile, p_direction, s.grid,
                                          point_detector=det is None,
-                                         allow_unconverged=True, min_samples=3)
+                                         allow_unconverged=True, min_samples=3,
+                                         quad=s.quadrature)
     if det is not None:
         distance, omega, volume = det.distance, det.omega, det.volume
     else:
@@ -505,6 +507,11 @@ class SweepSpec:
     def __post_init__(self):
         if not self.values:
             raise ScenarioError("sweep.values", "value list must not be empty")
+        # a repeat (float ==, so -0 repeats 0) would run twice into one directory
+        repeated = [v for i, v in enumerate(self.values) if v in self.values[:i]]
+        if repeated:
+            raise ScenarioError("sweep.values", f"repeats {repeated[0]!r}; each "
+                                                "row needs its own value")
 
 
 # scalar keys a sweep may set, plus detector.distance: the source-detector

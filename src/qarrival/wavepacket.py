@@ -101,6 +101,11 @@ class MomentumAmplitude:
         return max(0.0, float(self.p_grid[0])), float(self.p_grid[-1])
 
     @property
+    def knots(self) -> np.ndarray:
+        """Momenta where the radial profile kinks: radial rules break there."""
+        return self.p_grid if self.kind == "tabulated" else np.empty(0)
+
+    @property
     def radial_node_floor(self) -> int:
         """Minimum node count needed to resolve the radial profile itself."""
         lo, hi = self.p_support
@@ -325,7 +330,8 @@ def _radial_sum_converged(amp: MomentumAmplitude, quad: QuadratureSpec,
     gain_bound = float(np.sum(np.abs(gains)))
 
     def at(n_panels: int) -> tuple[complex, float]:
-        p, w = gauss_legendre_panels(p_lo, p_hi, n_panels, quad.radial_nodes)
+        p, w = gauss_legendre_panels(p_lo, p_hi, n_panels, quad.radial_nodes,
+                                     amp.knots)
         base = w * p * p * amp.scale * amp.radial_profile(p) / TWO_PI_32
         phases = np.exp(1j * (np.outer(rs, p) - (p * p * tau / (2.0 * mass))[None, :]))
         return (complex(gains @ (phases * base).sum(axis=1)),
@@ -467,146 +473,29 @@ def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs: np.ndarray) -> np.n
     return samples.reshape((n_t,) + coeffs.shape[1:])
 
 
-class _CurveEvaluatorBase:
-    """Shared plumbing: lazy radial sizing, paired-resolution evaluation,
-    running scale and error tracking, escalation on failed estimates."""
+class OccupationCurve:
+    """Sum_x w_x |Sum_a g_a psi(r[x, a], tau)|^2 over arrays of elapsed times
+    tau: points x of weight w_x, direction channels a of gain g_a at distance
+    r[x, a] = n_a.(x - x0).  Every batch is evaluated on a fine and a coarse
+    radial rule, judged against the running scale; a failed estimate doubles
+    the panel count.  With fewer points than the Chebyshev order the
+    distances need, the channels fold into the momentum coefficients
+    directly; otherwise their phases exp(i p r) are compressed onto a
+    Chebyshev basis in r, which keeps the time-by-momentum product small.
+    """
 
     def __init__(self, amp: MomentumAmplitude, source: EmissionEvent,
-                 quad: QuadratureSpec, r_lo: float, r_hi: float):
-        self.amp = amp
-        self.source = source
-        self.quad = quad
-        self._r_lo = r_lo
-        self._r_hi = r_hi
+                 quad: QuadratureSpec, r_chan: np.ndarray, gains: np.ndarray,
+                 weights: np.ndarray):
+        self.amp, self.source, self.quad = amp, source, quad
+        # r_chan is (points, channels)
+        self._r_chan, self._gains, self._weights = r_chan, gains, weights
+        self._r_lo, self._r_hi = float(r_chan.min()), float(r_chan.max())
         self._p_lo, self._p_hi = _effective_p_range(amp, quad)
         self._tau_sized = -1.0
         self._panel_boost = 1
-        self._seeded = False
-        self.scale = 0.0
-        self.abs_error = 0.0
-
-    # subclasses fill these in _build(panels) -> state, and
-    # _field_square(state, taus) -> sampled curve values
-    def _build(self, panels: int):
-        raise NotImplementedError
-
-    def _field_square(self, state, taus: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _ensure(self, tau_max: float):
-        if tau_max <= self._tau_sized:
-            return
-        sized = max(tau_max * 1.25, 1e-300)
-        rate = _max_phase_rate(self._r_lo, self._r_hi, self._p_lo, self._p_hi,
-                               sized, self.source.mass)
-        panels = _radial_panels(self.amp, self.quad, rate, self._p_lo, self._p_hi)
-        panels *= self._panel_boost
-        self._coarse = self._build(panels)
-        self._fine = self._build(2 * panels)
-        self._panels = panels
-        self._tau_sized = sized
-
-    def _escalate(self):
-        self._panel_boost *= 2
-        self._tau_sized = -1.0
-
-    def _seed_scale(self):
-        """Anchor the relative-error scale at the arrival peak before any
-        batch is judged: early batches are typically ~0 and meaningless as
-        a convergence reference."""
-        self._seeded = True
-        flight = self.source.mass * 0.5 * (self._r_lo + self._r_hi) \
-            / radial_moments(self.amp)[0]
-        probes = flight * np.array([0.7, 0.85, 1.0, 1.2, 1.5])
-        self._ensure(float(probes.max()))
-        values = self._field_square(self._fine, probes)
-        self.scale = max(self.scale, float(values.max()))
-
-    def __call__(self, taus: np.ndarray) -> np.ndarray:
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        if not self._seeded:
-            self._seed_scale()
-        self._ensure(float(taus.max()) if taus.size else 0.0)
-        for attempt in range(4):
-            out = self._field_square(self._fine, taus)
-            coarse = self._field_square(self._coarse, taus[::_ERR_SUBSAMPLE])
-            worst = float(np.max(np.abs(out[::_ERR_SUBSAMPLE] - coarse), initial=0.0))
-            batch_scale = max(self.scale, float(out.max(initial=0.0)))
-            if worst <= self.quad.rtol * max(batch_scale, 1e-300) or attempt == 3:
-                if worst > self.quad.rtol * max(batch_scale, 1e-300):
-                    raise IntegrationError(
-                        f"time-curve radial quadrature did not converge "
-                        f"(residual {worst:.3e} at scale {batch_scale:.3e})",
-                        estimate=worst)
-                self.scale = batch_scale
-                self.abs_error = max(self.abs_error, worst)
-                return out
-            self._escalate()
-            self._ensure(float(taus.max()))
-        raise AssertionError("unreachable")
-
-    @property
-    def error_rel(self) -> float:
-        return self.abs_error / max(self.scale, 1e-300)
-
-
-class PointDensityCurve(_CurveEvaluatorBase):
-    """|psi_nD(x_D, t)|^2 sampled over arrays of elapsed times."""
-
-    def __init__(self, amp: MomentumAmplitude, x_detector, source: EmissionEvent,
-                 quad: QuadratureSpec):
-        x_detector = _as_vec3(x_detector, "x_detector")
-        rel = x_detector - source.x0
-        distance = float(np.linalg.norm(rel))
-        if distance == 0.0:
-            raise GeometryError("point detector coincides with the source")
-        self.direction = rel / distance
-        self.distance = distance
-        super().__init__(amp, source, quad, distance, distance)
-        self._g2 = 1.0
-        if not amp.is_isotropic:
-            self._g2 = float(np.abs(amp.angular_profile(self.direction @ amp.axis)) ** 2)
-
-    def _build(self, panels: int):
-        p, w = gauss_legendre_panels(self._p_lo, self._p_hi, panels, self.quad.radial_nodes)
-        base = (w * p * p * self.amp.scale * self.amp.radial_profile(p) / TWO_PI_32
-                * np.exp(1j * p * self.distance))
-        omega = p * p / (2.0 * self.source.mass)
-        return omega, base
-
-    def _field_square(self, state, taus: np.ndarray) -> np.ndarray:
-        omega, base = state
-        fields = _phase_sums(omega, taus, base)
-        return self._g2 * (fields.real ** 2 + fields.imag ** 2)
-
-
-class VolumeOccupationCurve(_CurveEvaluatorBase):
-    """Integral over the detector volume of |psi_D(x, t)|^2, sampled over
-    arrays of elapsed times.
-
-    The direction-cap superposition and the volume sum reduce to a matrix
-    product; the per-channel position phases exp(i p n.(x - x0)) are
-    compressed onto a Chebyshev basis in the scalar distance r = n.(x - x0)
-    (the radial integral depends on the channel only through r), which keeps
-    the time-by-momentum product small.
-    """
-
-    def __init__(self, amp: MomentumAmplitude, det: DetectorGeometry,
-                 source: EmissionEvent, quad: QuadratureSpec):
-        dirs, dw = cap_directions(det.axis, det.cos_cone, quad.polar_nodes,
-                                  quad.azimuth_nodes)
-        points, vol_w = volume_grid(det, quad)
-        gw = dw.astype(complex)
-        if not amp.is_isotropic:
-            gw = gw * amp.angular_profile(dirs @ amp.axis)
-        rel = points - source.x0
-        r_chan = rel @ dirs.T                      # (points, directions)
-        self._gw = gw
-        self._r_chan = r_chan
-        self._vol_w = vol_w
-        super().__init__(amp, source, quad,
-                         float(r_chan.min()), float(r_chan.max()))
-        n_points, n_dirs = r_chan.shape
+        self.scale = self.abs_error = 0.0
+        n_points, n_chan = r_chan.shape
         halfband = 0.5 * (self._p_hi - self._p_lo)
         half_len = 0.5 * max(self._r_hi - self._r_lo, 1e-12)
         order = int(np.ceil(1.4 * halfband * half_len)) + 16
@@ -619,34 +508,108 @@ class VolumeOccupationCurve(_CurveEvaluatorBase):
             self._r_nodes = _cheb_points(self._r_lo, self._r_hi, order)
             interp = _cheb_interp_matrix(self._r_lo, self._r_hi, order,
                                          r_chan.ravel())                  # (X*A, C)
-            carrier = (gw[None, :] * np.exp(1j * self._p_mid * r_chan)).ravel()
+            carrier = (gains[None, :] * np.exp(1j * self._p_mid * r_chan)).ravel()
             weighted = interp * carrier[:, None]
-            self._mix = weighted.reshape(n_points, n_dirs, order).sum(axis=1).T  # (C, X)
+            self._mix = weighted.reshape(n_points, n_chan, order).sum(axis=1).T  # (C, X)
             # sum_x w_x |(s M)_x|^2 = |R s|^2 with (M diag(sqrt w))^T = Q R,
             # so the density costs C^2 per sample instead of C X
-            self._mix_r = np.linalg.qr((self._mix * np.sqrt(vol_w)).T, mode="r").T  # (C, C)
+            self._mix_r = np.linalg.qr((self._mix * np.sqrt(weights)).T, mode="r").T  # (C, C)
+        self._seed_scale()
 
     def _build(self, panels: int):
-        p, w = gauss_legendre_panels(self._p_lo, self._p_hi, panels, self.quad.radial_nodes)
+        p, w = gauss_legendre_panels(self._p_lo, self._p_hi, panels,
+                                     self.quad.radial_nodes, self.amp.knots)
         base = w * p * p * self.amp.scale * self.amp.radial_profile(p) / TWO_PI_32
         omega = p * p / (2.0 * self.source.mass)
         if self._mix is None:
-            # compression would not pay off; fold directions in directly
-            n_points, n_dirs = self._r_chan.shape
+            n_points, n_chan = self._r_chan.shape
             chan = np.zeros((p.size, n_points), dtype=complex)
-            for a0 in range(0, n_dirs, 8):
-                block = slice(a0, min(a0 + 8, n_dirs))
-                phases = np.exp(1j * self._r_chan[:, block, None] * p[None, None, :])
-                chan += np.einsum("xap,a->px", phases, self._gw[block])
+            for a0 in range(0, n_chan, 8):
+                phases = np.exp(1j * self._r_chan[:, a0:a0 + 8, None] * p[None, None, :])
+                chan += np.einsum("xap,a->px", phases, self._gains[a0:a0 + 8])
             chan *= base[:, None]
-            return omega, chan, None
-        basis = base[:, None] * np.exp(1j * np.outer(p - self._p_mid, self._r_nodes))  # (P, C)
-        return omega, basis, self._mix
+            return omega, chan
+        return omega, base[:, None] * np.exp(1j * np.outer(p - self._p_mid, self._r_nodes))
 
     def _field_square(self, state, taus: np.ndarray) -> np.ndarray:
-        omega, coeffs, mix = state
-        sums = _phase_sums(omega, taus, coeffs)           # (T, C), or (T, X) direct
-        if mix is None:
-            return (sums.real ** 2 + sums.imag ** 2) @ self._vol_w
+        omega, coeffs = state
+        sums = _phase_sums(omega, taus, coeffs)           # (T, X) direct, or (T, C)
+        if self._mix is None:
+            return (sums.real ** 2 + sums.imag ** 2) @ self._weights
         fields = sums @ self._mix_r                       # (T, C) @ (C, C)
         return (fields.real ** 2 + fields.imag ** 2).sum(axis=1)
+
+    def _ensure(self, tau_max: float):
+        if tau_max <= self._tau_sized:
+            return
+        sized = max(tau_max * 1.25, 1e-300)
+        rate = _max_phase_rate(self._r_lo, self._r_hi, self._p_lo, self._p_hi,
+                               sized, self.source.mass)
+        panels = _radial_panels(self.amp, self.quad, rate, self._p_lo, self._p_hi)
+        panels *= self._panel_boost
+        self._coarse = self._build(panels)
+        self._fine = self._build(2 * panels)
+        self._tau_sized = sized
+
+    def _seed_scale(self):
+        """Anchor the relative-error scale at the arrival peak before any
+        batch is judged: early batches are typically ~0 and meaningless as
+        a convergence reference."""
+        flight = self.source.mass * 0.5 * (self._r_lo + self._r_hi) \
+            / radial_moments(self.amp)[0]
+        probes = flight * np.array([0.7, 0.85, 1.0, 1.2, 1.5])
+        self._ensure(float(probes.max()))
+        values = self._field_square(self._fine, probes)
+        self.scale = max(self.scale, float(values.max()))
+
+    def __call__(self, taus: np.ndarray) -> np.ndarray:
+        taus = np.atleast_1d(np.asarray(taus, dtype=float))
+        self._ensure(float(taus.max()) if taus.size else 0.0)
+        for attempt in range(4):                  # up to 3 panel doublings
+            if attempt:
+                self._panel_boost *= 2
+                self._tau_sized = -1.0
+                self._ensure(float(taus.max()))
+            out = self._field_square(self._fine, taus)
+            coarse = self._field_square(self._coarse, taus[::_ERR_SUBSAMPLE])
+            worst = float(np.max(np.abs(out[::_ERR_SUBSAMPLE] - coarse), initial=0.0))
+            batch_scale = max(self.scale, float(out.max(initial=0.0)))
+            if worst <= self.quad.rtol * max(batch_scale, 1e-300):
+                self.scale = batch_scale
+                self.abs_error = max(self.abs_error, worst)
+                return out
+        raise IntegrationError(
+            f"time-curve radial quadrature did not converge "
+            f"(residual {worst:.3e} at scale {batch_scale:.3e})", estimate=worst)
+
+    @property
+    def error_rel(self) -> float:
+        return self.abs_error / max(self.scale, 1e-300)
+
+
+def VolumeOccupationCurve(amp: MomentumAmplitude, det: DetectorGeometry,
+                          source: EmissionEvent, quad: QuadratureSpec) -> OccupationCurve:
+    """Integral over the detector volume of |psi_D(x, t)|^2: the cap
+    directions at the volume grid points."""
+    dirs, dw = cap_directions(det.axis, det.cos_cone, quad.polar_nodes,
+                              quad.azimuth_nodes)
+    points, vol_w = volume_grid(det, quad)
+    gains = dw.astype(complex)
+    if not amp.is_isotropic:
+        gains = gains * amp.angular_profile(dirs @ amp.axis)
+    return OccupationCurve(amp, source, quad, (points - source.x0) @ dirs.T,
+                           gains, vol_w)
+
+
+def PointDensityCurve(amp: MomentumAmplitude, x_detector, source: EmissionEvent,
+                      quad: QuadratureSpec) -> OccupationCurve:
+    """|psi_nD(x_D, t)|^2: one channel at the detector distance, weighted by
+    the angular density |G(n.axis)|^2 of the line of sight n."""
+    rel = _as_vec3(x_detector, "x_detector") - source.x0
+    distance = float(np.linalg.norm(rel))
+    if distance == 0.0:
+        raise GeometryError("point detector coincides with the source")
+    g2 = 1.0 if amp.is_isotropic else \
+        float(np.abs(amp.angular_profile((rel / distance) @ amp.axis)) ** 2)
+    return OccupationCurve(amp, source, quad, np.array([[distance]]),
+                           np.ones(1, dtype=complex), np.array([g2]))

@@ -9,6 +9,7 @@ import pytest
 import qarrival as qa
 from qarrival import probability as prob
 from qarrival import quadrature as quad_mod
+from qarrival import wavepacket as wp
 from qarrival.cli import main as cli_main
 from qarrival.quadrature import SemiInfiniteResult
 
@@ -85,9 +86,12 @@ def test_volume_curve_end_is_scale_invariant(iso_amp, source):
     quad = prob.resolve_time_controls(iso_amp, source, det.distance,
                                       det.extent_along_axis, qa.QuadratureSpec(), bound)
     scaled = dataclasses.replace(iso_amp, scale=iso_amp.scale * 3.0)
-    curves = [prob._curve_from_profile(prob._occupation_profile(amp, det, source, quad),
-                                       bound, None, False, min_samples=3)
-              for amp in (iso_amp, scaled)]
+    reach = det.distance + 0.5 * det.extent_along_axis
+    profiles = [prob._occupation_profile(wp.VolumeOccupationCurve(amp, det, source, quad),
+                                         reach, source, quad)
+                for amp in (iso_amp, scaled)]
+    curves = [prob._curve_from_profile(profile, bound, None, False, min_samples=3)
+              for profile in profiles]
     assert curves[0].t.size < round(curves[0].denominator.t_max / quad.dt) + 1
     assert curves[1].t.size == curves[0].t.size
     np.testing.assert_allclose(curves[1].p_conditional, curves[0].p_conditional,
@@ -112,3 +116,47 @@ def test_validate_rejects_grid_before_profile(tmp_path, capsys, monkeypatch):
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "validation error: grid.dt: " in capsys.readouterr().err
     assert calls == []
+
+
+NARROW = "amplitude.sigma_p = 0.05\ndetector.kind = point\ndetector.position = 0 0 100\n"
+
+
+@pytest.mark.parametrize("lines, key", [
+    ("grid.dt = 1e-9\n", "grid.dt"),
+    ("quadrature.dt = 1e-9\n", "quadrature.dt"),
+    ("quadrature.dt = 1e-9\ngrid.dt = 1e-9\n", "grid.dt"),
+    ("grid.t_end = 1e9\n", "grid.t_end"),
+    ("quadrature.t_cap = 1e9\n", "quadrature.t_cap"),
+    ("grid.t_end = 1e300\ngrid.dt = 1e-300\n", "grid.dt"),
+])
+def test_row_budget_rejects_grid_before_profile(tmp_path, capsys, monkeypatch, lines, key):
+    # 1e-9 steps over the narrow scenario's t_max of 179 would lay out
+    # ~1.8e11 rows: the bound check refuses them before any allocation
+    calls = []
+    monkeypatch.setattr(quad_mod, "semiinfinite_profile", lambda *a, **k: calls.append(1))
+    monkeypatch.setattr(prob, "semiinfinite_profile", lambda *a, **k: calls.append(1))
+    path = tmp_path / "scn.txt"
+    path.write_text(NARROW + lines)
+    assert cli_main(["validate", str(path)]) == 2
+    assert f"validation error: {key}: " in capsys.readouterr().err
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"validation error: {key}: " in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("grid, quad, key", [
+    (qa.TimeGridSpec(dt=1e-6), None, "grid.dt"),
+    (qa.TimeGridSpec(dt=1e-6, t_end=1e9), qa.QuadratureSpec(dt=1e-6), "grid.dt"),
+    (None, qa.QuadratureSpec(), "quadrature.t_cap"),
+    (qa.TimeGridSpec(t_end=1e9), qa.QuadratureSpec(dt=0.5), "quadrature.dt"),
+    (qa.TimeGridSpec(t_end=1e9), None, "grid.t_end"),
+])
+def test_row_budget_after_profile_names_key(grid, quad, key):
+    # the exact check after the profile: t_max = 0.5 * 2^22 at step 0.5 is 2^22 + 1 samples
+    values = np.r_[1.0, np.zeros(200)]
+    profile = synthetic_profile(values)
+    profile = dataclasses.replace(profile, result=dataclasses.replace(
+        profile.result, t_max=0.5 * prob._MAX_GRID_ROWS))
+    with pytest.raises(qa.ScenarioError) as err:
+        prob._curve_from_profile(profile, 1.0, grid, True, min_samples=3, quad=quad)
+    assert err.value.field == key

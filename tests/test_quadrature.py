@@ -3,7 +3,7 @@ import pytest
 
 from qarrival import QuadratureSpec, cap_detector, sphere_detector, \
     integrate_time_semiinfinite, integrate_volume, differentiate_sampled
-from qarrival.quadrature import semiinfinite_profile
+from qarrival.quadrature import gauss_legendre_panels, semiinfinite_profile
 
 
 def test_exponential_tail():
@@ -125,3 +125,22 @@ def test_spec_validation():
         QuadratureSpec(rtol=0.0)
     with pytest.raises(ValueError):
         integrate_time_semiinfinite(lambda t: t, 0.0, QuadratureSpec())
+
+
+def test_panel_breaks():
+    # without breaks: equal panels of the full node count
+    x, w = gauss_legendre_panels(1.0, 4.0, 3, 8)
+    ref, ref_w = np.polynomial.legendre.leggauss(8)
+    np.testing.assert_array_equal(x[:8], 1.5 + 0.5 * ref)
+    np.testing.assert_array_equal(w[:8], 0.5 * ref_w)
+    assert x.size == 24
+    # a break inside a panel splits it; each piece keeps the node density,
+    # with at least 4 nodes, and a kink at the break integrates exactly
+    x, w = gauss_legendre_panels(1.0, 4.0, 3, 8, breaks=[0.5, 2.9, 4.0, 9.0])
+    assert x.size == 8 + 8 + 4 + 8
+    assert np.all((x > 1.0) & (x < 4.0))
+    kinked = np.abs(x - 2.9) * (x - 1.0)
+    exact = 1.9 ** 3 / 3 + 9.0 - 4.5 * 1.9      # Integral_0^3 |u - 1.9| u du
+    assert float(w @ kinked) == pytest.approx(exact, rel=1e-14)
+    x0, w0 = gauss_legendre_panels(1.0, 4.0, 3, 8)
+    assert abs(float(w0 @ (np.abs(x0 - 2.9) * (x0 - 1.0))) - exact) > 1e-6

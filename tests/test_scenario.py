@@ -527,6 +527,24 @@ def test_cli_sweep_duplicate_key_names_it(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("parameter, values", [
+    ("coupling.k", "0.5 0.5"),
+    ("coupling.k", "0.25 0.5 0.75 0.5"),
+    ("emission.t0", "-0 0"),
+])
+def test_cli_sweep_repeated_value_rejected(tmp_path, capsys, parameter, values):
+    # a repeated value would run twice into one row directory
+    (tmp_path / "narrow.txt").write_text("amplitude.sigma_p = 0.05\ndetector.kind = point\n"
+                                         "detector.position = 0 0 100\n")
+    sweep = tmp_path / "repeat.sweep"
+    sweep.write_text(f"sweep.scenario = narrow.txt\nsweep.parameter = {parameter}\n"
+                     f"sweep.values = {values}\n")
+    assert cli_main(["sweep", str(sweep), "--out", str(tmp_path / "out"),
+                     "--jobs", "2"]) == 2
+    assert "validation error: sweep.values: repeats " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_apply_distance_moves_along_line_of_sight():
     s = qa.parse_scenario_text(POINT_FAST)
     moved = apply_parameter(s, "detector.distance", 42.0)

@@ -198,13 +198,10 @@ def test_curve_evaluators_match_exact_phases(iso_amp, narrow_amp, standard_det,
     for curve, taus in ((point, np.linspace(14.0, 26.0, 3001)),
                         (volume, np.linspace(2.0, 8.0, 3001))):
         values = curve(taus)
-        omega, *payload = curve._fine
-        sums = _brute_phase_sums(omega, taus, payload[0])
-        if curve is point:
-            ref = curve._g2 * np.abs(sums) ** 2
-        else:
-            fields = sums if payload[1] is None else sums @ payload[1]
-            ref = (np.abs(fields) ** 2) @ curve._vol_w
+        omega, coeffs = curve._fine
+        sums = _brute_phase_sums(omega, taus, coeffs)
+        fields = sums if curve._mix is None else sums @ curve._mix
+        ref = (np.abs(fields) ** 2) @ curve._weights
         assert np.max(np.abs(values - ref)) <= 1e-11 * ref.max()
 
 
