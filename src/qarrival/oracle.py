@@ -257,6 +257,11 @@ def oracle_entry_ratio(amp: MomentumAmplitude, det: DetectorGeometry,
         total = np.trapezoid(occ, taus)
         keep = taus <= elapsed
         head = np.trapezoid(occ[keep], taus[keep])
+        # the partial interval from the last node before `elapsed` to it
+        k = int(np.count_nonzero(keep)) - 1
+        if elapsed > taus[k] and k + 1 < taus.size:
+            edge = np.interp(elapsed, taus[k:k + 2], occ[k:k + 2])
+            head += 0.5 * (elapsed - taus[k]) * (occ[k] + edge)
         return float(head / total)
 
     coarse = at(n_time // 2, tuple(v // 2 for v in n_vol),

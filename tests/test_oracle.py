@@ -94,3 +94,14 @@ def test_report_roundtrip(tmp_path):
 
 def test_fixture_file_exists():
     assert os.path.exists(os.path.join(FIXTURES_DIR, "oracle_reports.json"))
+
+
+def test_entry_ratio_between_grid_nodes(iso_amp, standard_det, source):
+    # elapsed 4.0 falls between the nodes of both levels (steps 0.015 and
+    # 0.03): the head must integrate its last partial interval, or it reads
+    # 0.5958 +- 8e-5 against the engine's 0.6045
+    report = orc.oracle_entry_ratio(iso_amp, standard_det, source, elapsed=4.0,
+                                    t_span=12.0, n_time=800, n_vol=(4, 4, 4),
+                                    n_cap=(8, 8), nodes=2000)
+    engine = qa.conditional_entry_probability(iso_amp, standard_det, source, 4.0)
+    assert abs(engine - report.value) <= report.error_estimate + QuadratureSpec().rtol
