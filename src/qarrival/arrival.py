@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .geometry import EmissionEvent
+from .geometry import EmissionEvent, point_detector
 from .quadrature import QuadratureSpec, SemiInfiniteResult
-from .probability import OccupationProfile, write_columns_csv, _mass_end, \
-    _point_occupation
+from .probability import OccupationProfile, write_columns_csv, _mass_end, _occupation
 from .wavepacket import MomentumAmplitude
 
 
@@ -105,9 +104,8 @@ def arrival_density(amp: MomentumAmplitude, x_detector, source: EmissionEvent,
 def mean_arrival_time(amp: MomentumAmplitude, x_detector, source: EmissionEvent,
                       quad: QuadratureSpec | None = None) -> ArrivalTimeStats:
     """Mean elapsed arrival time with the full sampled density attached."""
-    _, profile = _point_occupation(amp, x_detector, source, quad)
-    classical = None
-    if amp.exposed_p0 is not None:
-        distance = float(np.linalg.norm(np.asarray(x_detector, dtype=float) - source.x0))
-        classical = source.mass * distance / amp.exposed_p0
+    det = point_detector(x_detector, source)
+    _, profile = _occupation(amp, det, source, quad)
+    classical = None if amp.exposed_p0 is None \
+        else source.mass * det.distance / amp.exposed_p0
     return _stats_from_profile(profile, classical)

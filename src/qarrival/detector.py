@@ -121,7 +121,7 @@ def _rk4_growth(a_lo: np.ndarray, slope: np.ndarray, h: np.ndarray,
     """Growth factor of RK4 on y' = -i a(t) y over [0, h], a = a_lo + slope t,
     taken in n substeps (per interval)."""
     g = np.empty(h.size, dtype=complex)
-    for level in np.unique(n):
+    for level in sorted(set(n.tolist())):    # not np.unique: it imports numpy.ma
         sel = n == level
         hs = h[sel, None] / level
         ta = np.arange(level) * hs

@@ -1,10 +1,12 @@
 """Detector placement, solid angles, and the line-of-sight hit predicate.
 
-Two detector shapes are supported, both with closed-form solid angle and
+Two detector volumes are supported, both with closed-form solid angle and
 volume: a ball ("sphere") and a source-centered spherical sector ("cap",
 all points within `half_angle` of an axis and radial range
 [r_inner, r_outer] from the source).  The source must lie strictly outside
-the detector volume.
+the detector volume.  A detector of vanishing size ("point") has no volume;
+its direction cone is a reference cone of a given solid angle around the
+line of sight, or none.
 """
 
 from __future__ import annotations
@@ -61,14 +63,14 @@ class DetectorGeometry:
     subtended at the source [sr], and `volume` the detector volume.
     """
 
-    kind: str                      # "sphere" or "cap"
+    kind: str                      # "sphere", "cap" or "point"
     center: np.ndarray             # x_D
     axis: np.ndarray               # n_D = (x_D - x0) / |x_D - x0|
     distance: float                # L = |x_D - x0|
-    omega: float                   # Omega_D
-    volume: float                  # V_D
+    omega: float | None            # Omega_D (a point's reference cone, or None)
+    volume: float | None           # V_D (None for a point)
     radius: float | None = None            # sphere only
-    half_angle: float | None = None        # cap only
+    half_angle: float | None = None        # cap, or a point's reference cone
     r_inner: float | None = None           # cap only
     r_outer: float | None = None           # cap only
 
@@ -87,9 +89,11 @@ class DetectorGeometry:
 
     @property
     def extent_along_axis(self) -> float:
-        """Detector depth along the line of sight (0 never occurs here)."""
+        """Detector depth along the line of sight (0 for a point)."""
         if self.kind == "sphere":
             return 2.0 * self.radius
+        if self.kind == "point":
+            return 0.0
         return self.r_outer - self.r_inner
 
 
@@ -139,6 +143,27 @@ def cap_detector(axis, half_angle: float, r_inner: float, r_outer: float,
                             distance=distance, omega=float(omega),
                             volume=float(volume), half_angle=half_angle,
                             r_inner=r_inner, r_outer=r_outer)
+
+
+def point_detector(position, source: EmissionEvent,
+                   reference_solid_angle: float | None = None) -> DetectorGeometry:
+    """Detector of vanishing size at `position`.  Its direction cone is the
+    cone of `reference_solid_angle` [sr] around the line of sight, or none
+    (`omega` None) when that is unset."""
+    center = _as_vec3(position, "position")
+    offset = center - source.x0
+    distance = float(np.linalg.norm(offset))
+    if distance == 0.0:
+        raise GeometryError("point detector coincides with the source")
+    omega = half_angle = None
+    if reference_solid_angle is not None:
+        omega = float(reference_solid_angle)
+        if not 0.0 < omega <= 4.0 * np.pi:
+            raise ValueError(f"reference_solid_angle must lie in (0, 4 pi], got {omega}")
+        half_angle = float(np.arccos(max(1.0 - omega / (2.0 * np.pi), -1.0)))
+    return DetectorGeometry(kind="point", center=center, axis=offset / distance,
+                            distance=distance, omega=omega, volume=None,
+                            half_angle=half_angle)
 
 
 def solid_angle(det: DetectorGeometry, source: EmissionEvent) -> float:

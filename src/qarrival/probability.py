@@ -17,13 +17,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GeometryError, IntegrationError, ScenarioError
-from .geometry import EmissionEvent, DetectorGeometry, _as_vec3, cap_detector
+from .errors import IntegrationError, ScenarioError
+from .geometry import EmissionEvent, DetectorGeometry, point_detector
 from .quadrature import QuadratureSpec, SemiInfiniteResult, cap_directions, \
     refine_by_doubling, semiinfinite_profile
-from .wavepacket import MomentumAmplitude, OccupationCurve, PointDensityCurve, \
-    VolumeOccupationCurve, momentum_norm_squared, normalize, \
-    radial_density_integral, radial_moments
+from .wavepacket import MomentumAmplitude, OccupationCurve, detector_occupation, \
+    momentum_norm_squared, normalize, radial_density_integral, radial_moments
 
 _NORM_TOL = 1e-6
 _CSV_BLOCK = 4096      # rows formatted per write in write_columns_csv
@@ -53,6 +52,8 @@ class TimeGridSpec:
 class EntryProbabilityCurve:
     """Sampled entry probabilities on a uniform time grid from t0.
 
+    `denominator` is the occupation normalizer; its `t_max` is absolute, as
+    in `ArrivalTimeStats.normalizer` and `integrate_time_semiinfinite`.
     p_entry = p_direction * p_conditional holds pointwise by construction;
     p_entry is nondecreasing, starts at 0, and stays within [0, 1].  A curve
     that breaks these invariants comes from a failed integration, so the
@@ -192,7 +193,10 @@ def direction_probability(amp: MomentumAmplitude, det: DetectorGeometry,
                           source: EmissionEvent,
                           quad: QuadratureSpec | None = None) -> float:
     """Probability that the momentum direction points through the detector:
-    the momentum-density mass over the detector's direction cone."""
+    the momentum-density mass over the detector's direction cone.  A point
+    without a reference cone has none; its factor is 1."""
+    if det.omega is None:
+        return 1.0
     quad = quad or QuadratureSpec()
     _require_normalized(amp)
     radial = amp.scale ** 2 * radial_density_integral(amp)
@@ -216,7 +220,7 @@ def _entry_terms(amp: MomentumAmplitude, det: DetectorGeometry,
     tau = float(t) - source.t0
     if tau < 0.0:
         raise ValueError(f"time {t} precedes the emission time {source.t0}")
-    p_direction, profile = _volume_occupation(amp, det, source, quad)
+    p_direction, profile = _occupation(amp, det, source, quad)
     _checked_denominator(profile, allow_unconverged=False)
     head = float(np.interp(tau, profile.tau, profile.cumulative))
     return p_direction, head / profile.result.value
@@ -307,48 +311,24 @@ def _curve_from_profile(profile: OccupationProfile, p_direction: float,
     return EntryProbabilityCurve(
         t=profile.t0 + tau_out, p_direction=p_direction,
         p_conditional=conditional, p_entry=p_direction * conditional,
-        denominator=profile.result, point_detector=point_detector,
+        denominator=replace(profile.result, t_max=profile.t0 + profile.result.t_max),
+        point_detector=point_detector,
         quad_error=profile.quad_error)
 
 
-def _volume_occupation(amp: MomentumAmplitude, det: DetectorGeometry,
-                       source: EmissionEvent, quad: QuadratureSpec | None = None
-                       ) -> tuple[float, OccupationProfile]:
-    """Direction factor and occupation profile of a volume detector, with the
-    time controls resolved against the direction factor."""
+def _occupation(amp: MomentumAmplitude, det: DetectorGeometry,
+                source: EmissionEvent, quad: QuadratureSpec | None = None
+                ) -> tuple[float, OccupationProfile]:
+    """Direction factor and occupation profile of `det`.  A volume's time
+    controls are resolved against its direction factor; a point's keep the
+    bound 1, so its entry curve and its arrival statistics read one profile."""
     quad = quad or QuadratureSpec()
     p_direction = direction_probability(amp, det, source, quad)
-    quad = resolve_time_controls(amp, source, det.distance,
-                                 det.extent_along_axis, quad, p_direction)
+    quad = resolve_time_controls(amp, source, det.distance, det.extent_along_axis,
+                                 quad, 1.0 if det.kind == "point" else p_direction)
     return p_direction, _occupation_profile(
-        VolumeOccupationCurve(amp, det, source, quad),
+        detector_occupation(amp, det, source, quad),
         det.distance + 0.5 * det.extent_along_axis, source, quad)
-
-
-def _point_occupation(amp: MomentumAmplitude, x_detector, source: EmissionEvent,
-                      quad: QuadratureSpec | None = None,
-                      reference_solid_angle: float | None = None
-                      ) -> tuple[float, OccupationProfile]:
-    """Direction factor and occupation profile of a point detector.  The
-    factor stays out of the time controls, so the entry curve and the
-    arrival statistics read the same profile."""
-    x_detector = _as_vec3(x_detector, "x_detector")
-    rel = x_detector - source.x0
-    distance = float(np.linalg.norm(rel))
-    if distance == 0.0:
-        raise GeometryError("point detector coincides with the source")
-    quad = quad or QuadratureSpec()
-    p_direction = 1.0
-    if reference_solid_angle is not None:
-        if not 0.0 < reference_solid_angle <= 4.0 * np.pi:
-            raise ValueError("reference_solid_angle must lie in (0, 4 pi]")
-        half_angle = float(np.arccos(
-            np.clip(1.0 - reference_solid_angle / (2.0 * np.pi), -1.0, 1.0)))
-        cone = cap_detector(rel, half_angle, 0.5 * distance, 1.5 * distance, source)
-        p_direction = direction_probability(amp, cone, source, quad)
-    quad = resolve_time_controls(amp, source, distance, 0.0, quad)
-    return p_direction, _occupation_profile(
-        PointDensityCurve(amp, x_detector, source, quad), distance, source, quad)
 
 
 def build_entry_curve(amp: MomentumAmplitude, det: DetectorGeometry,
@@ -356,12 +336,13 @@ def build_entry_curve(amp: MomentumAmplitude, det: DetectorGeometry,
                       quad: QuadratureSpec | None = None,
                       grid: TimeGridSpec | None = None, *,
                       allow_unconverged: bool = False) -> EntryProbabilityCurve:
-    """Sampled entry probabilities for a volume detector.
+    """Sampled entry probabilities for a detector of any kind.
 
     The occupation normalizer is computed once and shared by every sample.
     """
-    p_direction, profile = _volume_occupation(amp, det, source, quad)
-    return _curve_from_profile(profile, p_direction, grid, point_detector=False,
+    p_direction, profile = _occupation(amp, det, source, quad)
+    return _curve_from_profile(profile, p_direction, grid,
+                               point_detector=det.kind == "point",
                                allow_unconverged=allow_unconverged, quad=quad)
 
 
@@ -379,7 +360,6 @@ def point_detector_curve(amp: MomentumAmplitude, x_detector,
     derives the factor from a direction cone of that size around the line
     of sight.
     """
-    p_direction, profile = _point_occupation(amp, x_detector, source, quad,
-                                            reference_solid_angle)
-    return _curve_from_profile(profile, p_direction, grid, point_detector=True,
-                               allow_unconverged=allow_unconverged, quad=quad)
+    return build_entry_curve(amp, point_detector(x_detector, source,
+                                                 reference_solid_angle),
+                             source, quad, grid, allow_unconverged=allow_unconverged)

@@ -22,7 +22,8 @@ from . import detector as detector_mod
 from . import probability as prob_mod
 from . import wavepacket as wp
 from .errors import IntegrationError, ScenarioError
-from .geometry import EmissionEvent, DetectorGeometry, sphere_detector, cap_detector
+from .geometry import EmissionEvent, DetectorGeometry, sphere_detector, cap_detector, \
+    point_detector
 from .quadrature import QuadratureSpec
 
 SCHEMA_VERSION = 1
@@ -382,8 +383,8 @@ def make_detector(s: Scenario, source: EmissionEvent) -> DetectorGeometry | None
 # --- running -----------------------------------------------------------------
 
 def check_scenario(s: Scenario) -> tuple:
-    """Source, amplitude and detector (None for a point) of a scenario whose
-    output grid can hold the 3 samples a run needs.
+    """Source, amplitude and detector geometry (a point's too) of a scenario
+    whose output grid can hold the 3 samples a run needs.
 
     The grid check runs before any occupation profile, on bounds: the end
     is grid.t_end when set, else the time cap (t_max <= t_cap), and the
@@ -393,15 +394,13 @@ def check_scenario(s: Scenario) -> tuple:
     source = make_source(s)
     amp = make_amplitude(s)
     det = make_detector(s, source)
-    if det is not None:
-        distance, extent = det.distance, det.extent_along_axis
-    else:
-        position = np.asarray(s.detector.position, dtype=float)
-        distance, extent = float(np.linalg.norm(position - source.x0)), 0.0
-        if distance == 0.0:
-            raise ScenarioError("detector.position", "coincides with the source")
+    if det is None:
+        with _named("detector.position"):
+            det = point_detector(s.detector.position, source,
+                                 s.detector.reference_solid_angle)
     # a direction bound of 1 gives the finest step; 0 the coarsest, so the latest cap
-    fine, coarse = (prob_mod.resolve_time_controls(amp, source, distance, extent,
+    fine, coarse = (prob_mod.resolve_time_controls(amp, source, det.distance,
+                                                   det.extent_along_axis,
                                                    s.quadrature, bound)
                     for bound in (1.0, 0.0))
     prob_mod._grid_steps(s.grid, source.t0, fine.dt, coarse.t_cap, min_samples=3,
@@ -410,16 +409,10 @@ def check_scenario(s: Scenario) -> tuple:
 
 
 def _prepare(s: Scenario) -> tuple:
-    """Source, amplitude, detector (None for a point), direction factor and
-    occupation profile: all a run computes before its output grid."""
+    """Source, amplitude, detector geometry, direction factor and occupation
+    profile: all a run computes before its output grid."""
     source, amp, det = check_scenario(s)
-    if det is not None:
-        occupation = prob_mod._volume_occupation(amp, det, source, s.quadrature)
-    else:
-        occupation = prob_mod._point_occupation(
-            amp, s.detector.position, source, s.quadrature,
-            s.detector.reference_solid_angle)
-    return (source, amp, det, *occupation)
+    return (source, amp, det, *prob_mod._occupation(amp, det, source, s.quadrature))
 
 
 def run_scenario(s: Scenario, out_dir) -> dict:
@@ -437,20 +430,14 @@ def _run(s: Scenario, out_dir, prepared: tuple | None = None) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     source, amp, det, p_direction, profile = prepared or _prepare(s)
     curve = prob_mod._curve_from_profile(profile, p_direction, s.grid,
-                                         point_detector=det is None,
+                                         point_detector=s.is_point,
                                          allow_unconverged=True, min_samples=3,
                                          quad=s.quadrature)
-    if det is not None:
-        distance, omega, volume = det.distance, det.omega, det.volume
-    else:
-        position = np.asarray(s.detector.position, dtype=float)
-        distance = float(np.linalg.norm(position - source.x0))
-        omega, volume = s.detector.reference_solid_angle, None
     classical = None if amp.exposed_p0 is None \
-        else source.mass * distance / amp.exposed_p0
+        else source.mass * det.distance / amp.exposed_p0
     arrival_stats = None
     arrival_converged = True
-    if det is None:
+    if s.is_point:
         try:
             arrival_stats = arrival_mod._stats_from_profile(profile, classical)
         except IntegrationError:
@@ -470,9 +457,9 @@ def _run(s: Scenario, out_dir, prepared: tuple | None = None) -> dict:
         "k": s.coupling_k,
         "mass": source.mass,
         "t0": source.t0,
-        "distance": distance,
-        "omega": omega,
-        "volume": volume,
+        "distance": det.distance,
+        "omega": det.omega,
+        "volume": det.volume,
         "p_direction": curve.p_direction,
         "p_conditional_final": float(curve.p_conditional[-1]),
         "p_entry_final": float(curve.p_entry[-1]),
@@ -480,7 +467,7 @@ def _run(s: Scenario, out_dir, prepared: tuple | None = None) -> dict:
         "mean_arrival": None if arrival_stats is None else arrival_stats.mean_time,
         "classical_flight": classical,
         "dt": curve.dt,
-        "t_max": curve.denominator.t_max + source.t0,
+        "t_max": curve.denominator.t_max,
         "denominator": curve.denominator.as_dict(),
         "normalizer": None if arrival_stats is None
         else arrival_stats.normalizer.as_dict(),
@@ -544,7 +531,7 @@ def _apply_distance(s: Scenario, value: float) -> Scenario:
     length = float(np.linalg.norm(offset))
     if length == 0.0:
         raise ScenarioError("sweep.parameter",
-                            "detector coincides with the source; no direction to scale")
+                            f"{key} is the source position; no direction to scale")
     return _set(s, key, tuple(float(c) for c in (x0 + offset * (value / length))))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GeometryError, IntegrationError, NormalizationError
+from .errors import IntegrationError, NormalizationError
 from .geometry import EmissionEvent, DetectorGeometry, unit_vector, _as_vec3
 from .quadrature import QuadratureSpec, gauss_legendre_panels, cap_directions, \
     refine_by_doubling, volume_grid, _leggauss
@@ -227,7 +227,7 @@ def radial_density_integral(amp: MomentumAmplitude, lo: float | None = None,
         return 0.0
     if amp.kind == "tabulated":
         keep = (amp.p_grid >= lo) & (amp.p_grid <= hi)
-        grid = np.unique(np.concatenate(([lo], amp.p_grid[keep], [hi])))
+        grid = np.array(sorted({lo, *amp.p_grid[keep].tolist(), hi}))
         vals = amp.radial_profile(grid)
         return _piecewise_sq_integral(grid, vals, 2)
     panels = max(4, amp.radial_node_floor // 32)
@@ -587,10 +587,17 @@ class OccupationCurve:
         return self.abs_error / max(self.scale, 1e-300)
 
 
-def VolumeOccupationCurve(amp: MomentumAmplitude, det: DetectorGeometry,
-                          source: EmissionEvent, quad: QuadratureSpec) -> OccupationCurve:
-    """Integral over the detector volume of |psi_D(x, t)|^2: the cap
-    directions at the volume grid points."""
+def detector_occupation(amp: MomentumAmplitude, det: DetectorGeometry,
+                        source: EmissionEvent, quad: QuadratureSpec) -> OccupationCurve:
+    """The occupation integrand of `det`.  A volume integrates |psi_D(x, t)|^2
+    over its grid points, each a superposition of the cap directions.  A
+    point is |psi_nD(x_D, t)|^2: one channel at the detector distance,
+    weighted by the angular density |G(n.axis)|^2 of the line of sight n."""
+    if det.kind == "point":
+        g2 = 1.0 if amp.is_isotropic else \
+            float(np.abs(amp.angular_profile(det.axis @ amp.axis)) ** 2)
+        return OccupationCurve(amp, source, quad, np.array([[det.distance]]),
+                               np.ones(1, dtype=complex), np.array([g2]))
     dirs, dw = cap_directions(det.axis, det.cos_cone, quad.polar_nodes,
                               quad.azimuth_nodes)
     points, vol_w = volume_grid(det, quad)
@@ -599,17 +606,3 @@ def VolumeOccupationCurve(amp: MomentumAmplitude, det: DetectorGeometry,
         gains = gains * amp.angular_profile(dirs @ amp.axis)
     return OccupationCurve(amp, source, quad, (points - source.x0) @ dirs.T,
                            gains, vol_w)
-
-
-def PointDensityCurve(amp: MomentumAmplitude, x_detector, source: EmissionEvent,
-                      quad: QuadratureSpec) -> OccupationCurve:
-    """|psi_nD(x_D, t)|^2: one channel at the detector distance, weighted by
-    the angular density |G(n.axis)|^2 of the line of sight n."""
-    rel = _as_vec3(x_detector, "x_detector") - source.x0
-    distance = float(np.linalg.norm(rel))
-    if distance == 0.0:
-        raise GeometryError("point detector coincides with the source")
-    g2 = 1.0 if amp.is_isotropic else \
-        float(np.abs(amp.angular_profile((rel / distance) @ amp.axis)) ** 2)
-    return OccupationCurve(amp, source, quad, np.array([[distance]]),
-                           np.ones(1, dtype=complex), np.array([g2]))

@@ -108,7 +108,7 @@ def test_density_function_matches_stats(narrow_amp, source, narrow_stats):
 
 
 def test_detector_at_source_rejected(narrow_amp, source):
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="coincides with the source"):
         qa.mean_arrival_time(narrow_amp, [0.0, 0.0, 0.0], source)
 
 

@@ -11,18 +11,19 @@ from qarrival import probability as prob
 from qarrival import quadrature as quad_mod
 from qarrival import wavepacket as wp
 from qarrival.cli import main as cli_main
+from qarrival.geometry import point_detector
 from qarrival.quadrature import SemiInfiniteResult
 
 
 @pytest.fixture(scope="module")
 def iso_occupation(iso_amp, source):
     det = qa.sphere_detector([0.0, 0.0, 20.0], 0.5, source)
-    return prob._volume_occupation(iso_amp, det, source)
+    return prob._occupation(iso_amp, det, source)
 
 
 @pytest.fixture(scope="module")
 def narrow_occupation(narrow_amp, source):
-    return prob._point_occupation(narrow_amp, [0.0, 0.0, 100.0], source)
+    return prob._occupation(narrow_amp, point_detector([0.0, 0.0, 100.0], source), source)
 
 
 @pytest.mark.parametrize("occupation, point", [("iso_occupation", False),
@@ -87,7 +88,7 @@ def test_volume_curve_end_is_scale_invariant(iso_amp, source):
                                       det.extent_along_axis, qa.QuadratureSpec(), bound)
     scaled = dataclasses.replace(iso_amp, scale=iso_amp.scale * 3.0)
     reach = det.distance + 0.5 * det.extent_along_axis
-    profiles = [prob._occupation_profile(wp.VolumeOccupationCurve(amp, det, source, quad),
+    profiles = [prob._occupation_profile(wp.detector_occupation(amp, det, source, quad),
                                          reach, source, quad)
                 for amp in (iso_amp, scaled)]
     curves = [prob._curve_from_profile(profile, bound, None, False, min_samples=3)

@@ -2,9 +2,9 @@
 
 Hypothesis draws point detectors from the supported domain (gaussian,
 separable and kinked tabulated radial shapes, any mass, distance, emission
-time and source position) and compares `PointDensityCurve` with
-`oracle_point_density` at 16 elapsed times: 12 from a uniform grid over the
-arrival peak and its tail, which the curve sums with the Chebyshev panel
+time and source position) and compares the `detector_occupation` of a point
+with `oracle_point_density` at 16 elapsed times: 12 from a uniform grid over
+the arrival peak and its tail, which the curve sums with the Chebyshev panel
 branch, and 4 scattered times, which it sums directly.
 """
 
@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from qarrival import EmissionEvent, QuadratureSpec  # noqa: E402
 from qarrival import oracle as orc  # noqa: E402
 from qarrival import wavepacket as wp  # noqa: E402
+from qarrival.geometry import point_detector  # noqa: E402
 
 ORACLE_NODES = 100_000   # the oracle runs at this and twice this resolution
 
@@ -93,7 +94,7 @@ def check_against_oracle(amp, source, x_detector, distance, scattered):
     uniform = np.linspace(lo, hi, n)
     scattered = lo + (hi - lo) * np.array(scattered)
 
-    curve = wp.PointDensityCurve(amp, x_detector, source, quad)
+    curve = wp.detector_occupation(amp, point_detector(x_detector, source), source, quad)
     picked = np.linspace(0, n - 1, 12).round().astype(int)
     taus = np.concatenate((uniform[picked], scattered))
     engine = np.concatenate((curve(uniform)[picked], curve(scattered)))

@@ -6,6 +6,7 @@ import pytest
 import qarrival as qa
 from qarrival import GeometryError, IntegrationError, QuadratureSpec, TimeGridSpec
 from qarrival import wavepacket as wp
+from qarrival.geometry import point_detector
 
 from conftest import tabulated_gaussian_amplitude
 
@@ -141,18 +142,42 @@ def test_point_curve_window_matches_reference(narrow_curve):
 
 
 def test_point_curve_reference_solid_angle(iso_amp, source):
-    omega = 0.002
-    curve = qa.point_detector_curve(iso_amp, [0.0, 0.0, 20.0], source,
-                                    reference_solid_angle=omega)
-    assert curve.p_direction == pytest.approx(omega / (4.0 * np.pi), rel=1e-10)
+    # the reference cone's own solid angle, not one recomputed from its
+    # half-angle through cos(arccos(.)), which is off by up to 1.2e-13
+    for omega in (0.002, 0.01, 0.3):
+        curve = qa.point_detector_curve(iso_amp, [0.0, 0.0, 20.0], source,
+                                        reference_solid_angle=omega)
+        assert curve.p_direction == pytest.approx(omega / (4.0 * np.pi), rel=1e-15)
+
+
+@pytest.mark.parametrize("omega", [None, 0.01])
+def test_point_curve_is_entry_curve_of_point_geometry(sep_amp, source, omega):
+    x = [0.0, 3.0, 20.0]
+    built = qa.build_entry_curve(sep_amp, point_detector(x, source, omega), source)
+    point = qa.point_detector_curve(sep_amp, x, source, reference_solid_angle=omega)
+    assert built.point_detector and point.point_detector
+    assert built.p_direction == point.p_direction
+    if omega is None:
+        assert built.p_direction == 1.0
+    assert built.denominator == point.denominator
+    for name in ("t", "p_conditional", "p_entry"):
+        np.testing.assert_array_equal(getattr(built, name), getattr(point, name))
 
 
 def test_point_detector_at_source_rejected(iso_amp, source):
+    with pytest.raises(GeometryError, match="coincides with the source"):
+        point_detector([0.0, 0.0, 0.0], source)
     with pytest.raises(GeometryError):
         qa.point_detector_curve(iso_amp, [0.0, 0.0, 0.0], source)
     with pytest.raises(GeometryError):
         qa.point_detector_curve(iso_amp, [0.0, 0.0, 0.0], source,
                                 reference_solid_angle=0.01)
+
+
+@pytest.mark.parametrize("omega", [0.0, -0.1, 4.0 * np.pi + 1e-9, np.inf])
+def test_point_reference_solid_angle_range(source, omega):
+    with pytest.raises(ValueError, match="reference_solid_angle"):
+        point_detector([0.0, 0.0, 20.0], source, omega)
 
 
 def test_unconverged_denominator_surfaces(iso_amp, standard_det, source):

@@ -2,6 +2,8 @@ import concurrent.futures
 import csv
 import json
 import os
+import subprocess
+import sys
 import time
 from types import SimpleNamespace
 
@@ -248,6 +250,17 @@ def test_run_outputs_and_determinism(tmp_path):
     assert abs(summary["mean_arrival"] - 20.0) <= 0.2
     assert summary["classical_flight"] == 20.0
     assert summary["consistency_residual_max"] <= 1e-6
+    # every t_max is absolute, also after a late emission, and the curves
+    # end at or before it
+    late = qa.run_scenario(qa.parse_scenario_text(POINT_FAST + "emission.t0 = 3.25\n"),
+                           tmp_path / "late")
+    for out, summary in ((a, sa), (tmp_path / "late", late)):
+        assert summary["t_max"] == summary["denominator"]["t_max"] \
+            == summary["normalizer"]["t_max"]
+        last_t = float((out / "entry_curve.csv").read_text().splitlines()[-1]
+                       .split(",")[0])
+        assert summary["t0"] < last_t <= summary["t_max"]
+    assert late["t_max"] == sa["t_max"] + 3.25
 
 
 def count_profiles(monkeypatch) -> list:
@@ -569,6 +582,28 @@ def test_cli_run(tmp_path):
     out = tmp_path / "out"
     assert cli_main(["run", str(path), "--out", str(out)]) == 0
     assert (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "tabulated"])
+def test_cli_run_does_not_import_numpy_ma(tmp_path, kind):
+    # np.unique and friends import numpy.ma on first use, which costs every
+    # run about 1.5 MB of peak memory
+    (tmp_path / "radial.txt").write_text("4 0.5\n5 1\n6 0.5\n")
+    (tmp_path / "scn.txt").write_text(POINT_FAST if kind == "gaussian" else
+                                      "amplitude.kind = tabulated\n"
+                                      "amplitude.radial_file = radial.txt\n"
+                                      "detector.position = 0 0 30\n")
+    code = ("import sys; from qarrival.cli import main; "
+            "status = main(['run', sys.argv[1], '--out', sys.argv[2]]); "
+            "print('numpy.ma' in sys.modules); sys.exit(status)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qa.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path / "scn.txt"),
+                             str(tmp_path / "out")], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 def test_cli_run_scenario_output_dir(tmp_path):

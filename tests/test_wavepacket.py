@@ -4,6 +4,7 @@ import pytest
 import qarrival as qa
 from qarrival import IntegrationError, NormalizationError, QuadratureSpec
 from qarrival import wavepacket as wp
+from qarrival.geometry import point_detector
 from qarrival.quadrature import cap_directions, volume_grid
 
 TWO_PI_32 = (2.0 * np.pi) ** 1.5
@@ -68,8 +69,8 @@ def test_emission_point_value(iso_amp, source):
 def test_scan_argmax_matches_reference(iso_amp, source):
     # frozen by tests/mint_fixtures.py: dense scan of the density over
     # [3, 5] at step 1e-3 peaks at 3.817, slightly before the classical 4.0
-    curve = wp.PointDensityCurve(iso_amp, np.array([0.0, 0.0, 20.0]), source,
-                                 QuadratureSpec())
+    curve = wp.detector_occupation(iso_amp, point_detector([0.0, 0.0, 20.0], source),
+                                   source, QuadratureSpec())
     taus = np.arange(3.0, 5.0, 1e-3)
     dens = curve(taus)
     peak = float(taus[np.argmax(dens)])
@@ -80,8 +81,8 @@ def test_scan_argmax_matches_reference(iso_amp, source):
 
 def test_stationary_phase_peak_narrow(narrow_amp, source):
     dt = 0.02
-    curve = wp.PointDensityCurve(narrow_amp, np.array([0.0, 0.0, 100.0]), source,
-                                 QuadratureSpec())
+    curve = wp.detector_occupation(narrow_amp, point_detector([0.0, 0.0, 100.0], source),
+                                   source, QuadratureSpec())
     taus = np.arange(18.0, 22.0, dt)
     dens = curve(taus)
     peak = taus[np.argmax(dens)]
@@ -192,9 +193,9 @@ def test_curve_evaluators_match_exact_phases(iso_amp, narrow_amp, standard_det,
     # both evaluators against their own momentum state summed with exact
     # phases, on a uniform tail window long enough for the panel branch
     quad = QuadratureSpec(polar_nodes=4, azimuth_nodes=4)
-    point = wp.PointDensityCurve(narrow_amp, np.array([0.0, 0.0, 100.0]),
-                                 source, quad)
-    volume = wp.VolumeOccupationCurve(iso_amp, standard_det, source, quad)
+    point = wp.detector_occupation(narrow_amp, point_detector([0.0, 0.0, 100.0], source),
+                                   source, quad)
+    volume = wp.detector_occupation(iso_amp, standard_det, source, quad)
     for curve, taus in ((point, np.linspace(14.0, 26.0, 3001)),
                         (volume, np.linspace(2.0, 8.0, 3001))):
         values = curve(taus)
@@ -222,8 +223,8 @@ def test_linearity(source):
 
 
 def test_large_time_decay(narrow_amp, source):
-    curve = wp.PointDensityCurve(narrow_amp, np.array([0.0, 0.0, 100.0]), source,
-                                 QuadratureSpec())
+    curve = wp.detector_occupation(narrow_amp, point_detector([0.0, 0.0, 100.0], source),
+                                   source, QuadratureSpec())
     taus = np.linspace(0.0, 80.0, 1601)
     dens = curve(taus)
     peak = dens.max()
@@ -249,7 +250,7 @@ def test_volume_curve_matches_pointwise_field(iso_amp, standard_det, source):
         psi = qa.eval_detector_wavefunction(iso_amp, x, tau, standard_det,
                                             source, quad)
         total += w * abs(psi) ** 2
-    curve = wp.VolumeOccupationCurve(iso_amp, standard_det, source, quad)
+    curve = wp.detector_occupation(iso_amp, standard_det, source, quad)
     assert curve(np.array([tau]))[0] == pytest.approx(total, rel=1e-9)
 
 
@@ -257,9 +258,9 @@ def test_volume_curve_compression_matches_direct(iso_amp, standard_det, source,
                                                  monkeypatch):
     quad = QuadratureSpec(polar_nodes=4, azimuth_nodes=4)
     taus = np.linspace(2.0, 8.0, 31)
-    compressed = wp.VolumeOccupationCurve(iso_amp, standard_det, source, quad)(taus)
+    compressed = wp.detector_occupation(iso_amp, standard_det, source, quad)(taus)
     monkeypatch.setattr(wp, "_FORCE_DIRECT", True)
-    direct = wp.VolumeOccupationCurve(iso_amp, standard_det, source, quad)(taus)
+    direct = wp.detector_occupation(iso_amp, standard_det, source, quad)(taus)
     np.testing.assert_allclose(compressed, direct, rtol=1e-9)
 
 
