@@ -85,6 +85,8 @@ class DetectorGeometry:
         if self.kind == "sphere":
             ratio = self.radius / self.distance
             return float(np.sqrt(1.0 - ratio * ratio))
+        if self.half_angle is None:
+            raise GeometryError("point detector has no direction cone")
         return float(np.cos(self.half_angle))
 
     @property
@@ -179,8 +181,10 @@ def solid_angle(det: DetectorGeometry, source: EmissionEvent) -> float:
         return float(2.0 * np.pi * (1.0 - np.sqrt(1.0 - ratio * ratio)))
     scale = max(1.0, float(np.linalg.norm(det.center)))
     if float(np.linalg.norm(det.apex - source.x0)) > 1e-9 * scale:
-        raise GeometryError("cap detector was built for a different source position")
-    return float(2.0 * np.pi * (1.0 - np.cos(det.half_angle)))
+        raise GeometryError(f"{det.kind} detector was built for a different source position")
+    if det.omega is None:
+        raise GeometryError("point detector has no direction cone")
+    return det.omega
 
 
 def ray_hits_many(source: EmissionEvent, directions: np.ndarray,
@@ -192,7 +196,7 @@ def ray_hits_many(source: EmissionEvent, directions: np.ndarray,
         proj = directions @ offset
         miss_sq = float(offset @ offset) - proj * proj
         return (proj > 0.0) & (miss_sq <= det.radius * det.radius)
-    return directions @ det.axis >= np.cos(det.half_angle)
+    return directions @ det.axis >= det.cos_cone
 
 
 def ray_hits_detector(source: EmissionEvent, direction, det: DetectorGeometry) -> bool:

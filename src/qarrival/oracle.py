@@ -145,16 +145,21 @@ def _midpoints(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
     return 0.5 * (edges[:-1] + edges[1:]), (hi - lo) / n
 
 
-def _cap_grid_midpoint(axis: np.ndarray, cos_half: float, n_u: int,
-                       n_phi: int) -> tuple[np.ndarray, np.ndarray]:
-    u, du = _midpoints(cos_half, 1.0, n_u)
-    phi, dphi = _midpoints(0.0, 2.0 * np.pi, n_phi)
+def _frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two unit vectors completing `axis` to an orthonormal triad."""
     pick = int(np.argmin(np.abs(axis)))
     seed = np.zeros(3)
     seed[pick] = 1.0
     e1 = np.cross(axis, seed)
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
+    return e1, np.cross(axis, e1)
+
+
+def _cap_grid_midpoint(axis: np.ndarray, cos_half: float, n_u: int,
+                       n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    u, du = _midpoints(cos_half, 1.0, n_u)
+    phi, dphi = _midpoints(0.0, 2.0 * np.pi, n_phi)
+    e1, e2 = _frame(axis)
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - u * u))
     dirs = (sin_t[:, None, None] * (np.cos(phi)[None, :, None] * e1
                                     + np.sin(phi)[None, :, None] * e2)
@@ -185,6 +190,58 @@ def oracle_prob_direction_in_cone(amp: MomentumAmplitude, det: DetectorGeometry,
                         error_estimate=abs(fine - coarse))
 
 
+def oracle_prob_direction_beam(amp: MomentumAmplitude, det: DetectorGeometry,
+                               source: EmissionEvent, n_alpha: int = 1000,
+                               n_phi: int = 1000,
+                               nodes: int = 100_000) -> OracleReport:
+    """Probability that the momentum direction points through the detector,
+    by dense midpoint sums in the polar angle alpha about the amplitude axis
+    and in its azimuth phi, with a plain hit indicator of the detector's cone.
+
+    Alpha covers [0, min(pi, 16 angular_sigma)] for a separable beam and
+    [0, pi] for a table, so a beam too narrow for the cos-theta grid of
+    `oracle_prob_direction_in_cone` is still resolved.  Both grids cover only
+    the box that can hold the cone: alpha within its half-angle theta of the
+    angle beta between the axes, and phi within arcsin(sin theta / sin beta)
+    of the detector axis's azimuth."""
+    if amp.is_isotropic:
+        raise ValueError("the beam oracle needs an amplitude with an axis")
+    e1, e2 = _frame(amp.axis)
+    beta = float(np.arccos(np.clip(det.axis @ amp.axis, -1.0, 1.0)))
+    theta = float(np.arccos(det.cos_cone))
+    top = np.pi if amp.kind == "tabulated" else min(np.pi, 16.0 * amp.angular_sigma)
+    a_lo, a_hi = max(0.0, beta - theta), min(top, beta + theta)
+    centre = float(np.arctan2(det.axis @ e2, det.axis @ e1))
+    spread = np.pi if theta >= beta or beta + theta >= np.pi else \
+        float(np.arcsin(min(1.0, np.sin(theta) / np.sin(beta))))
+
+    def at(n_a: int, n_f: int, n_p: int) -> float:
+        if a_hi <= a_lo:
+            return 0.0
+        alpha, da = _midpoints(a_lo, a_hi, n_a)
+        phi, dphi = _midpoints(centre - spread, centre + spread, n_f)
+        ring = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2     # (n_f, 3)
+        mass = 0.0
+        for rows in np.array_split(np.arange(n_a), max(1, n_a * n_f // 1_000_000)):
+            a = alpha[rows]
+            dirs = (np.sin(a)[:, None, None] * ring[None, :, :]
+                    + np.cos(a)[:, None, None] * amp.axis)
+            arc = np.count_nonzero(dirs @ det.axis >= det.cos_cone, axis=1) * dphi
+            gsq = np.abs(amp.angular_profile(np.cos(a))) ** 2
+            mass += float(np.sum(gsq * np.sin(a) * arc)) * da
+        lo, hi = amp.p_support
+        p = np.linspace(lo, hi, n_p)
+        radial = np.trapezoid(p * p * np.abs(amp.scale * amp.radial_profile(p)) ** 2, p)
+        return mass * radial
+
+    coarse = at(n_alpha // 2, n_phi // 2, nodes // 2)
+    fine = at(n_alpha, n_phi, nodes)
+    return OracleReport(name="prob_direction_beam", value=fine,
+                        resolution={"n_alpha": n_alpha, "n_phi": n_phi,
+                                    "nodes": nodes},
+                        error_estimate=abs(fine - coarse))
+
+
 def oracle_detector_occupation(amp: MomentumAmplitude, det: DetectorGeometry,
                                source: EmissionEvent, taus,
                                n_vol: tuple[int, int, int] = (8, 8, 8),
@@ -203,12 +260,7 @@ def oracle_detector_occupation(amp: MomentumAmplitude, det: DetectorGeometry,
         u, du = _midpoints(np.cos(det.half_angle), 1.0, n_u)
         origin = det.apex
     phi, dphi = _midpoints(0.0, 2.0 * np.pi, n_phi)
-    pick = int(np.argmin(np.abs(det.axis)))
-    seed = np.zeros(3)
-    seed[pick] = 1.0
-    e1 = np.cross(det.axis, seed)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(det.axis, e1)
+    e1, e2 = _frame(det.axis)
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - u * u))
     local_dirs = (sin_t[:, None, None] * (np.cos(phi)[None, :, None] * e1
                                           + np.sin(phi)[None, :, None] * e2)

@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import IntegrationError, ScenarioError
 from .geometry import EmissionEvent, DetectorGeometry, point_detector
-from .quadrature import QuadratureSpec, SemiInfiniteResult, cap_directions, \
-    refine_by_doubling, semiinfinite_profile
-from .wavepacket import MomentumAmplitude, OccupationCurve, detector_occupation, \
-    momentum_norm_squared, normalize, radial_density_integral, radial_moments
+from .quadrature import QuadratureSpec, SemiInfiniteResult, semiinfinite_profile
+from .wavepacket import MomentumAmplitude, OccupationCurve, _cone_angular_mass, \
+    angular_weight_integral, detector_occupation, normalize, radial_density_integral, \
+    radial_moments
 
 _NORM_TOL = 1e-6
 _CSV_BLOCK = 4096      # rows formatted per write in write_columns_csv
@@ -135,13 +135,6 @@ def resolve_time_controls(amp: MomentumAmplitude, source: EmissionEvent,
     return replace(quad, dt=dt, t_cap=float(max(t_cap, 4.0 * dt)))
 
 
-def _require_normalized(amp: MomentumAmplitude):
-    n2 = momentum_norm_squared(amp)
-    if abs(n2 - 1.0) > _NORM_TOL:
-        raise ValueError(
-            f"amplitude must be normalized (momentum-space norm^2 = {n2:.6g})")
-
-
 def _stop_floor(amp: MomentumAmplitude, source: EmissionEvent, reach: float,
                 t_cap: float) -> float:
     """Earliest elapsed time at which the tail criterion may fire: past the
@@ -198,17 +191,12 @@ def direction_probability(amp: MomentumAmplitude, det: DetectorGeometry,
     if det.omega is None:
         return 1.0
     quad = quad or QuadratureSpec()
-    _require_normalized(amp)
     radial = amp.scale ** 2 * radial_density_integral(amp)
-    if amp.is_isotropic:
-        angular = det.omega
-    else:
-        def level(m: int) -> tuple[float, float]:
-            dirs, w = cap_directions(det.axis, det.cos_cone, m * quad.polar_nodes,
-                                     m * quad.azimuth_nodes)
-            return float(w @ np.abs(amp.angular_profile(dirs @ amp.axis)) ** 2), 1e-300
-
-        angular = refine_by_doubling(level, 1, 5, quad.rtol, "direction factor")
+    n2 = radial * angular_weight_integral(amp)
+    if abs(n2 - 1.0) > _NORM_TOL:
+        raise ValueError(f"amplitude must be normalized (momentum-space norm^2 = {n2:.6g})")
+    angular = det.omega if amp.is_isotropic else \
+        _cone_angular_mass(amp, det.axis, det.cos_cone, quad.rtol)
     return float(min(max(radial * angular, 0.0), 1.0))
 
 

@@ -35,8 +35,8 @@ class QuadratureSpec:
 
     radial_nodes: int = 32       # Gauss-Legendre nodes per radial panel
     radial_panels: int = 1       # minimum panel count; grows with oscillation
-    polar_nodes: int = 8
-    azimuth_nodes: int = 8
+    polar_nodes: int = 8         # volume grid and direction channels of a volume
+    azimuth_nodes: int = 8       # detector's occupation (not the direction factor)
     dt: float | None = None      # time step of the sampled grids
     eps_tail: float = 1e-6       # relative tail threshold for window doubling
     t_cap: float | None = None   # hard stop for window doubling

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import IntegrationError, NormalizationError
 from .geometry import EmissionEvent, DetectorGeometry, unit_vector, _as_vec3
 from .quadrature import QuadratureSpec, gauss_legendre_panels, cap_directions, \
-    refine_by_doubling, volume_grid, _leggauss
+    refine_by_doubling, volume_grid
 
 TWO_PI_32 = (2.0 * np.pi) ** 1.5
 GAUSSIAN_SUPPORT_SIGMAS = 8.0
@@ -73,13 +73,18 @@ class MomentumAmplitude:
     def angular_profile(self, cos_alpha: np.ndarray) -> np.ndarray:
         c = np.clip(np.asarray(cos_alpha, dtype=float), -1.0, 1.0)
         if self.kind == "separable":
-            alpha = np.arccos(c)
-            return np.exp(-(alpha ** 2) / (4.0 * self.angular_sigma ** 2))
+            return self._polar_profile(np.arccos(c))
         if self.kind == "tabulated" and self.cos_grid is not None:
             re = np.interp(c, self.cos_grid, self.angular_values.real, left=0.0, right=0.0)
             im = np.interp(c, self.cos_grid, self.angular_values.imag, left=0.0, right=0.0)
             return re + 1j * im
         return np.ones_like(c)
+
+    def _polar_profile(self, alpha: np.ndarray) -> np.ndarray:
+        """G at the polar angle alpha, exact where cos alpha rounds to 1."""
+        if self.kind == "separable":
+            return np.exp(-(alpha ** 2) / (4.0 * self.angular_sigma ** 2))
+        return self.angular_profile(np.cos(alpha))
 
     # -- structure ------------------------------------------------------
 
@@ -195,23 +200,11 @@ class AngularComponentRequest:
 # normalization
 # ---------------------------------------------------------------------------
 
-def _piecewise_sq_integral(grid: np.ndarray, values: np.ndarray, jacobian_power: int) -> float:
-    """Integral of x^jac |v(x)|^2 dx for a piecewise-linear table (exact)."""
-    x, w = _leggauss(4)
-    a, b = grid[:-1], grid[1:]
-    half = 0.5 * (b - a)
-    nodes = 0.5 * (a + b)[:, None] + half[:, None] * x[None, :]
-    re = np.interp(nodes.ravel(), grid, values.real).reshape(nodes.shape)
-    im = np.interp(nodes.ravel(), grid, values.imag).reshape(nodes.shape)
-    dens = (re * re + im * im) * nodes ** jacobian_power
-    return float(np.sum(half[:, None] * w[None, :] * dens))
-
-
-def _gl_converged(fn, a: float, b: float, panels0: int, nodes: int = 32,
+def _gl_converged(fn, a: float, b: float, panels0: int, breaks=(),
                   rtol: float = 1e-12) -> float:
-    """Gauss-Legendre panel integral refined by panel doubling."""
+    """Gauss-Legendre panel integral, split at `breaks`, refined by doubling."""
     def level(panels: int) -> tuple[float, float]:
-        x, w = gauss_legendre_panels(a, b, panels, nodes)
+        x, w = gauss_legendre_panels(a, b, panels, 32, breaks)
         return float(w @ fn(x)), 1e-300
 
     return refine_by_doubling(level, panels0, 11, rtol, "panel integral")
@@ -225,24 +218,39 @@ def radial_density_integral(amp: MomentumAmplitude, lo: float | None = None,
     hi = s_hi if hi is None else min(hi, s_hi)
     if hi <= lo:
         return 0.0
-    if amp.kind == "tabulated":
-        keep = (amp.p_grid >= lo) & (amp.p_grid <= hi)
-        grid = np.array(sorted({lo, *amp.p_grid[keep].tolist(), hi}))
-        vals = amp.radial_profile(grid)
-        return _piecewise_sq_integral(grid, vals, 2)
-    panels = max(4, amp.radial_node_floor // 32)
     return _gl_converged(lambda p: p * p * np.abs(amp.radial_profile(p)) ** 2,
-                         lo, hi, panels)
+                         lo, hi, max(4, amp.radial_node_floor // 32), amp.knots)
+
+
+def _cone_angular_mass(amp: MomentumAmplitude, axis: np.ndarray, cos_cone: float,
+                       rtol: float = 1e-12) -> float:
+    """Integral of |G|^2 [sr] over the cone of `axis` and `cos_cone`: one panel rule in
+    alpha about `amp.axis`, cut at the arc's edges, widths sigma 2^k and table knots."""
+    cos_b, sin_b = float(axis @ amp.axis), float(np.linalg.norm(np.cross(axis, amp.axis)))
+    beta, theta = float(np.arctan2(sin_b, cos_b)), float(np.arccos(cos_cone))
+    lo, hi = max(beta - theta, 0.0), min(beta + theta, np.pi)
+    cuts = [abs(beta - theta), 2.0 * np.pi - beta - theta, *(
+        np.arccos(amp.cos_grid) if amp.kind == "tabulated" else
+        amp.angular_sigma * 2.0 ** np.arange(np.log2(np.pi / amp.angular_sigma)))]
+    edges = np.array(sorted({lo, hi, *(c for c in cuts if lo < c < hi)}))
+
+    def mass(u: np.ndarray) -> np.ndarray:
+        # piece k holds u in [k, k + 1]: alpha = e_k + (e_k+1 - e_k)(1 - cos pi s) / 2
+        k = np.minimum(u.astype(int), edges.size - 2)
+        half, s = 0.5 * (edges[k + 1] - edges[k]), np.pi * (u - k)
+        alpha = edges[k] + half * (1.0 - np.cos(s))
+        sin_a = np.sin(alpha)
+        ratio = (cos_cone - np.cos(alpha) * cos_b) / np.maximum(sin_a * sin_b, 1e-300)
+        arc = 2.0 * np.arccos(np.clip(ratio, -1.0, 1.0))
+        return np.abs(amp._polar_profile(alpha)) ** 2 * sin_a * arc * half * np.pi * np.sin(s)
+
+    n = edges.size - 1
+    return _gl_converged(mass, 0.0, float(n), n, np.arange(1, n), rtol)
 
 
 def angular_weight_integral(amp: MomentumAmplitude) -> float:
     """Integral of |G|^2 over the full sphere of directions [sr]."""
-    if amp.is_isotropic:
-        return 4.0 * np.pi
-    if amp.kind == "tabulated":
-        return 2.0 * np.pi * _piecewise_sq_integral(amp.cos_grid, amp.angular_values, 0)
-    return 2.0 * np.pi * _gl_converged(
-        lambda c: np.abs(amp.angular_profile(c)) ** 2, -1.0, 1.0, 8)
+    return 4.0 * np.pi if amp.is_isotropic else _cone_angular_mass(amp, amp.axis, -1.0)
 
 
 def momentum_norm_squared(amp: MomentumAmplitude) -> float:

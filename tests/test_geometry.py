@@ -3,7 +3,7 @@ import pytest
 
 from qarrival import EmissionEvent, GeometryError, sphere_detector, cap_detector, \
     solid_angle, ray_hits_detector
-from qarrival.geometry import ray_hits_many
+from qarrival.geometry import point_detector, ray_hits_many
 
 
 def test_sphere_solid_angle_closed_form(source):
@@ -108,3 +108,24 @@ def test_cap_center_and_distance(source):
     np.testing.assert_allclose(det.center, [0.0, 20.0, 0.0])
     expected_vol = det.omega * (21.0 ** 3 - 19.0 ** 3) / 3.0
     assert det.volume == pytest.approx(expected_vol, rel=1e-14)
+
+
+def test_point_without_cone_has_no_solid_angle(source):
+    det = point_detector([0.0, 0.0, 20.0], source)
+    for query in (lambda: det.cos_cone, lambda: solid_angle(det, source),
+                  lambda: ray_hits_detector(source, det.axis, det)):
+        with pytest.raises(GeometryError, match="point detector has no direction cone"):
+            query()
+
+
+def test_point_reference_cone_solid_angle_and_hits(source):
+    # the reference cone's own solid angle, not 2 pi (1 - cos(half_angle)),
+    # which reads 0.010000000000000247
+    det = point_detector([0.0, 0.0, 20.0], source, 0.01)
+    assert solid_angle(det, source) == 0.01
+    inside = det.half_angle - 1e-6
+    outside = det.half_angle + 1e-6
+    assert ray_hits_detector(source, [np.sin(inside), 0.0, np.cos(inside)], det)
+    assert not ray_hits_detector(source, [np.sin(outside), 0.0, np.cos(outside)], det)
+    with pytest.raises(GeometryError, match="different source position"):
+        solid_angle(det, EmissionEvent(x0=[1.0, 0.0, 0.0]))

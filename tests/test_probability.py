@@ -32,6 +32,15 @@ def test_direction_probability_concentrated(sep_amp, source):
     assert value == pytest.approx(0.99965841356581531, abs=3 * 2.214e-05)
 
 
+@pytest.mark.parametrize("angular_sigma, radius", [(0.002, 18.0), (0.003, 15.0)])
+def test_direction_probability_narrow_beam_inside_sphere(source, angular_sigma, radius):
+    # the whole beam lies deep inside the cone; a rule in cos theta about the
+    # detector axis puts no node inside a beam that spans ~sigma^2 of cos theta
+    amp = qa.separable_gaussian(5.0, 0.5, [0.0, 0.0, 1.0], angular_sigma)
+    det = qa.sphere_detector([0.0, 0.0, 20.0], radius, source)
+    assert abs(qa.direction_probability(amp, det, source) - 1.0) <= 1e-9
+
+
 def test_direction_probability_requires_normalized(source, standard_det):
     raw = wp.isotropic_gaussian(5.0, 0.5, normalized=False)
     with pytest.raises(ValueError):
