@@ -60,7 +60,8 @@ class DetectorGeometry:
 
     Derived fields: `axis` is the unit vector from the source to the detector
     center, `distance` the source-center separation, `omega` the solid angle
-    subtended at the source [sr], and `volume` the detector volume.
+    subtended at the source [sr], `half_angle` the half-angle of that cone,
+    and `volume` the detector volume.
     """
 
     kind: str                      # "sphere", "cap" or "point"
@@ -70,7 +71,7 @@ class DetectorGeometry:
     omega: float | None            # Omega_D (a point's reference cone, or None)
     volume: float | None           # V_D (None for a point)
     radius: float | None = None            # sphere only
-    half_angle: float | None = None        # cap, or a point's reference cone
+    half_angle: float | None = None        # None for a point without a cone
     r_inner: float | None = None           # cap only
     r_outer: float | None = None           # cap only
 
@@ -99,6 +100,13 @@ class DetectorGeometry:
         return self.r_outer - self.r_inner
 
 
+def _sphere_cone(ratio: float) -> tuple[float, float]:
+    """Solid angle [sr] and half-angle of the cone of a ball of radius
+    `ratio` at unit distance, free of cancellation for small balls."""
+    omega = 2.0 * np.pi * ratio * ratio / (1.0 + np.sqrt(1.0 - ratio * ratio))
+    return float(omega), float(np.arcsin(ratio))
+
+
 def sphere_detector(center, radius: float, source: EmissionEvent) -> DetectorGeometry:
     """Ball of `radius` around `center`, placed relative to `source`."""
     center = _as_vec3(center, "center")
@@ -111,13 +119,11 @@ def sphere_detector(center, radius: float, source: EmissionEvent) -> DetectorGeo
         raise GeometryError(
             f"source lies inside or on the detector (distance {distance} <= radius {radius})"
         )
-    axis = offset / distance
-    ratio = radius / distance
-    omega = 2.0 * np.pi * (1.0 - np.sqrt(1.0 - ratio * ratio))
+    omega, half_angle = _sphere_cone(radius / distance)
     volume = 4.0 / 3.0 * np.pi * radius**3
-    return DetectorGeometry(kind="sphere", center=center, axis=axis,
-                            distance=distance, omega=float(omega),
-                            volume=float(volume), radius=radius)
+    return DetectorGeometry(kind="sphere", center=center, axis=offset / distance,
+                            distance=distance, omega=omega, volume=float(volume),
+                            radius=radius, half_angle=half_angle)
 
 
 def cap_detector(axis, half_angle: float, r_inner: float, r_outer: float,
@@ -137,7 +143,7 @@ def cap_detector(axis, half_angle: float, r_inner: float, r_outer: float,
         raise GeometryError(
             f"cap radial extent must satisfy 0 < r_inner < r_outer, got [{r_inner}, {r_outer}]"
         )
-    omega = 2.0 * np.pi * (1.0 - np.cos(half_angle))
+    omega = 4.0 * np.pi * np.sin(0.5 * half_angle) ** 2
     volume = omega * (r_outer**3 - r_inner**3) / 3.0
     distance = 0.5 * (r_inner + r_outer)
     center = source.x0 + distance * axis
@@ -162,7 +168,7 @@ def point_detector(position, source: EmissionEvent,
         omega = float(reference_solid_angle)
         if not 0.0 < omega <= 4.0 * np.pi:
             raise ValueError(f"reference_solid_angle must lie in (0, 4 pi], got {omega}")
-        half_angle = float(np.arccos(max(1.0 - omega / (2.0 * np.pi), -1.0)))
+        half_angle = 2.0 * float(np.arcsin(min(np.sqrt(omega / (4.0 * np.pi)), 1.0)))
     return DetectorGeometry(kind="point", center=center, axis=offset / distance,
                             distance=distance, omega=omega, volume=None,
                             half_angle=half_angle)
@@ -177,8 +183,7 @@ def solid_angle(det: DetectorGeometry, source: EmissionEvent) -> float:
             raise GeometryError(
                 f"source lies inside or on the detector (distance {distance} <= radius {det.radius})"
             )
-        ratio = det.radius / distance
-        return float(2.0 * np.pi * (1.0 - np.sqrt(1.0 - ratio * ratio)))
+        return _sphere_cone(det.radius / distance)[0]
     scale = max(1.0, float(np.linalg.norm(det.center)))
     if float(np.linalg.norm(det.apex - source.x0)) > 1e-9 * scale:
         raise GeometryError(f"{det.kind} detector was built for a different source position")

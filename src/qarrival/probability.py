@@ -196,7 +196,7 @@ def direction_probability(amp: MomentumAmplitude, det: DetectorGeometry,
     if abs(n2 - 1.0) > _NORM_TOL:
         raise ValueError(f"amplitude must be normalized (momentum-space norm^2 = {n2:.6g})")
     angular = det.omega if amp.is_isotropic else \
-        _cone_angular_mass(amp, det.axis, det.cos_cone, quad.rtol)
+        _cone_angular_mass(amp, det.axis, det.half_angle, quad.rtol)
     return float(min(max(radial * angular, 0.0), 1.0))
 
 

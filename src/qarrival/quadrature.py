@@ -33,21 +33,14 @@ class QuadratureSpec:
     `integrate_time_semiinfinite` require both to be set.
     """
 
-    radial_nodes: int = 32       # Gauss-Legendre nodes per radial panel
-    radial_panels: int = 1       # minimum panel count; grows with oscillation
     polar_nodes: int = 8         # volume grid and direction channels of a volume
     azimuth_nodes: int = 8       # detector's occupation (not the direction factor)
     dt: float | None = None      # time step of the sampled grids
     eps_tail: float = 1e-6       # relative tail threshold for window doubling
     t_cap: float | None = None   # hard stop for window doubling
     rtol: float = 1e-6           # target relative tolerance of error estimates
-    p_max: float | None = None   # optional hard truncation of the momentum range
 
     def __post_init__(self):
-        if self.radial_nodes < 4:
-            raise ValueError(f"radial_nodes must be >= 4, got {self.radial_nodes}")
-        if self.radial_panels < 1:
-            raise ValueError(f"radial_panels must be >= 1, got {self.radial_panels}")
         if self.polar_nodes < 1 or self.azimuth_nodes < 1:
             raise ValueError("polar_nodes and azimuth_nodes must be >= 1")
         if self.dt is not None and not self.dt > 0.0:
@@ -108,19 +101,20 @@ def gauss_legendre_panels(a: float, b: float, panels: int, nodes_per_panel: int,
 
 
 def refine_by_doubling(level, n0: int, doublings: int, rtol: float, what: str):
-    """Value of the first of the levels n = n0 * 2^k, k = 1..doublings, that
-    agrees with the level before it: |cur - prev| <= rtol * max(|cur|, floor),
-    where `level(n)` returns (value, floor).  IntegrationError naming `what`
-    when the last doubling still disagrees."""
+    """(value, n, err) of the first of the levels n = n0 * 2^k, k = 1..doublings,
+    that agrees with the level before it: err = max|cur - prev| <= rtol *
+    max(max|cur|, floor), where `level(n)` returns (value, floor) and a value
+    may be an array.  IntegrationError naming `what` when the last doubling
+    still disagrees."""
     prev, _ = level(n0)
     for k in range(1, doublings + 1):
         cur, floor = level(n0 * 2 ** k)
-        err = abs(cur - prev)
-        if err <= rtol * max(abs(cur), floor):
-            return cur
+        err = float(np.max(np.abs(cur - prev), initial=0.0))
+        if err <= rtol * max(float(np.max(np.abs(cur), initial=0.0)), floor):
+            return cur, n0 * 2 ** k, err
         prev = cur
     raise IntegrationError(f"{what} did not converge (residual {err:.3e})",
-                           estimate=float(err))
+                           estimate=err)
 
 
 def cap_directions(axis: np.ndarray, cos_half: float, n_polar: int,

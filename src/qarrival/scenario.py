@@ -106,15 +106,12 @@ _KEYS = {
     "detector.position": _VEC,
     "detector.reference_solid_angle": _FLOAT,
     "coupling.k": _FLOAT,
-    "quadrature.radial_nodes": _INT,
-    "quadrature.radial_panels": _INT,
     "quadrature.polar_nodes": _INT,
     "quadrature.azimuth_nodes": _INT,
     "quadrature.dt": _FLOAT,
     "quadrature.eps_tail": _FLOAT,
     "quadrature.t_cap": _FLOAT,
     "quadrature.rtol": _FLOAT,
-    "quadrature.p_max": _FLOAT,
     "grid.dt": _FLOAT,
     "grid.t_end": _FLOAT,
     "output.dir": _STR,
@@ -368,16 +365,23 @@ def make_amplitude(s: Scenario) -> wp.MomentumAmplitude:
 def make_detector(s: Scenario, source: EmissionEvent) -> DetectorGeometry | None:
     """The detector volume, or None for a point.  Of the arguments `_check`
     passes, the builders reject only a source inside the ball (an error of
-    the sphere's center) and a zero cap axis."""
+    the sphere's center) and a zero cap axis.  A direction cone whose cosine
+    rounds to 1 has no direction grid, an error of its size's key."""
     d = s.detector
+    if d.kind == "point":
+        return None
     if d.kind == "sphere":
         with _named("detector.center"):
-            return sphere_detector(np.asarray(d.center), d.radius, source)
-    if d.kind == "cap":
+            det = sphere_detector(np.asarray(d.center), d.radius, source)
+    else:
         with _named("detector.axis"):
-            return cap_detector(np.asarray(d.axis), d.half_angle, d.r_inner,
-                                d.r_outer, source)
-    return None
+            det = cap_detector(np.asarray(d.axis), d.half_angle, d.r_inner,
+                               d.r_outer, source)
+    if det.cos_cone == 1.0:
+        raise ScenarioError("detector.radius" if d.kind == "sphere" else "detector.half_angle",
+                            f"the direction cone of half-angle {det.half_angle:.3g} "
+                            "has a cosine that rounds to 1")
+    return det
 
 
 # --- running -----------------------------------------------------------------

@@ -9,10 +9,10 @@ downstream consumes the single-direction component
 
 and its superposition over the detector's direction cone (hbar = 1).
 
-The radial rule is a composite Gauss-Legendre panel rule whose panel count
-is driven by the local phase rate |n.(x - x0) - p (t - t0) / m| (at least 8
-nodes per oscillation period); halving the panel width supplies the error
-estimate.
+The radial rule is a composite Gauss-Legendre panel rule of 32 nodes per
+panel whose panel count is driven by the local phase rate
+|n.(x - x0) - p (t - t0) / m| (at least 8 nodes per oscillation period);
+halving the panel width supplies the error estimate.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ from .quadrature import QuadratureSpec, gauss_legendre_panels, cap_directions, \
 
 TWO_PI_32 = (2.0 * np.pi) ** 1.5
 GAUSSIAN_SUPPORT_SIGMAS = 8.0
-_MAX_DOUBLINGS = 6
+_RADIAL_NODES = 32          # Gauss-Legendre nodes per panel of every radial rule
+_RADIAL_DOUBLINGS = 3       # panel doublings of every radial rule of psi
+_RADIAL_BUDGET = 2 ** 18    # nodes of the largest radial rule of psi
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,30 +206,27 @@ def _gl_converged(fn, a: float, b: float, panels0: int, breaks=(),
                   rtol: float = 1e-12) -> float:
     """Gauss-Legendre panel integral, split at `breaks`, refined by doubling."""
     def level(panels: int) -> tuple[float, float]:
-        x, w = gauss_legendre_panels(a, b, panels, 32, breaks)
+        x, w = gauss_legendre_panels(a, b, panels, _RADIAL_NODES, breaks)
         return float(w @ fn(x)), 1e-300
 
-    return refine_by_doubling(level, panels0, 11, rtol, "panel integral")
+    return refine_by_doubling(level, panels0, 11, rtol, "panel integral")[0]
 
 
-def radial_density_integral(amp: MomentumAmplitude, lo: float | None = None,
-                            hi: float | None = None) -> float:
-    """Integral of p^2 |R(p)|^2 over [lo, hi] (scale excluded)."""
-    s_lo, s_hi = amp.p_support
-    lo = s_lo if lo is None else max(lo, s_lo)
-    hi = s_hi if hi is None else min(hi, s_hi)
-    if hi <= lo:
-        return 0.0
+def radial_density_integral(amp: MomentumAmplitude) -> float:
+    """Integral of p^2 |R(p)|^2 over the support (scale excluded)."""
+    lo, hi = amp.p_support
     return _gl_converged(lambda p: p * p * np.abs(amp.radial_profile(p)) ** 2,
-                         lo, hi, max(4, amp.radial_node_floor // 32), amp.knots)
+                         lo, hi, max(4, amp.radial_node_floor // _RADIAL_NODES),
+                         amp.knots)
 
 
-def _cone_angular_mass(amp: MomentumAmplitude, axis: np.ndarray, cos_cone: float,
+def _cone_angular_mass(amp: MomentumAmplitude, axis: np.ndarray, theta: float,
                        rtol: float = 1e-12) -> float:
-    """Integral of |G|^2 [sr] over the cone of `axis` and `cos_cone`: one panel rule in
-    alpha about `amp.axis`, cut at the arc's edges, widths sigma 2^k and table knots."""
+    """Integral of |G|^2 [sr] over the cone of `axis` and half-angle `theta`: one panel
+    rule in alpha about `amp.axis`, cut at the arc's edges, widths sigma 2^k and table
+    knots."""
     cos_b, sin_b = float(axis @ amp.axis), float(np.linalg.norm(np.cross(axis, amp.axis)))
-    beta, theta = float(np.arctan2(sin_b, cos_b)), float(np.arccos(cos_cone))
+    beta = float(np.arctan2(sin_b, cos_b))
     lo, hi = max(beta - theta, 0.0), min(beta + theta, np.pi)
     cuts = [abs(beta - theta), 2.0 * np.pi - beta - theta, *(
         np.arccos(amp.cos_grid) if amp.kind == "tabulated" else
@@ -240,8 +239,11 @@ def _cone_angular_mass(amp: MomentumAmplitude, axis: np.ndarray, cos_cone: float
         half, s = 0.5 * (edges[k + 1] - edges[k]), np.pi * (u - k)
         alpha = edges[k] + half * (1.0 - np.cos(s))
         sin_a = np.sin(alpha)
-        ratio = (cos_cone - np.cos(alpha) * cos_b) / np.maximum(sin_a * sin_b, 1e-300)
-        arc = 2.0 * np.arccos(np.clip(ratio, -1.0, 1.0))
+        # 2 arccos((cos theta - cos alpha cos beta) / (sin alpha sin beta)), without
+        # the cancellation of cos theta - cos alpha cos beta in a small cone
+        ratio = np.sin(0.5 * (theta + alpha - beta)) * np.sin(0.5 * (theta - alpha + beta)) \
+            / np.maximum(sin_a * sin_b, 1e-300)
+        arc = 4.0 * np.arcsin(np.sqrt(np.clip(ratio, 0.0, 1.0)))
         return np.abs(amp._polar_profile(alpha)) ** 2 * sin_a * arc * half * np.pi * np.sin(s)
 
     n = edges.size - 1
@@ -250,7 +252,7 @@ def _cone_angular_mass(amp: MomentumAmplitude, axis: np.ndarray, cos_cone: float
 
 def angular_weight_integral(amp: MomentumAmplitude) -> float:
     """Integral of |G|^2 over the full sphere of directions [sr]."""
-    return 4.0 * np.pi if amp.is_isotropic else _cone_angular_mass(amp, amp.axis, -1.0)
+    return 4.0 * np.pi if amp.is_isotropic else _cone_angular_mass(amp, amp.axis, np.pi)
 
 
 def momentum_norm_squared(amp: MomentumAmplitude) -> float:
@@ -286,41 +288,35 @@ def radial_moments(amp: MomentumAmplitude) -> tuple[float, float]:
 # radial rule sizing
 # ---------------------------------------------------------------------------
 
-def _effective_p_range(amp: MomentumAmplitude, quad: QuadratureSpec) -> tuple[float, float]:
-    lo, hi = amp.p_support
-    if hi <= lo:
-        raise NormalizationError("amplitude has an empty momentum support")
-    if quad.p_max is not None and quad.p_max < hi:
-        hi_eff = quad.p_max
-        if hi_eff <= lo:
-            raise IntegrationError(
-                f"momentum truncation p_max = {quad.p_max} excludes the amplitude "
-                f"support [{lo}, {hi}]", estimate=1.0)
-        full = radial_density_integral(amp)
-        missing = 1.0 - radial_density_integral(amp, lo, hi_eff) / full
-        if missing > 1e-10:
-            raise IntegrationError(
-                f"momentum truncation p_max = {quad.p_max} discards a fraction "
-                f"{missing:.3e} of the amplitude support", estimate=missing)
-        hi = hi_eff
-    return lo, hi
-
-
-def _max_phase_rate(r_lo: float, r_hi: float, p_lo: float, p_hi: float,
-                    tau_max: float, mass: float) -> float:
-    rates = [abs(r_lo), abs(r_hi)]
-    for r in (r_lo, r_hi):
-        for p in (p_lo, p_hi):
-            rates.append(abs(r - p * tau_max / mass))
-    return max(rates)
-
-
-def _radial_panels(amp: MomentumAmplitude, quad: QuadratureSpec, rate: float,
-                   p_lo: float, p_hi: float) -> int:
+def _radial_panels(amp: MomentumAmplitude, r_lo: float, r_hi: float, tau: float,
+                   mass: float, at_least: int = 1) -> int:
+    """Panel count of the first radial rule of psi at distances [r_lo, r_hi]
+    and elapsed time tau: 8 nodes per period of the fastest phase
+    p r - p^2 tau / 2m, at least `amp.radial_node_floor` nodes and
+    `at_least` panels.  IntegrationError when the rule after its
+    _RADIAL_DOUBLINGS doublings would pass _RADIAL_BUDGET nodes."""
+    p_lo, p_hi = amp.p_support
+    # |d/dp (p r - p^2 tau / 2m)| = |r - p tau / m| at the support's corners, and |r|
+    corners = np.subtract.outer([r_lo, r_hi], np.array([0.0, p_lo, p_hi]) * tau / mass)
+    rate = float(np.max(np.abs(corners)))
     periods = rate * (p_hi - p_lo) / (2.0 * np.pi)
-    n_target = max(quad.radial_nodes * quad.radial_panels, 8.0 * periods,
-                   float(amp.radial_node_floor))
-    return max(quad.radial_panels, int(np.ceil(n_target / quad.radial_nodes)))
+    n_target = max(8.0 * periods, float(amp.radial_node_floor))
+    panels = max(at_least, int(np.ceil(n_target / _RADIAL_NODES)))
+    nodes = panels * _RADIAL_NODES
+    if nodes * 2 ** _RADIAL_DOUBLINGS > _RADIAL_BUDGET:
+        raise IntegrationError(
+            f"the radial rule at tau = {tau:.6g} would pass the budget of "
+            f"{_RADIAL_BUDGET} nodes: it starts at {nodes} and may double "
+            f"{_RADIAL_DOUBLINGS} times", estimate=float(nodes))
+    return panels
+
+
+def _radial_rule(amp: MomentumAmplitude, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Momentum nodes p and weights w p^2 scale R(p) / (2 pi)^(3/2) of the
+    radial rule of `panels` panels over the support, split at the knots."""
+    p_lo, p_hi = amp.p_support
+    p, w = gauss_legendre_panels(p_lo, p_hi, panels, _RADIAL_NODES, amp.knots)
+    return p, w * p * p * amp.scale * amp.radial_profile(p) / TWO_PI_32
 
 
 # ---------------------------------------------------------------------------
@@ -332,21 +328,17 @@ def _radial_sum_converged(amp: MomentumAmplitude, quad: QuadratureSpec,
                           mass: float) -> complex:
     """Sum_a gains[a] (2 pi)^(-3/2) Integral p^2 dp scale R(p)
     exp(i p rs[a] - i p^2 tau / 2m), refined by radial panel doubling."""
-    p_lo, p_hi = _effective_p_range(amp, quad)
-    rate = _max_phase_rate(float(rs.min()), float(rs.max()), p_lo, p_hi, tau, mass)
-    panels = _radial_panels(amp, quad, rate, p_lo, p_hi)
+    panels = _radial_panels(amp, float(rs.min()), float(rs.max()), tau, mass)
     gain_bound = float(np.sum(np.abs(gains)))
 
     def at(n_panels: int) -> tuple[complex, float]:
-        p, w = gauss_legendre_panels(p_lo, p_hi, n_panels, quad.radial_nodes,
-                                     amp.knots)
-        base = w * p * p * amp.scale * amp.radial_profile(p) / TWO_PI_32
+        p, base = _radial_rule(amp, n_panels)
         phases = np.exp(1j * (np.outer(rs, p) - (p * p * tau / (2.0 * mass))[None, :]))
         return (complex(gains @ (phases * base).sum(axis=1)),
                 1e-3 * (float(np.sum(np.abs(base))) * gain_bound))
 
-    return refine_by_doubling(at, panels, _MAX_DOUBLINGS, quad.rtol,
-                              "radial quadrature")
+    return refine_by_doubling(at, panels, _RADIAL_DOUBLINGS, quad.rtol,
+                              "radial quadrature")[0]
 
 
 def eval_angular_component(amp: MomentumAmplitude, request: AngularComponentRequest,
@@ -385,8 +377,6 @@ def eval_detector_wavefunction(amp: MomentumAmplitude, position, time: float,
 # curve evaluators (vectorized over time)
 # ---------------------------------------------------------------------------
 
-_ERR_SUBSAMPLE = 4
-_FORCE_DIRECT = False  # test hook: disable the Chebyshev channel compression
 _P_BLOCK = 1024         # momentum columns per block of the phase-sum kernel
 _DIRECT_ROWS = 256      # samples per block of the kernel's direct branch
 _PANEL_PHASE = 16.0     # phase half-width [rad] of one Chebyshev tau-panel
@@ -484,12 +474,13 @@ def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs: np.ndarray) -> np.n
 class OccupationCurve:
     """Sum_x w_x |Sum_a g_a psi(r[x, a], tau)|^2 over arrays of elapsed times
     tau: points x of weight w_x, direction channels a of gain g_a at distance
-    r[x, a] = n_a.(x - x0).  Every batch is evaluated on a fine and a coarse
-    radial rule, judged against the running scale; a failed estimate doubles
-    the panel count.  With fewer points than the Chebyshev order the
-    distances need, the channels fold into the momentum coefficients
-    directly; otherwise their phases exp(i p r) are compressed onto a
-    Chebyshev basis in r, which keeps the time-by-momentum product small.
+    r[x, a] = n_a.(x - x0).  Every batch is one `refine_by_doubling` of its
+    radial rule, judged against the running scale; the next batch starts
+    from no fewer panels than the coarser rule that agreed.  With fewer
+    points than the Chebyshev order the distances need, the channels fold
+    into the momentum coefficients directly; otherwise their phases
+    exp(i p r) are compressed onto a Chebyshev basis in r, which keeps the
+    time-by-momentum product small.
     """
 
     def __init__(self, amp: MomentumAmplitude, source: EmissionEvent,
@@ -499,20 +490,19 @@ class OccupationCurve:
         # r_chan is (points, channels)
         self._r_chan, self._gains, self._weights = r_chan, gains, weights
         self._r_lo, self._r_hi = float(r_chan.min()), float(r_chan.max())
-        self._p_lo, self._p_hi = _effective_p_range(amp, quad)
-        self._tau_sized = -1.0
-        self._panel_boost = 1
+        self._panels = 0            # panels of the last batch's accepted rule
         self.scale = self.abs_error = 0.0
         n_points, n_chan = r_chan.shape
-        halfband = 0.5 * (self._p_hi - self._p_lo)
+        p_lo, p_hi = amp.p_support
+        halfband = 0.5 * (p_hi - p_lo)
         half_len = 0.5 * max(self._r_hi - self._r_lo, 1e-12)
         order = int(np.ceil(1.4 * halfband * half_len)) + 16
         self._mix = None
-        if not (_FORCE_DIRECT or order >= n_points):
+        if order < n_points:
             # exact values on Chebyshev r-nodes, barycentric map to the
             # channels; the map depends on the geometry, not on the radial
             # rule, so every _build shares it
-            self._p_mid = 0.5 * (self._p_lo + self._p_hi)
+            self._p_mid = 0.5 * (p_lo + p_hi)
             self._r_nodes = _cheb_points(self._r_lo, self._r_hi, order)
             interp = _cheb_interp_matrix(self._r_lo, self._r_hi, order,
                                          r_chan.ravel())                  # (X*A, C)
@@ -522,12 +512,14 @@ class OccupationCurve:
             # sum_x w_x |(s M)_x|^2 = |R s|^2 with (M diag(sqrt w))^T = Q R,
             # so the density costs C^2 per sample instead of C X
             self._mix_r = np.linalg.qr((self._mix * np.sqrt(weights)).T, mode="r").T  # (C, C)
-        self._seed_scale()
+        # anchor the relative-error scale at the arrival peak: this probe batch
+        # is judged against its own maximum, and later batches, typically ~0
+        # early on, against the scale it leaves
+        flight = source.mass * 0.5 * (self._r_lo + self._r_hi) / radial_moments(amp)[0]
+        self(flight * np.array([0.7, 0.85, 1.0, 1.2, 1.5]))
 
     def _build(self, panels: int):
-        p, w = gauss_legendre_panels(self._p_lo, self._p_hi, panels,
-                                     self.quad.radial_nodes, self.amp.knots)
-        base = w * p * p * self.amp.scale * self.amp.radial_profile(p) / TWO_PI_32
+        p, base = _radial_rule(self.amp, panels)
         omega = p * p / (2.0 * self.source.mass)
         if self._mix is None:
             n_points, n_chan = self._r_chan.shape
@@ -547,48 +539,17 @@ class OccupationCurve:
         fields = sums @ self._mix_r                       # (T, C) @ (C, C)
         return (fields.real ** 2 + fields.imag ** 2).sum(axis=1)
 
-    def _ensure(self, tau_max: float):
-        if tau_max <= self._tau_sized:
-            return
-        sized = max(tau_max * 1.25, 1e-300)
-        rate = _max_phase_rate(self._r_lo, self._r_hi, self._p_lo, self._p_hi,
-                               sized, self.source.mass)
-        panels = _radial_panels(self.amp, self.quad, rate, self._p_lo, self._p_hi)
-        panels *= self._panel_boost
-        self._coarse = self._build(panels)
-        self._fine = self._build(2 * panels)
-        self._tau_sized = sized
-
-    def _seed_scale(self):
-        """Anchor the relative-error scale at the arrival peak before any
-        batch is judged: early batches are typically ~0 and meaningless as
-        a convergence reference."""
-        flight = self.source.mass * 0.5 * (self._r_lo + self._r_hi) \
-            / radial_moments(self.amp)[0]
-        probes = flight * np.array([0.7, 0.85, 1.0, 1.2, 1.5])
-        self._ensure(float(probes.max()))
-        values = self._field_square(self._fine, probes)
-        self.scale = max(self.scale, float(values.max()))
-
     def __call__(self, taus: np.ndarray) -> np.ndarray:
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        self._ensure(float(taus.max()) if taus.size else 0.0)
-        for attempt in range(4):                  # up to 3 panel doublings
-            if attempt:
-                self._panel_boost *= 2
-                self._tau_sized = -1.0
-                self._ensure(float(taus.max()))
-            out = self._field_square(self._fine, taus)
-            coarse = self._field_square(self._coarse, taus[::_ERR_SUBSAMPLE])
-            worst = float(np.max(np.abs(out[::_ERR_SUBSAMPLE] - coarse), initial=0.0))
-            batch_scale = max(self.scale, float(out.max(initial=0.0)))
-            if worst <= self.quad.rtol * max(batch_scale, 1e-300):
-                self.scale = batch_scale
-                self.abs_error = max(self.abs_error, worst)
-                return out
-        raise IntegrationError(
-            f"time-curve radial quadrature did not converge "
-            f"(residual {worst:.3e} at scale {batch_scale:.3e})", estimate=worst)
+        panels = _radial_panels(self.amp, self._r_lo, self._r_hi,
+                                1.25 * float(taus.max(initial=0.0)), self.source.mass,
+                                self._panels // 2)
+        out, self._panels, err = refine_by_doubling(
+            lambda n: (self._field_square(self._build(n), taus), self.scale),
+            panels, _RADIAL_DOUBLINGS, self.quad.rtol, "time-curve radial quadrature")
+        self.scale = max(self.scale, float(out.max(initial=0.0)))
+        self.abs_error = max(self.abs_error, err)
+        return out
 
     @property
     def error_rel(self) -> float:

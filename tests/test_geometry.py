@@ -110,6 +110,21 @@ def test_cap_center_and_distance(source):
     assert det.volume == pytest.approx(expected_vol, rel=1e-14)
 
 
+def test_small_cones_keep_their_digits(source):
+    # closed forms without the cancellation of 1 - cos: a sphere's omega is
+    # 2 pi q^2 / (1 + sqrt(1 - q^2)) = pi q^2 (1 + q^2 / 4 + ...), a cap's
+    # 4 pi sin^2(h / 2) = pi h^2 (1 - h^2 / 12 + ...)
+    q = 1e-6 / 20.0
+    sphere = sphere_detector([0.0, 0.0, 20.0], 1e-6, source)
+    assert sphere.omega == pytest.approx(np.pi * q * q * (1.0 + q * q / 4.0), rel=1e-15)
+    assert solid_angle(sphere, source) == sphere.omega
+    assert sphere.half_angle == np.arcsin(q)
+    cap = cap_detector([0.0, 0.0, 1.0], 1e-6, 19.0, 21.0, source)
+    assert cap.omega == pytest.approx(np.pi * 1e-12 * (1.0 - 1e-12 / 12.0), rel=1e-15)
+    point = point_detector([0.0, 0.0, 20.0], source, 1e-20)
+    assert point.half_angle == pytest.approx(np.sqrt(1e-20 / np.pi), rel=1e-15)
+
+
 def test_point_without_cone_has_no_solid_angle(source):
     det = point_detector([0.0, 0.0, 20.0], source)
     for query in (lambda: det.cos_cone, lambda: solid_angle(det, source),

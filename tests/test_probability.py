@@ -41,6 +41,20 @@ def test_direction_probability_narrow_beam_inside_sphere(source, angular_sigma, 
     assert abs(qa.direction_probability(amp, det, source) - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("beam_axis", [[0.0, 0.0, 1.0], [0.0, 0.6, 0.8]])
+def test_direction_probability_small_sphere(iso_amp, source, beam_axis):
+    # a cone of half-angle 5e-8: omega / 4 pi for an isotropic packet, and
+    # omega times the beam's angular density along the line of sight
+    det = qa.sphere_detector([0.0, 0.0, 20.0], 1e-6, source)
+    assert qa.direction_probability(iso_amp, det, source) == \
+        pytest.approx(6.25e-16, rel=1e-14)
+    amp = qa.separable_gaussian(5.0, 0.5, beam_axis, 0.04)
+    density = float(np.abs(amp.angular_profile(beam_axis[2])) ** 2) \
+        / wp.angular_weight_integral(amp)
+    assert qa.direction_probability(amp, det, source) == \
+        pytest.approx(det.omega * density, rel=1e-9)
+
+
 def test_direction_probability_requires_normalized(source, standard_det):
     raw = wp.isotropic_gaussian(5.0, 0.5, normalized=False)
     with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from qarrival import QuadratureSpec, cap_detector, sphere_detector, \
+from qarrival import IntegrationError, QuadratureSpec, cap_detector, sphere_detector, \
     integrate_time_semiinfinite, integrate_volume, differentiate_sampled
-from qarrival.quadrature import gauss_legendre_panels, semiinfinite_profile
+from qarrival.quadrature import gauss_legendre_panels, refine_by_doubling, \
+    semiinfinite_profile
 
 
 def test_exponential_tail():
@@ -47,6 +48,35 @@ def test_refinement_within_error_estimate():
     b = integrate_time_semiinfinite(f, 2.0, QuadratureSpec(dt=2e-4, t_cap=400.0))
     allowance = a.error_estimate + b.error_estimate + 1e-6 * abs(b.value)
     assert abs(a.value - b.value) <= allowance
+
+
+def test_refine_by_doubling_array_levels():
+    # entry 2 disagrees up to n = 8: it alone forces two doublings, and the
+    # loop returns the level it reached with the residual it accepted
+    seen = []
+
+    def level(n):
+        seen.append(n)
+        values = np.ones(4)
+        values[2] += 1.0 / n if n < 8 else 0.0
+        return values, 0.0
+
+    value, n, err = refine_by_doubling(level, 2, 3, 1e-12, "toy rule")
+    assert seen == [2, 4, 8, 16]
+    assert (n, err) == (16, 0.0)
+    np.testing.assert_array_equal(value, np.ones(4))
+
+
+def test_refine_by_doubling_floor_and_failure():
+    # the floor stands in for a small value: the first doubling is accepted
+    value, n, err = refine_by_doubling(lambda n: (np.array([1e-3 / n]), 1.0),
+                                       4, 3, 1e-3, "toy rule")
+    assert n == 8 and err == pytest.approx(1e-3 / 8)
+    # an entry that never settles raises after the last doubling, naming the rule
+    with pytest.raises(IntegrationError, match="toy rule did not converge") as exc:
+        refine_by_doubling(lambda n: (np.array([0.0, 1.0 / n]), 0.0), 1, 3, 1e-6,
+                           "toy rule")
+    assert exc.value.estimate == pytest.approx(1.0 / 8)
 
 
 def test_profile_cumulative_endpoint_matches_value():
@@ -113,8 +143,6 @@ def test_differentiate_contract():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(radial_nodes=2)
     with pytest.raises(ValueError):
         QuadratureSpec(dt=-0.1)
     with pytest.raises(ValueError):

@@ -155,7 +155,7 @@ GOLDEN_EMIT = [
               detector=ScenarioDetector(kind="cap", axis=(0.0, 1.0, 0.0),
                                         half_angle=0.12, r_inner=18.7, r_outer=21.1),
               coupling_k=0.75,
-              quadrature=QuadratureSpec(radial_nodes=32, polar_nodes=12, dt=0.003,
+              quadrature=QuadratureSpec(polar_nodes=12, dt=0.003,
                                         eps_tail=1e-6, rtol=1e-7),
               grid=TimeGridSpec(t_end=40.0)),
      HEADER
@@ -183,7 +183,7 @@ GOLDEN_EMIT = [
                                           angular_file="angular.txt"),
               detector=ScenarioDetector(kind="point", position=(0.0, 0.0, 100.0),
                                         reference_solid_angle=0.01),
-              quadrature=QuadratureSpec(t_cap=500.0, p_max=12.0),
+              quadrature=QuadratureSpec(t_cap=500.0),
               grid=TimeGridSpec(dt=0.25), output_dir="out/tab"),
      HEADER
      + "emission.x0 = 0 0 0\n"
@@ -198,7 +198,6 @@ GOLDEN_EMIT = [
        "detector.reference_solid_angle = 0.01\n"
        "coupling.k = 0.5\n"
        "quadrature.t_cap = 500\n"
-       "quadrature.p_max = 12\n"
        "grid.dt = 0.25\n"
        "output.dir = out/tab\n"),
 ]
@@ -739,8 +738,14 @@ def test_csv_writers_match_per_row_format(tmp_path, writer):
             "detector.position = 0 0 20\n", "amplitude.angular_file"),
     ("sweep", "detector.center = 0 0 20\ndetector.radius = 0.5\n",
      "detector.center"),
+    ("validate", "detector.center = 0 0 20\ndetector.radius = 1e-7\n",
+     "detector.radius"),
+    ("run", "detector.kind = cap\ndetector.axis = 0 0 1\n"
+            "detector.half_angle = 1e-9\ndetector.r_inner = 19\n"
+            "detector.r_outer = 21\n", "detector.half_angle"),
 ], ids=["inside-sphere", "point-at-source", "cap-axis", "separable-axis",
-        "table-axis", "angular-table", "distance-row"])
+        "table-axis", "angular-table", "distance-row", "cone-of-sphere-rounds-to-1",
+        "cone-of-cap-rounds-to-1"])
 def test_cli_build_error_names_key(tmp_path, capsys, command, lines, key):
     (tmp_path / "radial.txt").write_text("4 1\n5 1\n6 1\n")
     (tmp_path / "angular.txt").write_text("0.5 1\n1 1\n")
@@ -775,6 +780,37 @@ def test_cli_unresolved_refinement_is_numerical_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and " did not converge" in err
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_cli_time_curve_refinement_is_numerical_error(tmp_path, capsys):
+    # a point has no direction factor: the first rule to miss 1e-300 is the
+    # occupation curve's radial rule
+    path = tmp_path / "scn.txt"
+    path.write_text("detector.position = 0 0 20\nquadrature.rtol = 1e-300\n")
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: time-curve radial quadrature did not converge")
+
+
+def test_cli_radial_budget_is_numerical_error(tmp_path, capsys):
+    # a tail criterion that never fires doubles the windows up to the time
+    # cap, and the radial rule of psi grows with them until it would pass
+    # its node budget
+    path = tmp_path / "scn.txt"
+    path.write_text("detector.position = 0 0 20\nquadrature.t_cap = 1e5\n"
+                    "quadrature.eps_tail = 1e-300\ngrid.t_end = 5\n")
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: the radial rule at tau = ")
+    assert "budget of 262144 nodes" in err
+
+
+@pytest.mark.parametrize("key", ["quadrature.radial_nodes", "quadrature.radial_panels",
+                                 "quadrature.p_max"])
+def test_removed_quadrature_keys_are_unknown(key):
+    with pytest.raises(ScenarioError, match="unknown key") as err:
+        qa.parse_scenario_text(MINIMAL + f"{key} = 12\n")
+    assert err.value.field == key
 
 
 def test_cli_narrow_beam_point_runs(tmp_path):

@@ -63,10 +63,9 @@ detectors = st.one_of(
 
 quadratures = st.builds(
     QuadratureSpec,
-    radial_nodes=st.integers(4, 256), radial_panels=st.integers(1, 64),
     polar_nodes=st.integers(1, 64), azimuth_nodes=st.integers(1, 64),
     dt=optional(positive), eps_tail=open_unit, t_cap=optional(positive),
-    rtol=positive, p_max=optional(finite))
+    rtol=positive)
 
 scenarios = st.builds(
     Scenario, emission=emissions, amplitude=amplitudes, detector=detectors,
@@ -131,8 +130,6 @@ OUT_OF_RANGE = {
     "detector.reference_solid_angle": ("point", nonpositive
                                        | real(min_value=4.0 * np.pi, exclude_min=True)),
     "coupling.k": ("sphere", nonpositive | real(min_value=1.0)),
-    "quadrature.radial_nodes": ("sphere", st.integers(max_value=3)),
-    "quadrature.radial_panels": ("sphere", st.integers(max_value=0)),
     "quadrature.polar_nodes": ("sphere", st.integers(max_value=0)),
     "quadrature.azimuth_nodes": ("sphere", st.integers(max_value=0)),
     "quadrature.dt": ("sphere", nonpositive),
