@@ -163,7 +163,9 @@ def _occupation_profile(evaluator: OccupationCurve, reach: float,
     """Profile of `evaluator`, whose tail criterion may fire once the slowest
     weighted component has travelled `reach`."""
     t_min = _stop_floor(evaluator.amp, source, reach, quad.t_cap)
-    tau, vals, cum, res = semiinfinite_profile(evaluator, quad, t_min_stop=t_min)
+    tau, vals, cum, res = semiinfinite_profile(
+        evaluator, quad, t_min_stop=t_min, full_mass=evaluator.full_mass,
+        band=evaluator.band, mass_error=evaluator.mass_error)
     return OccupationProfile(t0=source.t0, dt=quad.dt, tau=tau, values=vals,
                              cumulative=cum, result=res,
                              quad_error=evaluator.error_rel)

@@ -57,9 +57,11 @@ class QuadratureSpec:
 class SemiInfiniteResult:
     """Outcome of a tail-controlled integral over [t0, infinity).
 
-    `error_estimate` is the last window's contribution (the tail surrogate);
-    when `converged` it is bounded by eps_tail * value by construction.
-    `t_max` is the effective upper limit actually integrated to.
+    `error_estimate` is the certified bound on the mass past `t_max` when
+    the integral stopped on its known full mass, else the last window's
+    contribution (the tail surrogate); when `converged` it is bounded by
+    eps_tail * value by construction.  `t_max` is the effective upper limit
+    actually integrated to.
     """
 
     value: float
@@ -185,15 +187,25 @@ def differentiate_sampled(values, dt: float) -> np.ndarray:
     return out
 
 
-def semiinfinite_profile(f, spec: QuadratureSpec, *, t_min_stop: float = 0.0):
+def semiinfinite_profile(f, spec: QuadratureSpec, *, t_min_stop: float = 0.0,
+                         full_mass: float = np.inf, band: float = np.inf,
+                         mass_error=lambda tau: 0.0):
     """Integrate f(tau) >= 0 over [0, infinity) by window doubling.
 
-    The window [0, T] is extended in doublings until the last window
-    contributes less than eps_tail of the accumulated value for two
-    consecutive doublings (counted only past `t_min_stop`), or t_cap is hit
-    (converged=False then).  Within each window the rule is the composite
-    trapezoid at step `dt`; the step grows in later windows so each window
-    holds at most WINDOW_NODES_MAX samples.
+    The window [0, T] is extended in doublings.  When the integral of f over
+    the whole real line is known (`full_mass`), it stops after the first
+    window where that mass minus the running integral, plus its error
+    `mass_error(T)` and the rounding of the running sum, is at most eps_tail
+    of the running integral.  That certificate holds while the window step h
+    satisfies h * band < 2 pi, with f band-limited to frequencies |xi| <
+    `band`: the trapezoid sum of such an f over the whole line is its
+    integral exactly (Poisson summation), so full_mass minus the running
+    sum bounds the trapezoid mass still to come.  Otherwise the integral
+    stops once the last window contributes less than eps_tail of the
+    accumulated value for two consecutive doublings (counted only past
+    `t_min_stop`), or t_cap is hit (converged=False then).  Within each
+    window the rule is the composite trapezoid at step `dt`; the step grows
+    in later windows so each window holds at most WINDOW_NODES_MAX samples.
 
     Returns (tau_grid, f_values, cumulative, SemiInfiniteResult); the
     cumulative array holds the running integral at the grid nodes.
@@ -205,12 +217,12 @@ def semiinfinite_profile(f, spec: QuadratureSpec, *, t_min_stop: float = 0.0):
 
     taus = [np.array([0.0])]
     values = [np.asarray(f(np.array([0.0])), dtype=float)]
-    increments = [np.zeros(1)]
+    cumulative = [np.zeros(1)]
     total = 0.0
+    samples = 1
     last_value = float(values[0][0])
     t_lo, t_hi = 0.0, w0
     small_streak = 0
-    contribution = np.inf
     converged = False
 
     while True:
@@ -223,12 +235,22 @@ def semiinfinite_profile(f, spec: QuadratureSpec, *, t_min_stop: float = 0.0):
         left = np.concatenate(([last_value], vals[:-1]))
         incr = 0.5 * h * (left + vals)
         contribution = float(incr.sum())
-        total += contribution
+        # summed in order from the running total, so `total` is the
+        # cumulative's last entry to the bit
+        cumulative.append(np.cumsum(np.concatenate(([total], incr)))[1:])
+        total = float(cumulative[-1][-1])
+        error = abs(contribution)       # the tail surrogate, unless certified
+        samples += n
         taus.append(grid)
         values.append(vals)
-        increments.append(incr)
         last_value = float(vals[-1])
 
+        if h * band < 2.0 * np.pi:
+            certified = abs(full_mass - total) + mass_error(t_hi) \
+                + np.finfo(float).eps * samples * total
+            if certified <= spec.eps_tail * total:
+                error, converged = float(certified), True
+                break
         if t_hi >= t_min_stop and contribution <= spec.eps_tail * total:
             small_streak += 1
         else:
@@ -242,10 +264,10 @@ def semiinfinite_profile(f, spec: QuadratureSpec, *, t_min_stop: float = 0.0):
 
     tau_grid = np.concatenate(taus)
     f_values = np.concatenate(values)
-    cumulative = np.cumsum(np.concatenate(increments))
+    cumulative = np.concatenate(cumulative)
     # report the cumulative's own endpoint so downstream ratios reach 1 exactly
-    result = SemiInfiniteResult(value=float(cumulative[-1]),
-                                error_estimate=abs(contribution),
+    result = SemiInfiniteResult(value=total,
+                                error_estimate=error,
                                 t_max=float(tau_grid[-1]), converged=converged)
     return tau_grid, f_values, cumulative, result
 

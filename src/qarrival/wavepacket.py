@@ -294,7 +294,8 @@ def _radial_panels(amp: MomentumAmplitude, r_lo: float, r_hi: float, tau: float,
     and elapsed time tau: 8 nodes per period of the fastest phase
     p r - p^2 tau / 2m, at least `amp.radial_node_floor` nodes and
     `at_least` panels.  IntegrationError when the rule after its
-    _RADIAL_DOUBLINGS doublings would pass _RADIAL_BUDGET nodes."""
+    _RADIAL_DOUBLINGS doublings would pass _RADIAL_BUDGET nodes, as
+    `_radial_rule` lays them out between the table's knots."""
     p_lo, p_hi = amp.p_support
     # |d/dp (p r - p^2 tau / 2m)| = |r - p tau / m| at the support's corners, and |r|
     corners = np.subtract.outer([r_lo, r_hi], np.array([0.0, p_lo, p_hi]) * tau / mass)
@@ -302,12 +303,17 @@ def _radial_panels(amp: MomentumAmplitude, r_lo: float, r_hi: float, tau: float,
     periods = rate * (p_hi - p_lo) / (2.0 * np.pi)
     n_target = max(8.0 * periods, float(amp.radial_node_floor))
     panels = max(at_least, int(np.ceil(n_target / _RADIAL_NODES)))
-    nodes = panels * _RADIAL_NODES
-    if nodes * 2 ** _RADIAL_DOUBLINGS > _RADIAL_BUDGET:
+    # full panels alone bound the count from below; pieces split at knots add
+    # nodes, so the rule is laid out only when that bound fits
+    nodes = panels * 2 ** _RADIAL_DOUBLINGS * _RADIAL_NODES
+    if nodes <= _RADIAL_BUDGET:
+        nodes = gauss_legendre_panels(p_lo, p_hi, panels * 2 ** _RADIAL_DOUBLINGS,
+                                      _RADIAL_NODES, amp.knots)[0].size
+    if nodes > _RADIAL_BUDGET:
         raise IntegrationError(
             f"the radial rule at tau = {tau:.6g} would pass the budget of "
-            f"{_RADIAL_BUDGET} nodes: it starts at {nodes} and may double "
-            f"{_RADIAL_DOUBLINGS} times", estimate=float(nodes))
+            f"{_RADIAL_BUDGET} nodes: after its {_RADIAL_DOUBLINGS} doublings "
+            f"it holds at least {nodes}", estimate=float(nodes))
     return panels
 
 
@@ -481,6 +487,12 @@ class OccupationCurve:
     into the momentum coefficients directly; otherwise their phases
     exp(i p r) are compressed onto a Chebyshev basis in r, which keeps the
     time-by-momentum product small.
+
+    `full_mass` is the curve's integral over all tau, known without
+    sampling: psi is Sum_p c_p exp(-i omega_p tau) with omega_p = p^2 / 2m,
+    so by Plancherel the integral of |psi|^2 over the real line is
+    2 pi m Integral |c(p)|^2 / p dp.  `band` is the width omega_max -
+    omega_min of that spectrum, the frequency bound of the curve.
     """
 
     def __init__(self, amp: MomentumAmplitude, source: EmissionEvent,
@@ -517,6 +529,10 @@ class OccupationCurve:
         # early on, against the scale it leaves
         flight = source.mass * 0.5 * (self._r_lo + self._r_hi) / radial_moments(amp)[0]
         self(flight * np.array([0.7, 0.85, 1.0, 1.2, 1.5]))
+        self.band = (p_hi * p_hi - p_lo * p_lo) / (2.0 * source.mass)
+        self.full_mass, _, self._full_mass_residual = refine_by_doubling(
+            self._full_mass, _radial_panels(amp, self._r_lo, self._r_hi, 0.0, source.mass),
+            _RADIAL_DOUBLINGS, quad.rtol, "Plancherel mass")
 
     def _build(self, panels: int):
         p, base = _radial_rule(self.amp, panels)
@@ -531,13 +547,33 @@ class OccupationCurve:
             return omega, chan
         return omega, base[:, None] * np.exp(1j * np.outer(p - self._p_mid, self._r_nodes))
 
-    def _field_square(self, state, taus: np.ndarray) -> np.ndarray:
-        omega, coeffs = state
-        sums = _phase_sums(omega, taus, coeffs)           # (T, X) direct, or (T, C)
+    def _density(self, sums: np.ndarray) -> np.ndarray:
+        """Sum_x w_x |field_x|^2 of rows of per-point sums (direct fold) or
+        of Chebyshev-node sums (compressed fold)."""
         if self._mix is None:
             return (sums.real ** 2 + sums.imag ** 2) @ self._weights
         fields = sums @ self._mix_r                       # (T, C) @ (C, C)
         return (fields.real ** 2 + fields.imag ** 2).sum(axis=1)
+
+    def _field_square(self, state, taus: np.ndarray) -> np.ndarray:
+        omega, coeffs = state
+        return self._density(_phase_sums(omega, taus, coeffs))  # (T, X) or (T, C)
+
+    def _full_mass(self, panels: int) -> tuple[float, float]:
+        """The Plancherel sum 2 pi m Sum_p |c_p|^2 / (w_p p) of the radial
+        rule of `panels` panels (w_p its Gauss-Legendre weights), reduced
+        over the points like a sample."""
+        p_lo, p_hi = self.amp.p_support
+        p, w = gauss_legendre_panels(p_lo, p_hi, panels, _RADIAL_NODES, self.amp.knots)
+        _, coeffs = self._build(panels)
+        return 2.0 * np.pi * self.source.mass * float(
+            np.sum(self._density(coeffs) / (w * p))), 0.0
+
+    def mass_error(self, tau: float) -> float:
+        """Error of `full_mass` minus the running integral of the curve over
+        [0, tau]: the Plancherel sum's doubling residual plus `abs_error`
+        for every unit of tau."""
+        return self._full_mass_residual + self.abs_error * tau
 
     def __call__(self, taus: np.ndarray) -> np.ndarray:
         taus = np.atleast_1d(np.asarray(taus, dtype=float))

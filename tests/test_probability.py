@@ -5,8 +5,10 @@ import pytest
 
 import qarrival as qa
 from qarrival import GeometryError, IntegrationError, QuadratureSpec, TimeGridSpec
+from qarrival import probability as prob
 from qarrival import wavepacket as wp
 from qarrival.geometry import point_detector
+from qarrival.quadrature import semiinfinite_profile
 
 from conftest import tabulated_gaussian_amplitude
 
@@ -210,6 +212,43 @@ def test_unconverged_denominator_surfaces(iso_amp, standard_det, source):
     curve = qa.build_entry_curve(iso_amp, standard_det, source, tight,
                                  allow_unconverged=True)
     assert not curve.denominator.converged
+
+
+def stopped_profiles(amp, det, source, quad=QuadratureSpec()):
+    """A run's occupation profile result, and that of the same profile with
+    the Plancherel certificate off (`full_mass` unknown), on fresh curves."""
+    p_direction = qa.direction_probability(amp, det, source, quad)
+    quad = prob.resolve_time_controls(amp, source, det.distance, det.extent_along_axis,
+                                      quad, 1.0 if det.kind == "point" else p_direction)
+    reach = det.distance + 0.5 * det.extent_along_axis
+    on = prob._occupation_profile(wp.detector_occupation(amp, det, source, quad),
+                                  reach, source, quad)
+    off = semiinfinite_profile(wp.detector_occupation(amp, det, source, quad), quad,
+                               t_min_stop=prob._stop_floor(amp, source, reach, quad.t_cap))
+    return on.result, off[3]
+
+
+@pytest.mark.parametrize("case", ["iso", "sep", "tab", "narrow"])
+def test_profile_stops_on_plancherel_certificate(iso_amp, sep_amp, narrow_amp,
+                                                 standard_det, source, case):
+    # the benchmark's scenarios: the certificate fires within the first
+    # windows, where the two-window rule runs four times as long
+    amp, det = {"iso": (iso_amp, standard_det), "sep": (sep_amp, standard_det),
+                "tab": (tabulated_gaussian_amplitude(),
+                        point_detector([0.0, 0.0, 30.0], source)),
+                "narrow": (narrow_amp, point_detector([0.0, 0.0, 100.0], source))}[case]
+    on, off = stopped_profiles(amp, det, source)
+    assert on.converged and off.converged
+    assert on.t_max <= off.t_max / 4.0 * (1.0 + 1e-12)
+    assert off.value - on.value <= on.error_estimate <= QuadratureSpec().eps_tail * on.value
+
+
+def test_profile_falls_back_to_two_window_rule(iso_amp, source):
+    # two widths of the emitted packet from the source, the occupation holds
+    # mass before the emission, which the full mass counts too
+    on, off = stopped_profiles(iso_amp, point_detector([0.0, 0.0, 2.0], source), source)
+    assert on.converged
+    assert on == off
 
 
 def test_time_before_emission_rejected(iso_amp, standard_det, source):

@@ -85,6 +85,28 @@ def test_profile_cumulative_endpoint_matches_value():
     assert cumulative[-1] == res.value
 
 
+def test_profile_stops_on_known_full_mass():
+    # the trapezoid sum of exp(-t) at step h over [0, inf) is (h/2) coth(h/2):
+    # known, it stops the profile after the second window, where the
+    # two-window rule needs four
+    spec = QuadratureSpec(dt=0.01, t_cap=1000.0)
+    full = 0.005 / np.tanh(0.005)
+    _, _, _, ref = semiinfinite_profile(lambda t: np.exp(-t), spec)
+    _, _, cumulative, res = semiinfinite_profile(lambda t: np.exp(-t), spec,
+                                                 full_mass=full, band=0.0)
+    assert ref.converged and ref.t_max == pytest.approx(81.92)
+    assert res.converged and res.t_max == pytest.approx(20.48)
+    assert res.value == cumulative[-1]
+    assert ref.value - res.value <= full - res.value <= res.error_estimate
+    assert res.error_estimate <= spec.eps_tail * res.value
+    # a step too coarse for the band, an error above eps_tail, or no known
+    # mass keeps the two-window rule
+    for kwargs in ({"full_mass": full, "band": 2.0 * np.pi / 0.01},
+                   {"full_mass": full, "band": 0.0, "mass_error": lambda tau: 1e-3},
+                   {"band": 0.0}):
+        assert semiinfinite_profile(lambda t: np.exp(-t), spec, **kwargs)[3] == ref
+
+
 def test_volume_identity(source):
     spec = QuadratureSpec()
     sphere = sphere_detector([0.0, 0.0, 20.0], 0.5, source)

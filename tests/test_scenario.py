@@ -638,7 +638,7 @@ def test_cli_strict_closure_residual(tmp_path, capsys):
     path = tmp_path / "scn.txt"
     path.write_text("amplitude.sigma_p = 0.05\ndetector.kind = point\n"
                     "detector.position = 0 0 100\ncoupling.k = 0.5\n"
-                    "grid.dt = 60\n")
+                    "grid.dt = 60\ngrid.t_end = 180\n")
     assert cli_main(["run", str(path), "--out", str(tmp_path / "lax")]) == 0
     summary = json.loads((tmp_path / "lax" / "summary.json").read_text())
     assert summary["converged"] is True
@@ -663,7 +663,7 @@ def test_cli_closure_underflow_is_numerical_error(tmp_path, capsys):
     path = tmp_path / "scn.txt"
     path.write_text("amplitude.sigma_p = 0.05\ndetector.kind = point\n"
                     "detector.position = 0 0 100\ncoupling.k = 0.99\n"
-                    "grid.dt = 60\n")
+                    "grid.dt = 60\ngrid.t_end = 180\n")
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "numerical error: detector propagation" in capsys.readouterr().err
 

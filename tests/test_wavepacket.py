@@ -4,8 +4,12 @@ import pytest
 import qarrival as qa
 from qarrival import NormalizationError, QuadratureSpec
 from qarrival import wavepacket as wp
+from qarrival import probability as prob
+from qarrival.errors import IntegrationError
 from qarrival.geometry import point_detector
-from qarrival.quadrature import cap_directions, volume_grid
+from qarrival.quadrature import cap_directions, semiinfinite_profile, volume_grid
+
+from conftest import tabulated_gaussian_amplitude
 
 TWO_PI_32 = (2.0 * np.pi) ** 1.5
 
@@ -263,3 +267,38 @@ def test_radial_estimator_self_consistency(iso_amp, source):
     fixed = weights @ np.exp(1j * (20.0 * p - 2.0 * p * p))
     for other in (finer, fixed):
         assert abs(base - other) <= 2.0 * QuadratureSpec().rtol * abs(base)
+
+
+@pytest.mark.parametrize("kind, nodes", [("point", 8), ("volume", 2), ("volume", 8)])
+def test_full_mass_is_the_profile_total(iso_amp, narrow_amp, standard_det, source,
+                                        kind, nodes):
+    # Plancherel: far from the source the occupation holds no mass before
+    # emission, so the integral over all times is the forward profile's;
+    # the point folds its channel directly, the volume both ways
+    amp, det = ((narrow_amp, point_detector([0.0, 0.0, 100.0], source)) if kind == "point"
+                else (iso_amp, standard_det))
+    quad = prob.resolve_time_controls(amp, source, det.distance, det.extent_along_axis,
+                                      QuadratureSpec(polar_nodes=nodes,
+                                                     azimuth_nodes=nodes))
+    curve = wp.detector_occupation(amp, det, source, quad)
+    assert (curve._mix is None) == (nodes == 2 or kind == "point")
+    res = semiinfinite_profile(curve, quad, t_min_stop=50.0)[3]
+    assert res.t_max > 100.0
+    assert curve.full_mass == pytest.approx(res.value, rel=1e-12)
+
+
+def test_radial_budget_counts_nodes_between_knots(source):
+    # the 1,601-knot table at r = 20, tau = 4: 150 panels, whose rule holds
+    # 6,840 nodes and 39,872 after three doublings, not 150 * 32 * 8
+    amp = tabulated_gaussian_amplitude()
+    panels = wp._radial_panels(amp, 20.0, 20.0, 4.0, source.mass)
+    assert panels == 150
+    assert wp._radial_rule(amp, panels)[0].size == 6840
+    assert wp._radial_rule(amp, 8 * panels)[0].size == 39872
+    # 10,923 knots ask for 1,024 panels: 262,144 nodes after three doublings
+    # in full panels, but every knot splits one, so the rule would hold more
+    grid = np.linspace(1.0, 9.0, 10923)
+    dense = wp.tabulated(grid, np.exp(-((grid - 5.0) ** 2)), normalized=False)
+    assert 32 * 8 * -(-dense.radial_node_floor // 32) == 2 ** 18
+    with pytest.raises(IntegrationError, match="budget of 262144 nodes"):
+        wp._radial_panels(dense, 20.0, 20.0, 0.0, source.mass)
