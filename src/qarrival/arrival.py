@@ -40,7 +40,7 @@ class ArrivalTimeStats:
     spread: float | None = None
 
     def write_csv(self, path):
-        write_columns_csv(path, "t,density", self.t, self.density)
+        return write_columns_csv(path, "t,density", self.t, self.density)
 
 
 def stats_from_samples(taus, values, t0: float = 0.0,

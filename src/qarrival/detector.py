@@ -81,9 +81,9 @@ class CouplingSchedule:
         return float(np.interp(t, self.t, self.angle))
 
     def write_csv(self, path):
-        write_columns_csv(path, "t,rate,angle,p_registered,entry_rate", self.t,
-                          self.rate, self.angle, np.sin(self.angle) ** 2,
-                          self.entry_rate)
+        return write_columns_csv(path, "t,rate,angle,p_registered,entry_rate", self.t,
+                                 self.rate, self.angle, np.sin(self.angle) ** 2,
+                                 self.entry_rate)
 
 
 def coupling_schedule(curve: EntryProbabilityCurve, k: float) -> CouplingSchedule:

@@ -86,19 +86,22 @@ class EntryProbabilityCurve:
         return float(self.t[1] - self.t[0]) if self.t.size > 1 else 0.0
 
     def write_csv(self, path):
-        write_columns_csv(path, "t,p_conditional,p_entry", self.t,
-                          self.p_conditional, self.p_entry)
+        return write_columns_csv(path, "t,p_conditional,p_entry", self.t,
+                                 self.p_conditional, self.p_entry)
 
 
-def write_columns_csv(path, header: str, *columns: np.ndarray):
-    """CSV of float columns at %.17g, formatted and written _CSV_BLOCK rows at
-    a time so the text in memory never exceeds one block."""
+def write_columns_csv(path, header: str, *columns: np.ndarray) -> str | None:
+    """CSV of float columns at %.17g, formatted _CSV_BLOCK rows at a time.
+    Written to `path` a block at a time, so the text in memory never exceeds
+    one block; with `path` None, the whole text is returned instead."""
     row = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    body = ("".join(map(row.format, *(c[lo:lo + _CSV_BLOCK].tolist() for c in columns)))
+            for lo in range(0, len(columns[0]), _CSV_BLOCK))
+    if path is None:
+        return header + "\n" + "".join(body)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for lo in range(0, len(columns[0]), _CSV_BLOCK):
-            fh.write("".join(map(row.format, *(c[lo:lo + _CSV_BLOCK].tolist()
-                                              for c in columns))))
+        fh.writelines(body)
 
 
 def resolve_time_controls(amp: MomentumAmplitude, source: EmissionEvent,

@@ -306,9 +306,13 @@ def emit_scenario(s: Scenario) -> str:
     return "".join(lines)
 
 
-def write_scenario(s: Scenario, path):
+def _write_text(path, text: str):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(emit_scenario(s))
+        fh.write(text)
+
+
+def write_scenario(s: Scenario, path):
+    _write_text(path, emit_scenario(s))
 
 
 # --- building the physics objects -------------------------------------------
@@ -386,22 +390,20 @@ def make_detector(s: Scenario, source: EmissionEvent) -> DetectorGeometry | None
 
 # --- running -----------------------------------------------------------------
 
-def check_scenario(s: Scenario) -> tuple:
-    """Source, amplitude and detector geometry (a point's too) of a scenario
-    whose output grid can hold the 3 samples a run needs.
+# the stages of a run in order; each reads the scenario and the stages before it
+_STAGES = ("amplitude", "detector", "profile", "arrival", "curve", "schedule")
+# each output CSV with the stage whose result writes it
+_FILES = (("entry_curve.csv", "curve"), ("schedule.csv", "schedule"),
+          ("arrival.csv", "arrival"))
 
-    The grid check runs before any occupation profile, on bounds: the end
-    is grid.t_end when set, else the time cap (t_max <= t_cap), and the
-    step is grid.dt when set, else the finest one the time controls resolve
-    for any direction factor.  `_curve_from_profile` repeats it exactly.
-    """
-    source = make_source(s)
-    amp = make_amplitude(s)
-    det = make_detector(s, source)
-    if det is None:
-        with _named("detector.position"):
-            det = point_detector(s.detector.position, source,
-                                 s.detector.reference_solid_angle)
+
+def _check_grid(s: Scenario, source: EmissionEvent, amp: wp.MomentumAmplitude,
+                det: DetectorGeometry):
+    """Refuse an output grid that cannot hold the 3 samples a run needs, on
+    bounds: the end is grid.t_end when set, else the time cap (t_max <= t_cap),
+    and the step is grid.dt when set, else the finest one the time controls
+    resolve for any direction factor.  `_curve_from_profile` repeats it on
+    the profile's own end."""
     # a direction bound of 1 gives the finest step; 0 the coarsest, so the latest cap
     fine, coarse = (prob_mod.resolve_time_controls(amp, source, det.distance,
                                                    det.extent_along_axis,
@@ -409,14 +411,63 @@ def check_scenario(s: Scenario) -> tuple:
                     for bound in (1.0, 0.0))
     prob_mod._grid_steps(s.grid, source.t0, fine.dt, coarse.t_cap, min_samples=3,
                          quad=s.quadrature)
+
+
+def _classical_flight(source: EmissionEvent, amp: wp.MomentumAmplitude,
+                      det: DetectorGeometry) -> float | None:
+    return None if amp.exposed_p0 is None else source.mass * det.distance / amp.exposed_p0
+
+
+def _prepare(s: Scenario, until: str = "schedule", shared: dict | None = None) -> dict:
+    """The results of the stages of a run of `s` before stage `until`, by
+    name: those in `shared` as they are, the others computed in order (the
+    curve before the arrival statistics; both read only the profile).
+
+    amplitude: source and amplitude; detector: its geometry (a point's too);
+    profile: direction factor and occupation profile, after `_check_grid`;
+    curve: the entry curve; arrival: statistics of a point, None for a
+    volume or when they did not converge.
+    """
+    r = dict(shared or {})
+    todo = [stage for stage in _STAGES[:_STAGES.index(until)] if stage not in r]
+    if "amplitude" in todo:
+        r["amplitude"] = make_source(s), make_amplitude(s)
+    if "detector" in todo:
+        source = r["amplitude"][0]
+        r["detector"] = make_detector(s, source)
+        if r["detector"] is None:
+            with _named("detector.position"):
+                r["detector"] = point_detector(s.detector.position, source,
+                                               s.detector.reference_solid_angle)
+    if "profile" in todo:
+        (source, amp), det = r["amplitude"], r["detector"]
+        _check_grid(s, source, amp, det)
+        r["profile"] = prob_mod._occupation(amp, det, source, s.quadrature)
+    if "curve" in todo:
+        p_direction, profile = r["profile"]
+        r["curve"] = prob_mod._curve_from_profile(profile, p_direction, s.grid,
+                                                  point_detector=s.is_point,
+                                                  allow_unconverged=True, min_samples=3,
+                                                  quad=s.quadrature)
+    if "arrival" in todo:
+        r["arrival"] = None
+        if s.is_point:
+            try:
+                r["arrival"] = arrival_mod._stats_from_profile(
+                    r["profile"][1], _classical_flight(*r["amplitude"], r["detector"]))
+            except IntegrationError:
+                pass
+    return r
+
+
+def check_scenario(s: Scenario) -> tuple:
+    """Source, amplitude and detector geometry (a point's too) of a scenario
+    whose output grid can hold the 3 samples a run needs (`_check_grid`),
+    checked before any occupation profile."""
+    r = _prepare(s, "profile")
+    (source, amp), det = r["amplitude"], r["detector"]
+    _check_grid(s, source, amp, det)
     return source, amp, det
-
-
-def _prepare(s: Scenario) -> tuple:
-    """Source, amplitude, detector geometry, direction factor and occupation
-    profile: all a run computes before its output grid."""
-    source, amp, det = check_scenario(s)
-    return (source, amp, det, *prob_mod._occupation(amp, det, source, s.quadrature))
 
 
 def run_scenario(s: Scenario, out_dir) -> dict:
@@ -429,31 +480,22 @@ def run_scenario(s: Scenario, out_dir) -> dict:
     return _run(s, out_dir)
 
 
-def _run(s: Scenario, out_dir, prepared: tuple | None = None) -> dict:
-    """`run_scenario`, from a sweep's shared `_prepare` result if given."""
+def _run(s: Scenario, out_dir, prepared: dict | None = None) -> dict:
+    """`run_scenario`, from the stages a sweep shares in `prepared`: `_prepare`
+    results, plus the text of each file (by name) that they write."""
     os.makedirs(out_dir, exist_ok=True)
-    source, amp, det, p_direction, profile = prepared or _prepare(s)
-    curve = prob_mod._curve_from_profile(profile, p_direction, s.grid,
-                                         point_detector=s.is_point,
-                                         allow_unconverged=True, min_samples=3,
-                                         quad=s.quadrature)
-    classical = None if amp.exposed_p0 is None \
-        else source.mass * det.distance / amp.exposed_p0
-    arrival_stats = None
-    arrival_converged = True
-    if s.is_point:
-        try:
-            arrival_stats = arrival_mod._stats_from_profile(profile, classical)
-        except IntegrationError:
-            arrival_converged = False
-
-    sched = detector_mod.coupling_schedule(curve, s.coupling_k)
+    r = _prepare(s, shared=prepared)
+    (source, amp), det = r["amplitude"], r["detector"]
+    curve, arrival_stats = r["curve"], r["arrival"]
+    sched = r["schedule"] = detector_mod.coupling_schedule(curve, s.coupling_k)
     closure = detector_mod.ode_consistency(sched)
 
-    curve.write_csv(os.path.join(out_dir, "entry_curve.csv"))
-    sched.write_csv(os.path.join(out_dir, "schedule.csv"))
-    if arrival_stats is not None:
-        arrival_stats.write_csv(os.path.join(out_dir, "arrival.csv"))
+    for name, stage in _FILES:
+        path = os.path.join(out_dir, name)
+        if name in r:
+            _write_text(path, r[name])
+        elif r[stage] is not None:
+            r[stage].write_csv(path)
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -469,7 +511,7 @@ def _run(s: Scenario, out_dir, prepared: tuple | None = None) -> dict:
         "p_entry_final": float(curve.p_entry[-1]),
         "p_registered_final": float(np.sin(sched.angle[-1]) ** 2),
         "mean_arrival": None if arrival_stats is None else arrival_stats.mean_time,
-        "classical_flight": classical,
+        "classical_flight": _classical_flight(source, amp, det),
         "dt": curve.dt,
         "t_max": curve.denominator.t_max,
         "denominator": curve.denominator.as_dict(),
@@ -478,12 +520,10 @@ def _run(s: Scenario, out_dir, prepared: tuple | None = None) -> dict:
         "quad_error": curve.quad_error,
         "consistency_residual_max": closure["consistency_residual_max"],
         "unitarity_residual_max": closure["unitarity_residual_max"],
-        "converged": bool(curve.denominator.converged and arrival_converged),
+        "converged": bool(curve.denominator.converged
+                          and (arrival_stats is not None or not s.is_point)),
     }
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_text(os.path.join(out_dir, "summary.json"), json.dumps(summary, indent=2) + "\n")
     return summary
 
 
@@ -505,17 +545,21 @@ class SweepSpec:
                                                 "row needs its own value")
 
 
-# scalar keys a sweep may set, plus detector.distance: the source-detector
-# separation, moving a sphere's center or a point along the line of sight
-_SWEEPABLE = frozenset({
-    "coupling.k", "emission.mass", "emission.t0", "amplitude.p0", "amplitude.sigma_p",
-    "amplitude.angular_sigma", "detector.radius", "detector.half_angle",
-    "quadrature.dt", "quadrature.t_cap", "quadrature.eps_tail", "grid.dt",
-    "grid.t_end", "detector.distance"})
-# sweepable keys that change neither the direction factor nor the occupation
-# profile (k scales the schedule; the output grid is laid out from the
-# profile), so a sweep over one computes its template's profile once
-_PROFILE_INVARIANT = frozenset({"coupling.k", "grid.dt", "grid.t_end"})
+# every scalar key a sweep may set, plus detector.distance (the source-detector
+# separation, moving a sphere's center or a point along the line of sight),
+# with the first stage of a run it changes; a sweep computes the stages
+# before that one once, from its template
+_SWEEPABLE = {
+    "emission.mass": "amplitude", "emission.t0": "amplitude",
+    "amplitude.p0": "amplitude", "amplitude.sigma_p": "amplitude",
+    "amplitude.angular_sigma": "amplitude",
+    "detector.radius": "detector", "detector.half_angle": "detector",
+    "detector.distance": "detector",
+    "quadrature.dt": "profile", "quadrature.t_cap": "profile",
+    "quadrature.eps_tail": "profile",
+    "grid.dt": "curve", "grid.t_end": "curve",
+    "coupling.k": "schedule",
+}
 _SWEEP_KEYS = ("sweep.scenario", "sweep.parameter", "sweep.values")
 
 
@@ -576,7 +620,7 @@ _SWEEP_COLUMNS = ("parameter", "value", "status", "error", "p_direction",
 
 
 def _sweep_row(template: Scenario, parameter: str, out_dir, value: float,
-               prepared: tuple | None) -> dict:
+               prepared: dict | None) -> dict:
     """Run one sweep row, from `prepared` if given; failures are recorded."""
     row = {"parameter": parameter, "value": value, "status": "ok", "error": ""}
     try:
@@ -593,6 +637,20 @@ def _sweep_row(template: Scenario, parameter: str, out_dir, value: float,
     return row
 
 
+# a sweep worker's shared stages: set once as the worker starts, so that under
+# fork it inherits them instead of unpickling them with every row
+_WORKER_PREPARED: dict | None = None
+
+
+def _init_worker(prepared: dict | None):
+    global _WORKER_PREPARED
+    _WORKER_PREPARED = prepared
+
+
+def _worker_row(template: Scenario, parameter: str, out_dir, value: float) -> dict:
+    return _sweep_row(template, parameter, out_dir, value, _WORKER_PREPARED)
+
+
 def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -602,22 +660,24 @@ def _usable_cores() -> int:
 def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
     """One scenario run per value; rows are independent and sorted by value.
 
-    Per-row failures are recorded in the row and the sweep continues.  A
-    `_PROFILE_INVARIANT` sweep computes the template's profile here, before
-    any worker starts, and passes it to every row (if that fails, each row
-    runs on its own).  With jobs > 1 the rows run in at most
+    Per-row failures are recorded in the row and the sweep continues.  The
+    stages of a run before the first one the swept key changes (`_SWEEPABLE`)
+    are computed here from the template, with the text of the files they
+    write, before any worker starts; every row reads them (if that fails,
+    each row runs on its own).  With jobs > 1 the rows run in at most
     min(jobs, rows, usable cores) worker processes (fork where the platform
     has it); rows whose worker died are recorded as errors.
     """
     template = parse_scenario(spec.scenario_path)
     values = sorted(spec.values)
     os.makedirs(out_dir, exist_ok=True)
-    prepared = None
-    if spec.parameter in _PROFILE_INVARIANT:
-        try:
-            prepared = _prepare(template)
-        except Exception:  # noqa: BLE001 - the rows record it
-            pass
+    try:
+        prepared = _prepare(template, _SWEEPABLE[spec.parameter])
+        for name, stage in _FILES:
+            if prepared.get(stage) is not None:
+                prepared[name] = prepared[stage].write_csv(None)
+    except Exception:  # noqa: BLE001 - the rows record it
+        prepared = None
 
     workers = min(jobs, len(values), _usable_cores())
     if workers > 1:
@@ -631,9 +691,10 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
 
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context(method)) as pool:
-            futures = [pool.submit(_sweep_row, template, spec.parameter, out_dir,
-                                   v, prepared) for v in values]
+                                 mp_context=multiprocessing.get_context(method),
+                                 initializer=_init_worker, initargs=(prepared,)) as pool:
+            futures = [pool.submit(_worker_row, template, spec.parameter, out_dir, v)
+                       for v in values]
             rows = []
             for value, future in zip(values, futures):
                 try:

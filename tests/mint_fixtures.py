@@ -5,6 +5,11 @@ from the brute-force oracle implementations, computed by this script before
 the values were pinned.  Run from the repository root:
 
     python tests/mint_fixtures.py
+
+A re-mint is bit-identical only on the BLAS build that minted the fixtures:
+the oracle's dense sums go through BLAS matrix products, whose summation
+order depends on the build.  Under numpy 2.4.6 with OpenBLAS, 13 of the 21
+values move in their trailing digits, each within its error estimate.
 """
 
 import os

@@ -163,3 +163,12 @@ def test_row_budget_after_profile_names_key(grid, quad, key):
     with pytest.raises(qa.ScenarioError) as err:
         prob._curve_from_profile(profile, 1.0, grid, True, min_samples=3, quad=quad)
     assert err.value.field == key
+
+
+def test_library_path_refuses_tiny_step_after_profile(iso_amp, source):
+    # build_entry_curve runs no bound check before its profile; the exact
+    # check after it refuses the 2^33 + 1 rows a step of 1e-9 would lay out
+    with pytest.raises(qa.ScenarioError) as err:
+        qa.build_entry_curve(iso_amp, point_detector([0.0, 0.0, 20.0], source), source,
+                             qa.QuadratureSpec(dt=1e-9))
+    assert err.value.field == "quadrature.dt"

@@ -306,9 +306,12 @@ def test_volume_run_has_no_arrival_csv(tmp_path):
 
 
 @pytest.mark.parametrize("parameter, value", [("coupling.k", "0.5"),
-                                              ("grid.dt", "0.25")])
+                                              ("grid.dt", "0.25"),
+                                              ("grid.t_end", "30"),
+                                              ("quadrature.dt", "0.02")])
 def test_sweep_single_value_equals_run(tmp_path, parameter, value):
-    # the row runs on the template's shared profile, the single run on its own
+    # the row runs on the stages it shares with the template, the single run
+    # computes its own
     (tmp_path / "scn.txt").write_text(POINT_FAST)
     (tmp_path / "sweep.txt").write_text(
         "sweep.scenario = scn.txt\n"
@@ -331,6 +334,7 @@ def test_sweep_single_value_equals_run(tmp_path, parameter, value):
 @pytest.mark.parametrize("parameter, values, profiles", [
     ("coupling.k", "0.25 0.5 0.75", 1),
     ("grid.dt", "0.1 0.2 0.4", 1),
+    ("grid.t_end", "25 30 40", 1),
     ("detector.distance", "50 100 150", 3),
 ])
 def test_sweep_profile_count(tmp_path, monkeypatch, parameter, values, profiles):
@@ -342,6 +346,56 @@ def test_sweep_profile_count(tmp_path, monkeypatch, parameter, values, profiles)
     rows = qa.run_sweep(qa.parse_sweep(tmp_path / "sweep.txt"), tmp_path / "out")
     assert [row["status"] for row in rows] == ["ok"] * 3
     assert len(calls) == profiles
+
+
+def count_csv_formats(monkeypatch) -> list:
+    """Record the header of each CSV the pipeline formats, whether it is
+    written to a file or returned as text."""
+    real = prob_mod.write_columns_csv
+    headers = []
+
+    def counted(path, header, *columns):
+        headers.append(header)
+        return real(path, header, *columns)
+
+    for mod in (prob_mod, arrival_mod, detector_mod):
+        monkeypatch.setattr(mod, "write_columns_csv", counted)
+    return headers
+
+
+def test_coupling_sweep_formats_shared_files_once(tmp_path, monkeypatch):
+    headers = count_csv_formats(monkeypatch)
+    (tmp_path / "scn.txt").write_text(POINT_FAST)
+    (tmp_path / "sweep.txt").write_text(
+        "sweep.scenario = scn.txt\nsweep.parameter = coupling.k\n"
+        "sweep.values = 0.25 0.5 0.75\n")
+    rows = qa.run_sweep(qa.parse_sweep(tmp_path / "sweep.txt"), tmp_path / "out", jobs=1)
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    # entry curve and arrival once, in the sweep; the schedule once per row
+    assert sorted(headers) == ["t,density", "t,p_conditional,p_entry"] \
+        + ["t,rate,angle,p_registered,entry_rate"] * 3
+    for k in ("0.25", "0.5", "0.75"):
+        qa.run_scenario(qa.parse_scenario_text(POINT_FAST + f"coupling.k = {k}\n"),
+                        tmp_path / "single" / k)
+        assert _tree_bytes(tmp_path / "out" / f"coupling.k={k}") \
+            == _tree_bytes(tmp_path / "single" / k)
+
+
+def test_grid_sweep_rows_share_arrival_csv(tmp_path):
+    # the arrival statistics are read off the profile, not the output grid
+    (tmp_path / "scn.txt").write_text(POINT_FAST)
+    (tmp_path / "sweep.txt").write_text(
+        "sweep.scenario = scn.txt\nsweep.parameter = grid.dt\n"
+        "sweep.values = 0.1 0.2 0.4\n")
+    rows = qa.run_sweep(qa.parse_sweep(tmp_path / "sweep.txt"), tmp_path / "out")
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    qa.run_scenario(qa.parse_scenario_text(POINT_FAST + "grid.dt = 0.2\n"),
+                    tmp_path / "single")
+    single = (tmp_path / "single" / "arrival.csv").read_bytes()
+    for dt in (0.1, 0.2, 0.4):
+        assert (tmp_path / "out" / f"grid.dt={dt:.17g}" / "arrival.csv").read_bytes() == single
+    assert _tree_bytes(tmp_path / "out" / f"grid.dt={0.2:.17g}") \
+        == _tree_bytes(tmp_path / "single")
 
 
 def test_shared_profile_failure_recorded_in_every_row(tmp_path):
@@ -444,7 +498,7 @@ class _RecordingExecutor:
 
     started: list = []
 
-    def __init__(self, max_workers, mp_context=None):
+    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
         self.started.append(max_workers)
 
     def __enter__(self):
@@ -471,7 +525,7 @@ def test_sweep_worker_count_is_bounded(tmp_path, monkeypatch, jobs, n_values, co
     monkeypatch.setattr(_RecordingExecutor, "started", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
     monkeypatch.setattr(scenario_mod, "_usable_cores", lambda: cores)
-    monkeypatch.setattr(scenario_mod, "_prepare", lambda s: None)
+    monkeypatch.setattr(scenario_mod, "_prepare", lambda s, until: {})
     monkeypatch.setattr(scenario_mod, "_run", lambda s, out_dir, prepared: {
         name: 0.0 for name in ("p_direction", "p_entry_final", "p_registered_final",
                                "mean_arrival", "classical_flight", "t_max",

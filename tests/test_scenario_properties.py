@@ -162,7 +162,7 @@ def test_out_of_range_value_names_key(case):
 
 
 @EXAMPLES
-@given(out_of_range(set(OUT_OF_RANGE) & _SWEEPABLE))
+@given(out_of_range(set(OUT_OF_RANGE) & _SWEEPABLE.keys()))
 def test_out_of_range_sweep_value_names_key(case):
     key, value = case
     template = qa.parse_scenario_text(TEMPLATES[OUT_OF_RANGE[key][0]])
