@@ -4,8 +4,7 @@ detector dynamics, and arrival-time statistics (natural units, hbar = 1)."""
 from .errors import GeometryError, IntegrationError, NormalizationError, ScenarioError
 from .geometry import (EmissionEvent, DetectorGeometry, sphere_detector,
                        cap_detector, solid_angle, ray_hits_detector)
-from .quadrature import (QuadratureSpec, SemiInfiniteResult,
-                         integrate_time_semiinfinite, integrate_volume,
+from .quadrature import (QuadratureSpec, SemiInfiniteResult, integrate_volume,
                          differentiate_sampled)
 from .wavepacket import (MomentumAmplitude, AngularComponentRequest,
                          isotropic_gaussian, separable_gaussian, tabulated,
@@ -30,8 +29,8 @@ __all__ = [
     "GeometryError", "IntegrationError", "NormalizationError", "ScenarioError",
     "EmissionEvent", "DetectorGeometry", "sphere_detector", "cap_detector",
     "solid_angle", "ray_hits_detector",
-    "QuadratureSpec", "SemiInfiniteResult", "integrate_time_semiinfinite",
-    "integrate_volume", "differentiate_sampled",
+    "QuadratureSpec", "SemiInfiniteResult", "integrate_volume",
+    "differentiate_sampled",
     "MomentumAmplitude", "AngularComponentRequest", "isotropic_gaussian",
     "separable_gaussian", "tabulated", "normalize", "momentum_norm_squared",
     "eval_angular_component", "eval_detector_wavefunction",

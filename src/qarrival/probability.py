@@ -27,6 +27,7 @@ from .wavepacket import MomentumAmplitude, OccupationCurve, _cone_angular_mass, 
 _NORM_TOL = 1e-6
 _CSV_BLOCK = 4096      # rows formatted per write in write_columns_csv
 _MAX_GRID_ROWS = 2 ** 22   # output samples; default time controls need <= 2,000,001
+_VANISHES = "detector occupation vanishes; the entry ratio is undefined"
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class EntryProbabilityCurve:
     """Sampled entry probabilities on a uniform time grid from t0.
 
     `denominator` is the occupation normalizer; its `t_max` is absolute, as
-    in `ArrivalTimeStats.normalizer` and `integrate_time_semiinfinite`.
+    in `ArrivalTimeStats.normalizer`.
     p_entry = p_direction * p_conditional holds pointwise by construction;
     p_entry is nondecreasing, starts at 0, and stays within [0, 1].  A curve
     that breaks these invariants comes from a failed integration, so the
@@ -138,15 +139,6 @@ def resolve_time_controls(amp: MomentumAmplitude, source: EmissionEvent,
     return replace(quad, dt=dt, t_cap=float(max(t_cap, 4.0 * dt)))
 
 
-def _stop_floor(amp: MomentumAmplitude, source: EmissionEvent, reach: float,
-                t_cap: float) -> float:
-    """Earliest elapsed time at which the tail criterion may fire: past the
-    arrival of the slowest momentum component that carries any weight."""
-    lo, _ = amp.p_support
-    p_floor = max(lo, radial_moments(amp)[0] / 50.0)
-    return min(source.mass * reach / p_floor, 0.5 * t_cap)
-
-
 @dataclass
 class OccupationProfile:
     """Internal: sampled occupation integrand with its running integral and
@@ -161,14 +153,15 @@ class OccupationProfile:
     quad_error: float
 
 
-def _occupation_profile(evaluator: OccupationCurve, reach: float,
-                        source: EmissionEvent, quad: QuadratureSpec) -> OccupationProfile:
-    """Profile of `evaluator`, whose tail criterion may fire once the slowest
-    weighted component has travelled `reach`."""
-    t_min = _stop_floor(evaluator.amp, source, reach, quad.t_cap)
+def _occupation_profile(evaluator: OccupationCurve, source: EmissionEvent,
+                        quad: QuadratureSpec) -> OccupationProfile:
+    """Profile of `evaluator`, certified by its Plancherel mass; an error
+    before any window when that mass is within its own error of 0."""
+    if evaluator.full_mass <= evaluator.mass_error(0.0):
+        raise IntegrationError(_VANISHES, estimate=evaluator.full_mass)
     tau, vals, cum, res = semiinfinite_profile(
-        evaluator, quad, t_min_stop=t_min, full_mass=evaluator.full_mass,
-        band=evaluator.band, mass_error=evaluator.mass_error)
+        evaluator, quad, full_mass=evaluator.full_mass, band=evaluator.band,
+        mass_error=evaluator.mass_error)
     return OccupationProfile(t0=source.t0, dt=quad.dt, tau=tau, values=vals,
                              cumulative=cum, result=res,
                              quad_error=evaluator.error_rel)
@@ -176,9 +169,7 @@ def _occupation_profile(evaluator: OccupationCurve, reach: float,
 
 def _checked_denominator(profile: OccupationProfile, allow_unconverged: bool):
     if profile.result.value <= 0.0:
-        raise IntegrationError(
-            "detector occupation vanishes; the entry ratio is undefined",
-            estimate=profile.result.error_estimate)
+        raise IntegrationError(_VANISHES, estimate=profile.result.error_estimate)
     if not profile.result.converged and not allow_unconverged:
         raise IntegrationError(
             "occupation normalizer did not reach its tail criterion before "
@@ -319,9 +310,8 @@ def _occupation(amp: MomentumAmplitude, det: DetectorGeometry,
     p_direction = direction_probability(amp, det, source, quad)
     quad = resolve_time_controls(amp, source, det.distance, det.extent_along_axis,
                                  quad, 1.0 if det.kind == "point" else p_direction)
-    return p_direction, _occupation_profile(
-        detector_occupation(amp, det, source, quad),
-        det.distance + 0.5 * det.extent_along_axis, source, quad)
+    return p_direction, _occupation_profile(detector_occupation(amp, det, source, quad),
+                                            source, quad)
 
 
 def build_entry_curve(amp: MomentumAmplitude, det: DetectorGeometry,

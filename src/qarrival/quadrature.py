@@ -1,8 +1,9 @@
 """Shared numerical integration engine.
 
 Provides Gauss-Legendre panel rules for radial integrals, product grids over
-direction caps and detector volumes, a tail-controlled semi-infinite time
-integrator, and second-order finite differences on uniform grids.
+direction caps and detector volumes, a semi-infinite time integrator that
+stops on a Plancherel certificate, and second-order finite differences on
+uniform grids.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from .geometry import DetectorGeometry, orthonormal_frame
 #: window sizing of the semi-infinite integrator: the first window holds
 #: WINDOW_NODES samples of step dt; later (doubled) windows keep step dt
 #: until they would exceed WINDOW_NODES_MAX samples, after which the step
-#: grows with the window.
+#: grows with the window, up to STEP_BAND_MAX / band: the largest step
+#: times band, 2 pi (where the certificate stops holding) less a margin
 WINDOW_NODES = 1024
 WINDOW_NODES_MAX = 8192
+STEP_BAND_MAX = 0.875 * 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -30,14 +33,14 @@ class QuadratureSpec:
     `dt` and `t_cap` may be left as None at the library boundary; the
     probability/arrival pipelines derive them from the scenario scales
     (classical flight time and packet width).  Direct calls to
-    `integrate_time_semiinfinite` require both to be set.
+    `semiinfinite_profile` require both to be set.
     """
 
     polar_nodes: int = 8         # volume grid and direction channels of a volume
     azimuth_nodes: int = 8       # detector's occupation (not the direction factor)
     dt: float | None = None      # time step of the sampled grids
-    eps_tail: float = 1e-6       # relative tail threshold for window doubling
-    t_cap: float | None = None   # hard stop for window doubling
+    eps_tail: float = 1e-6       # relative bound on the mass past the profile's end
+    t_cap: float | None = None   # end of an uncertified profile
     rtol: float = 1e-6           # target relative tolerance of error estimates
 
     def __post_init__(self):
@@ -57,11 +60,10 @@ class QuadratureSpec:
 class SemiInfiniteResult:
     """Outcome of a tail-controlled integral over [t0, infinity).
 
-    `error_estimate` is the certified bound on the mass past `t_max` when
-    the integral stopped on its known full mass, else the last window's
-    contribution (the tail surrogate); when `converged` it is bounded by
-    eps_tail * value by construction.  `t_max` is the effective upper limit
-    actually integrated to.
+    `error_estimate` is the Plancherel bound on the mass past `t_max` (see
+    `semiinfinite_profile`), also when the integral ended unconverged at its
+    time cap; when `converged` it is at most eps_tail * value.  `t_max` is
+    the effective upper limit actually integrated to.
     """
 
     value: float
@@ -187,97 +189,90 @@ def differentiate_sampled(values, dt: float) -> np.ndarray:
     return out
 
 
-def semiinfinite_profile(f, spec: QuadratureSpec, *, t_min_stop: float = 0.0,
-                         full_mass: float = np.inf, band: float = np.inf,
-                         mass_error=lambda tau: 0.0):
-    """Integrate f(tau) >= 0 over [0, infinity) by window doubling.
+def semiinfinite_profile(f, spec: QuadratureSpec, *, full_mass: float, band: float,
+                         mass_error=lambda length: 0.0):
+    """Integrate f(tau) >= 0 over [0, infinity) in doubling windows, for f
+    band-limited to |xi| < `band` with known integral `full_mass` over the
+    whole line, of error `mass_error(length)` for sums over that length.
 
-    The window [0, T] is extended in doublings.  When the integral of f over
-    the whole real line is known (`full_mass`), it stops after the first
-    window where that mass minus the running integral, plus its error
-    `mass_error(T)` and the rounding of the running sum, is at most eps_tail
-    of the running integral.  That certificate holds while the window step h
-    satisfies h * band < 2 pi, with f band-limited to frequencies |xi| <
-    `band`: the trapezoid sum of such an f over the whole line is its
-    integral exactly (Poisson summation), so full_mass minus the running
-    sum bounds the trapezoid mass still to come.  Otherwise the integral
-    stops once the last window contributes less than eps_tail of the
-    accumulated value for two consecutive doublings (counted only past
-    `t_min_stop`), or t_cap is hit (converged=False then).  Within each
-    window the rule is the composite trapezoid at step `dt`; the step grows
-    in later windows so each window holds at most WINDOW_NODES_MAX samples.
+    Every window's step h keeps h * band <= STEP_BAND_MAX < 2 pi: `dt` is
+    divided by the least integer that brings it within, and later windows
+    grow their step past WINDOW_NODES_MAX samples only up to that bound.
+    The trapezoid sum of such an f over the whole line is its integral
+    (Poisson summation), so full_mass minus the running sums bounds the
+    mass still to come.  Once a forward window adds at most eps_tail of the
+    forward sum while that bound fails, the windows are also summed
+    mirrored at -tau, never past the forward extent.  The profile stops
+    after the first window where |full_mass - forward - backward| plus
+    mass_error and the rounding of the sums is at most eps_tail of the
+    forward sum (converged), or at t_cap.  f sees ascending arrays of at
+    most WINDOW_NODES_MAX taus.
 
-    Returns (tau_grid, f_values, cumulative, SemiInfiniteResult); the
-    cumulative array holds the running integral at the grid nodes.
+    Returns (tau_grid, f_values, cumulative, SemiInfiniteResult) of the
+    forward windows; `cumulative` is the running integral at the nodes.
     """
     if spec.dt is None or spec.t_cap is None:
         raise ValueError("semi-infinite integration requires dt and t_cap to be set")
-    dt, cap = spec.dt, spec.t_cap
-    w0 = min(cap, WINDOW_NODES * dt)
+    # an integer fraction of dt keeps its multiples nodes of the first windows
+    dt = spec.dt / max(1, int(np.ceil(spec.dt * band / STEP_BAND_MAX)))
+
+    def window(lo: float, hi: float, n: int, edge: float, mirror: bool = False):
+        """Grid, samples and trapezoid increments over [lo, hi] (or [-hi, -lo]),
+        outward from `edge`, the value at the end nearer tau = 0."""
+        h = (hi - lo) / n
+        grid = lo + h * np.arange(1, n + 1)
+        grid[-1] = hi
+        at = -grid[::-1] if mirror else grid
+        vals = np.concatenate([np.asarray(f(at[i:i + WINDOW_NODES_MAX]), dtype=float)
+                               for i in range(0, n, WINDOW_NODES_MAX)])
+        vals = vals[::-1] if mirror else vals
+        return grid, vals, 0.5 * h * (np.concatenate(([edge], vals[:-1])) + vals)
 
     taus = [np.array([0.0])]
     values = [np.asarray(f(np.array([0.0])), dtype=float)]
     cumulative = [np.zeros(1)]
-    total = 0.0
-    samples = 1
-    last_value = float(values[0][0])
-    t_lo, t_hi = 0.0, w0
-    small_streak = 0
-    converged = False
+    windows = []                    # (lo, hi, steps) of every forward window
+    total = backward = back_end = 0.0
+    samples, mirrored = 1, 0
+    edge = back_edge = float(values[0][0])
+    t_lo, t_hi = 0.0, min(spec.t_cap, WINDOW_NODES * dt)
+
+    def bound() -> float:
+        return float(abs(full_mass - total - backward) + mass_error(t_hi + back_end)
+                     + np.finfo(float).eps * samples * (total + backward))
 
     while True:
         length = t_hi - t_lo
-        n = max(min(int(round(length / dt)), WINDOW_NODES_MAX), 1)
-        h = length / n
-        grid = t_lo + h * np.arange(1, n + 1)
-        grid[-1] = t_hi
-        vals = np.asarray(f(grid), dtype=float)
-        left = np.concatenate(([last_value], vals[:-1]))
-        incr = 0.5 * h * (left + vals)
-        contribution = float(incr.sum())
+        n = max(min(int(round(length / dt)), WINDOW_NODES_MAX),
+                int(np.ceil(length * band / STEP_BAND_MAX)), 1)
+        windows.append((t_lo, t_hi, n))
+        grid, vals, incr = window(t_lo, t_hi, n, edge)
         # summed in order from the running total, so `total` is the
         # cumulative's last entry to the bit
         cumulative.append(np.cumsum(np.concatenate(([total], incr)))[1:])
-        total = float(cumulative[-1][-1])
-        error = abs(contribution)       # the tail surrogate, unless certified
+        total, contribution = float(cumulative[-1][-1]), float(incr.sum())
         samples += n
         taus.append(grid)
         values.append(vals)
-        last_value = float(vals[-1])
+        edge = float(vals[-1])
 
-        if h * band < 2.0 * np.pi:
-            certified = abs(full_mass - total) + mass_error(t_hi) \
-                + np.finfo(float).eps * samples * total
-            if certified <= spec.eps_tail * total:
-                error, converged = float(certified), True
-                break
-        if t_hi >= t_min_stop and contribution <= spec.eps_tail * total:
-            small_streak += 1
-        else:
-            small_streak = 0
-        if small_streak >= 2:
-            converged = True
+        error = bound()
+        if error > spec.eps_tail * total and full_mass < np.inf \
+                and (mirrored or contribution <= spec.eps_tail * total):
+            for lo, hi, m in windows[mirrored:]:
+                _, back_vals, back_incr = window(lo, hi, m, back_edge, mirror=True)
+                backward += float(back_incr.sum())
+                back_edge, back_end = float(back_vals[-1]), hi
+                samples += m
+            mirrored = len(windows)
+            error = bound()
+        converged = error <= spec.eps_tail * total
+        if converged or t_hi >= spec.t_cap:
             break
-        if t_hi >= cap:
-            break
-        t_lo, t_hi = t_hi, min(cap, 2.0 * t_hi)
+        t_lo, t_hi = t_hi, min(spec.t_cap, 2.0 * t_hi)
 
     tau_grid = np.concatenate(taus)
-    f_values = np.concatenate(values)
-    cumulative = np.concatenate(cumulative)
     # report the cumulative's own endpoint so downstream ratios reach 1 exactly
-    result = SemiInfiniteResult(value=total,
-                                error_estimate=error,
+    result = SemiInfiniteResult(value=total, error_estimate=error,
                                 t_max=float(tau_grid[-1]), converged=converged)
-    return tau_grid, f_values, cumulative, result
-
-
-def integrate_time_semiinfinite(f, t0: float, spec: QuadratureSpec, *,
-                                t_min_stop: float = 0.0) -> SemiInfiniteResult:
-    """Tail-controlled integral of a nonnegative, eventually decaying f over
-    [t0, infinity).  `f` must accept an array of absolute times."""
-    _, _, _, result = semiinfinite_profile(
-        lambda tau: f(t0 + tau), spec, t_min_stop=t_min_stop)
-    return SemiInfiniteResult(value=result.value,
-                              error_estimate=result.error_estimate,
-                              t_max=t0 + result.t_max, converged=result.converged)
+    return tau_grid, np.concatenate(values), np.concatenate(cumulative), result

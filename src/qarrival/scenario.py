@@ -424,9 +424,11 @@ def _prepare(s: Scenario, until: str = "schedule", shared: dict | None = None) -
     curve before the arrival statistics; both read only the profile).
 
     amplitude: source and amplitude; detector: its geometry (a point's too);
-    profile: direction factor and occupation profile, after `_check_grid`;
-    curve: the entry curve; arrival: statistics of a point, None for a
-    volume or when they did not converge.
+    profile: direction factor and occupation profile; curve: the entry
+    curve; arrival: statistics of a point, None for a volume or when they
+    did not converge.  `_check_grid` runs once, before the first of the
+    profile and curve stages computed here, so a sweep row whose profile is
+    shared is checked too.
     """
     r = dict(shared or {})
     todo = [stage for stage in _STAGES[:_STAGES.index(until)] if stage not in r]
@@ -439,9 +441,10 @@ def _prepare(s: Scenario, until: str = "schedule", shared: dict | None = None) -
             with _named("detector.position"):
                 r["detector"] = point_detector(s.detector.position, source,
                                                s.detector.reference_solid_angle)
-    if "profile" in todo:
+    if "profile" in todo or "curve" in todo:
         (source, amp), det = r["amplitude"], r["detector"]
         _check_grid(s, source, amp, det)
+    if "profile" in todo:
         r["profile"] = prob_mod._occupation(amp, det, source, s.quadrature)
     if "curve" in todo:
         p_direction, profile = r["profile"]

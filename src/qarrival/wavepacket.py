@@ -569,16 +569,19 @@ class OccupationCurve:
         return 2.0 * np.pi * self.source.mass * float(
             np.sum(self._density(coeffs) / (w * p))), 0.0
 
-    def mass_error(self, tau: float) -> float:
-        """Error of `full_mass` minus the running integral of the curve over
-        [0, tau]: the Plancherel sum's doubling residual plus `abs_error`
-        for every unit of tau."""
-        return self._full_mass_residual + self.abs_error * tau
+    def mass_error(self, length: float) -> float:
+        """Error of `full_mass` minus the running integrals of the curve over
+        intervals of total length `length`: the Plancherel sum's doubling
+        residual plus `abs_error` for every unit of length."""
+        return self._full_mass_residual + self.abs_error * length
 
     def __call__(self, taus: np.ndarray) -> np.ndarray:
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
+        # sized at the tau of largest magnitude: before the emission the
+        # phase p r + p^2 |tau| / 2m turns fastest
+        farthest = max(taus.max(initial=0.0), taus.min(initial=0.0), key=abs)
         panels = _radial_panels(self.amp, self._r_lo, self._r_hi,
-                                1.25 * float(taus.max(initial=0.0)), self.source.mass,
+                                1.25 * float(farthest), self.source.mass,
                                 self._panels // 2)
         out, self._panels, err = refine_by_doubling(
             lambda n: (self._field_square(self._build(n), taus), self.scale),

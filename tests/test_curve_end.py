@@ -82,16 +82,16 @@ def test_explicit_grid_keeps_integration_limit(grid):
 def test_volume_curve_end_is_scale_invariant(iso_amp, source):
     # the volume twin of test_arrival.py::test_scale_invariance; the
     # direction factor needs a normalized amplitude, so the profiles are
-    # taken directly on the base amplitude's time controls; a tail threshold
-    # of 1e-13 runs the profile past the node where the mass is in
-    det = qa.sphere_detector([0.0, 0.0, 20.0], 0.5, source)
+    # taken directly on the base amplitude's time controls; a sphere near
+    # the source certifies its profile (tau 7.8) past the node where the
+    # mass is in (5.8)
+    det = qa.sphere_detector([0.0, 0.0, 5.0], 0.5, source)
     bound = qa.direction_probability(iso_amp, det, source)
     quad = prob.resolve_time_controls(iso_amp, source, det.distance, det.extent_along_axis,
-                                      qa.QuadratureSpec(eps_tail=1e-13), bound)
+                                      qa.QuadratureSpec(), bound)
     scaled = dataclasses.replace(iso_amp, scale=iso_amp.scale * 3.0)
-    reach = det.distance + 0.5 * det.extent_along_axis
     profiles = [prob._occupation_profile(wp.detector_occupation(amp, det, source, quad),
-                                         reach, source, quad)
+                                         source, quad)
                 for amp in (iso_amp, scaled)]
     curves = [prob._curve_from_profile(profile, bound, None, False, min_samples=3)
               for profile in profiles]

@@ -215,40 +215,79 @@ def test_unconverged_denominator_surfaces(iso_amp, standard_det, source):
 
 
 def stopped_profiles(amp, det, source, quad=QuadratureSpec()):
-    """A run's occupation profile result, and that of the same profile with
-    the Plancherel certificate off (`full_mass` unknown), on fresh curves."""
+    """A run's occupation profile, the same windows run on a fresh curve
+    with the Plancherel certificate off (`full_mass` unknown) to a time cap
+    of 4 times the run's end, and the full mass: (profile, (tau, values,
+    cumulative, result), full_mass)."""
     p_direction = qa.direction_probability(amp, det, source, quad)
     quad = prob.resolve_time_controls(amp, source, det.distance, det.extent_along_axis,
                                       quad, 1.0 if det.kind == "point" else p_direction)
-    reach = det.distance + 0.5 * det.extent_along_axis
     on = prob._occupation_profile(wp.detector_occupation(amp, det, source, quad),
-                                  reach, source, quad)
-    off = semiinfinite_profile(wp.detector_occupation(amp, det, source, quad), quad,
-                               t_min_stop=prob._stop_floor(amp, source, reach, quad.t_cap))
-    return on.result, off[3]
+                                  source, quad)
+    curve = wp.detector_occupation(amp, det, source, quad)
+    off = semiinfinite_profile(curve, dataclasses.replace(quad, t_cap=4.0 * on.result.t_max),
+                               full_mass=np.inf, band=curve.band, mass_error=curve.mass_error)
+    assert off[3].t_max == 4.0 * on.result.t_max
+    np.testing.assert_array_equal(on.cumulative, off[2][:on.cumulative.size])
+    return on, off, curve.full_mass
 
 
 @pytest.mark.parametrize("case", ["iso", "sep", "tab", "narrow"])
 def test_profile_stops_on_plancherel_certificate(iso_amp, sep_amp, narrow_amp,
                                                  standard_det, source, case):
     # the benchmark's scenarios: the certificate fires within the first
-    # windows, where the two-window rule runs four times as long
+    # windows, and its bound holds the forward mass of the next two windows
     amp, det = {"iso": (iso_amp, standard_det), "sep": (sep_amp, standard_det),
                 "tab": (tabulated_gaussian_amplitude(),
                         point_detector([0.0, 0.0, 30.0], source)),
                 "narrow": (narrow_amp, point_detector([0.0, 0.0, 100.0], source))}[case]
-    on, off = stopped_profiles(amp, det, source)
-    assert on.converged and off.converged
-    assert on.t_max <= off.t_max / 4.0 * (1.0 + 1e-12)
-    assert off.value - on.value <= on.error_estimate <= QuadratureSpec().eps_tail * on.value
+    on, (_, _, _, off), _ = stopped_profiles(amp, det, source)
+    assert on.result.converged and not off.converged
+    assert off.value - on.result.value <= on.result.error_estimate \
+        <= QuadratureSpec().eps_tail * on.result.value
 
 
-def test_profile_falls_back_to_two_window_rule(iso_amp, source):
+def test_profile_certifies_mass_before_emission(iso_amp, source):
     # two widths of the emitted packet from the source, the occupation holds
-    # mass before the emission, which the full mass counts too
-    on, off = stopped_profiles(iso_amp, point_detector([0.0, 0.0, 2.0], source), source)
-    assert on.converged
-    assert on == off
+    # mass before the emission, which the full mass counts too: the profile
+    # integrates mirrored windows as well and certifies its forward sum,
+    # which is the uncertified run's (`stopped_profiles` compares them)
+    on, (_, _, _, off), full_mass = stopped_profiles(
+        iso_amp, point_detector([0.0, 0.0, 2.0], source), source)
+    assert full_mass > 1.01 * on.result.value
+    assert on.result.converged and on.result.t_max < 9.0
+    # the bound holds the forward mass past the stop
+    assert off.value - on.result.value <= on.result.error_estimate \
+        <= QuadratureSpec().eps_tail * on.result.value
+
+
+def test_vanishing_full_mass_raises_before_any_window(source):
+    calls = []
+
+    class Vanishing:
+        full_mass, band, error_rel = 0.0, 1.0, 0.0
+
+        def mass_error(self, length):
+            return 0.0
+
+        def __call__(self, taus):
+            calls.append(taus)
+            return np.ones_like(taus)
+
+    with pytest.raises(IntegrationError, match="detector occupation vanishes"):
+        prob._occupation_profile(Vanishing(), source, QuadratureSpec(dt=0.01, t_cap=10.0))
+    assert calls == []
+
+
+def test_coarse_step_is_refined_within_band(iso_amp, source):
+    # h * band = 12 at dt = 0.3: the profile steps at dt / 3 and certifies,
+    # and the arrival statistics, read on the dt grid, keep the default run's
+    x_det = [0.0, 0.0, 20.0]
+    coarse = qa.mean_arrival_time(iso_amp, x_det, source, QuadratureSpec(dt=0.3))
+    fine = qa.mean_arrival_time(iso_amp, x_det, source)
+    assert coarse.normalizer.converged
+    assert fine.mean_time == pytest.approx(3.92233, rel=1e-6)
+    assert coarse.mean_time == pytest.approx(fine.mean_time, rel=1e-5)
 
 
 def test_time_before_emission_rejected(iso_amp, standard_det, source):

@@ -2,52 +2,21 @@ import numpy as np
 import pytest
 
 from qarrival import IntegrationError, QuadratureSpec, cap_detector, sphere_detector, \
-    integrate_time_semiinfinite, integrate_volume, differentiate_sampled
-from qarrival.quadrature import gauss_legendre_panels, refine_by_doubling, \
-    semiinfinite_profile
-
-
-def test_exponential_tail():
-    spec = QuadratureSpec(dt=2e-4, t_cap=200.0)
-    res = integrate_time_semiinfinite(lambda t: np.exp(-(t - 1.0)), 1.0, spec)
-    assert res.converged
-    assert abs(res.value - 1.0) <= 1e-8
-    assert res.error_estimate <= spec.eps_tail * res.value
-
-
-def test_lorentzian_tail():
-    spec = QuadratureSpec(dt=5e-4, t_cap=1e8, eps_tail=1e-7)
-    res = integrate_time_semiinfinite(lambda t: 1.0 / (1.0 + t * t), 0.0, spec)
-    assert res.converged
-    assert abs(res.value - np.pi / 2.0) <= 1e-6
+    integrate_volume, differentiate_sampled
+from qarrival.quadrature import STEP_BAND_MAX, WINDOW_NODES_MAX, gauss_legendre_panels, \
+    refine_by_doubling, semiinfinite_profile
 
 
 def test_constant_never_converges():
+    # no certificate holds a constant: the profile ends unconverged at t_cap,
+    # and its error estimate is still the certificate's bound
     spec = QuadratureSpec(dt=0.01, t_cap=50.0)
-    res = integrate_time_semiinfinite(lambda t: np.ones_like(t), 0.0, spec)
+    _, _, _, res = semiinfinite_profile(lambda t: np.ones_like(t), spec,
+                                        full_mass=1.0, band=0.0)
     assert not res.converged
     assert res.t_max == pytest.approx(50.0)
     assert res.value == pytest.approx(50.0, rel=1e-12)
-
-
-def test_additive_over_window_split():
-    spec = QuadratureSpec(dt=1e-4, t_cap=400.0)
-    f = lambda t: np.exp(-0.5 * t)
-    whole = integrate_time_semiinfinite(f, 0.0, spec).value
-    tail = integrate_time_semiinfinite(f, 3.0, spec).value
-    t = np.arange(0.0, 3.0 + 1e-12, 1e-4)
-    head = float(np.trapezoid(f(t), t))
-    assert whole == pytest.approx(head + tail, rel=1e-6)
-
-
-def test_refinement_within_error_estimate():
-    # halving the step moves the value by less than the combined estimates
-    # plus the target tolerance
-    f = lambda t: np.exp(-0.3 * (t - 2.0)) * (t >= 2.0)
-    a = integrate_time_semiinfinite(f, 2.0, QuadratureSpec(dt=4e-4, t_cap=400.0))
-    b = integrate_time_semiinfinite(f, 2.0, QuadratureSpec(dt=2e-4, t_cap=400.0))
-    allowance = a.error_estimate + b.error_estimate + 1e-6 * abs(b.value)
-    assert abs(a.value - b.value) <= allowance
+    assert res.error_estimate == pytest.approx(49.0, rel=1e-9)
 
 
 def test_refine_by_doubling_array_levels():
@@ -81,30 +50,90 @@ def test_refine_by_doubling_floor_and_failure():
 
 def test_profile_cumulative_endpoint_matches_value():
     spec = QuadratureSpec(dt=1e-3, t_cap=100.0)
-    _, _, cumulative, res = semiinfinite_profile(lambda t: np.exp(-t), spec)
+    _, _, cumulative, res = semiinfinite_profile(lambda t: np.exp(-t), spec,
+                                                 full_mass=np.inf, band=0.0)
     assert cumulative[-1] == res.value
+
+
+def forward_exp(t):
+    return np.exp(-np.abs(t)) * (t >= 0.0)
 
 
 def test_profile_stops_on_known_full_mass():
     # the trapezoid sum of exp(-t) at step h over [0, inf) is (h/2) coth(h/2):
-    # known, it stops the profile after the second window, where the
-    # two-window rule needs four
-    spec = QuadratureSpec(dt=0.01, t_cap=1000.0)
+    # known, it stops the profile after the second window; the judge is the
+    # same windows run uncertified to tau = 81.92
+    spec = QuadratureSpec(dt=0.01, t_cap=81.92)
     full = 0.005 / np.tanh(0.005)
-    _, _, _, ref = semiinfinite_profile(lambda t: np.exp(-t), spec)
-    _, _, cumulative, res = semiinfinite_profile(lambda t: np.exp(-t), spec,
+    _, _, ref_cumulative, ref = semiinfinite_profile(forward_exp, spec,
+                                                     full_mass=np.inf, band=0.0)
+    _, _, cumulative, res = semiinfinite_profile(forward_exp, spec,
                                                  full_mass=full, band=0.0)
-    assert ref.converged and ref.t_max == pytest.approx(81.92)
+    assert not ref.converged and ref.t_max == pytest.approx(81.92)
     assert res.converged and res.t_max == pytest.approx(20.48)
     assert res.value == cumulative[-1]
+    np.testing.assert_array_equal(cumulative, ref_cumulative[:cumulative.size])
     assert ref.value - res.value <= full - res.value <= res.error_estimate
     assert res.error_estimate <= spec.eps_tail * res.value
-    # a step too coarse for the band, an error above eps_tail, or no known
-    # mass keeps the two-window rule
-    for kwargs in ({"full_mass": full, "band": 2.0 * np.pi / 0.01},
-                   {"full_mass": full, "band": 0.0, "mass_error": lambda tau: 1e-3},
-                   {"band": 0.0}):
-        assert semiinfinite_profile(lambda t: np.exp(-t), spec, **kwargs)[3] == ref
+    # an error above eps_tail never certifies: the profile ends at t_cap on
+    # the same windows, with that error in its estimate
+    _, _, _, loose = semiinfinite_profile(forward_exp, spec, full_mass=full, band=0.0,
+                                          mass_error=lambda length: 1e-3)
+    assert not loose.converged and loose.value == ref.value
+    assert loose.error_estimate >= 1e-3
+
+
+def test_profile_step_stays_within_band():
+    # a step of h * band = 2 pi is divided by 2, so every multiple of dt stays
+    # a node, and the profile certifies on the trapezoid mass at h / 2
+    spec = QuadratureSpec(dt=0.01, t_cap=81.92)
+    tau, _, _, res = semiinfinite_profile(forward_exp, spec,
+                                          full_mass=0.0025 / np.tanh(0.0025),
+                                          band=2.0 * np.pi / 0.01)
+    assert res.converged and res.t_max == pytest.approx(20.48)
+    np.testing.assert_allclose(tau[:1025], 0.005 * np.arange(1025), rtol=1e-12, atol=0.0)
+    # windows past WINDOW_NODES_MAX samples grow their step only up to the
+    # band's bound, and f sees at most WINDOW_NODES_MAX taus at a time
+    sizes = []
+
+    def recorded(t):
+        sizes.append(t.size)
+        return np.exp(-t / 4096.0)
+
+    band = 0.99 * STEP_BAND_MAX
+    tau, _, _, res = semiinfinite_profile(recorded, QuadratureSpec(dt=1.0, t_cap=32768.0),
+                                          full_mass=np.inf, band=band)
+    assert not res.converged and res.t_max == 32768.0
+    assert max(np.diff(tau)) * band <= STEP_BAND_MAX
+    assert max(sizes) == WINDOW_NODES_MAX
+    assert np.count_nonzero(tau > 16384.0) > WINDOW_NODES_MAX
+
+
+def test_profile_certifies_two_sided_mass():
+    # exp(-|t|) holds half its mass before t = 0: the forward sum alone
+    # never certifies, so once a window goes quiet (at 40.96) the windows
+    # are mirrored at -t and the whole line's trapezoid sum h coth(h/2)
+    # certifies the forward profile there, with the uncertified run's values
+    spec = QuadratureSpec(dt=0.01, t_cap=81.92)
+    seen = []
+
+    def two_sided(t):
+        seen.append(t)
+        return np.exp(-np.abs(t))
+
+    _, _, ref_cumulative, ref = semiinfinite_profile(two_sided, spec,
+                                                     full_mass=np.inf, band=0.0)
+    assert all(t.min() >= 0.0 for t in seen)
+    seen.clear()
+    _, _, cumulative, res = semiinfinite_profile(two_sided, spec,
+                                                 full_mass=0.01 / np.tanh(0.005), band=0.0)
+    assert res.converged and res.t_max == pytest.approx(40.96)
+    np.testing.assert_array_equal(cumulative, ref_cumulative[:cumulative.size])
+    assert ref.value - res.value <= res.error_estimate <= spec.eps_tail * res.value
+    # mirrored windows go in ascending taus, never past the forward extent
+    backward = [t for t in seen if t.max() < 0.0]
+    assert backward and all(np.all(np.diff(t) > 0.0) for t in backward)
+    assert min(t.min() for t in backward) == -res.t_max
 
 
 def test_volume_identity(source):
@@ -174,7 +203,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(rtol=0.0)
     with pytest.raises(ValueError):
-        integrate_time_semiinfinite(lambda t: t, 0.0, QuadratureSpec())
+        semiinfinite_profile(lambda t: t, QuadratureSpec(), full_mass=1.0, band=0.0)
 
 
 def test_panel_breaks():

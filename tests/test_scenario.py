@@ -398,6 +398,22 @@ def test_grid_sweep_rows_share_arrival_csv(tmp_path):
         == _tree_bytes(tmp_path / "single")
 
 
+def test_grid_sweep_row_runs_the_bound_check(tmp_path):
+    # a row that shares its template's profile is refused on the bounds of
+    # its own output grid, as a standalone run is (4,999,001 samples)
+    (tmp_path / "scn.txt").write_text(POINT_FAST)
+    (tmp_path / "sweep.txt").write_text(
+        "sweep.scenario = scn.txt\nsweep.parameter = grid.dt\n"
+        "sweep.values = 0.0002 0.25\n")
+    rows = qa.run_sweep(qa.parse_sweep(tmp_path / "sweep.txt"), tmp_path / "out")
+    assert [row["status"] for row in rows] == ["error", "ok"]
+    assert rows[0]["error"].startswith("grid.dt: ")
+    with pytest.raises(qa.ScenarioError) as exc:
+        qa.run_scenario(qa.parse_scenario_text(POINT_FAST + "grid.dt = 0.0002\n"),
+                        tmp_path / "single")
+    assert str(exc.value) == rows[0]["error"]
+
+
 def test_shared_profile_failure_recorded_in_every_row(tmp_path):
     (tmp_path / "scn.txt").write_text("amplitude.kind = tabulated\n"
                                       "amplitude.radial_file = missing.txt\n"
