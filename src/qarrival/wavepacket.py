@@ -384,6 +384,7 @@ def eval_detector_wavefunction(amp: MomentumAmplitude, position, time: float,
 # ---------------------------------------------------------------------------
 
 _P_BLOCK = 1024         # momentum columns per block of the phase-sum kernel
+_FOLD_CELLS = 2 ** 16   # cells of the largest temporary of a channel fold
 _DIRECT_ROWS = 256      # samples per block of the kernel's direct branch
 _PANEL_PHASE = 16.0     # phase half-width [rad] of one Chebyshev tau-panel
 _PANEL_NODES = 44       # its Chebyshev nodes: interpolates exp(i k x), |k x| <= 16,
@@ -402,7 +403,7 @@ def _cheb_interp_matrix(lo: float, hi: float, n: int, targets: np.ndarray) -> np
     k = np.arange(n)
     bw = (-1.0) ** k * np.sin((2.0 * k + 1.0) * np.pi / (2.0 * n))
     diff = targets[:, None] - nodes[None, :]
-    hit = np.isclose(diff, 0.0, atol=1e-300)
+    hit = np.abs(diff) <= 1e-300
     diff = np.where(hit, 1.0, diff)
     c = bw[None, :] / diff
     mat = c / c.sum(axis=1, keepdims=True)
@@ -516,11 +517,17 @@ class OccupationCurve:
             # rule, so every _build shares it
             self._p_mid = 0.5 * (p_lo + p_hi)
             self._r_nodes = _cheb_points(self._r_lo, self._r_hi, order)
-            interp = _cheb_interp_matrix(self._r_lo, self._r_hi, order,
-                                         r_chan.ravel())                  # (X*A, C)
-            carrier = (gains[None, :] * np.exp(1j * self._p_mid * r_chan)).ravel()
-            weighted = interp * carrier[:, None]
-            self._mix = weighted.reshape(n_points, n_chan, order).sum(axis=1).T  # (C, X)
+            # each row of the map depends on its own distance only, so it is
+            # built and summed over the channels a block of points at a time
+            mix = np.empty((n_points, order), dtype=complex)
+            step = max(1, _FOLD_CELLS // (n_chan * order))
+            for x0 in range(0, n_points, step):
+                r = r_chan[x0:x0 + step]                                  # (x, A)
+                interp = _cheb_interp_matrix(self._r_lo, self._r_hi, order, r.ravel())
+                carrier = gains[None, :] * np.exp(1j * self._p_mid * r)
+                mix[x0:x0 + step] = (interp.reshape(*r.shape, order)
+                                     * carrier[:, :, None]).sum(axis=1)
+            self._mix = mix.T                                             # (C, X)
             # sum_x w_x |(s M)_x|^2 = |R s|^2 with (M diag(sqrt w))^T = Q R,
             # so the density costs C^2 per sample instead of C X
             self._mix_r = np.linalg.qr((self._mix * np.sqrt(weights)).T, mode="r").T  # (C, C)
@@ -540,9 +547,15 @@ class OccupationCurve:
         if self._mix is None:
             n_points, n_chan = self._r_chan.shape
             chan = np.zeros((p.size, n_points), dtype=complex)
-            for a0 in range(0, n_chan, 8):
-                phases = np.exp(1j * self._r_chan[:, a0:a0 + 8, None] * p[None, None, :])
-                chan += np.einsum("xap,a->px", phases, self._gains[a0:a0 + 8])
+            step = max(1, _FOLD_CELLS // (8 * _P_BLOCK))          # points per block
+            for x0 in range(0, n_points, step):
+                for p0 in range(0, p.size, _P_BLOCK):
+                    pts, cols = slice(x0, x0 + step), slice(p0, p0 + _P_BLOCK)
+                    for a0 in range(0, n_chan, 8):
+                        phases = np.exp(1j * self._r_chan[pts, a0:a0 + 8, None]
+                                        * p[None, None, cols])         # (x, 8, P)
+                        chan[cols, pts] += np.einsum("xap,a->px", phases,
+                                                     self._gains[a0:a0 + 8])
             chan *= base[:, None]
             return omega, chan
         return omega, base[:, None] * np.exp(1j * np.outer(p - self._p_mid, self._r_nodes))

@@ -1,4 +1,5 @@
 from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,70 @@ def test_volume_curve_matches_pointwise_field(iso_amp, standard_det, source):
                                                            source, quad)) ** 2
                      for x, w in zip(points, weights)) for tau in taus]
         np.testing.assert_allclose(curve(taus), total, rtol=1e-13)
+
+
+def _one_shot_mix(curve):
+    """The compressed fold built whole: the (X*A, C) barycentric map, with
+    isclose for its exact hits, times the carriers, summed over channels."""
+    r, order = curve._r_chan, curve._r_nodes.size
+    nodes = wp._cheb_points(curve._r_lo, curve._r_hi, order)
+    k = np.arange(order)
+    bw = (-1.0) ** k * np.sin((2.0 * k + 1.0) * np.pi / (2.0 * order))
+    diff = r.ravel()[:, None] - nodes[None, :]
+    hit = np.isclose(diff, 0.0, atol=1e-300)
+    c = bw[None, :] / np.where(hit, 1.0, diff)
+    interp = c / c.sum(axis=1, keepdims=True)
+    interp[hit.any(axis=1)] = hit[hit.any(axis=1)].astype(float)
+    carrier = (curve._gains[None, :] * np.exp(1j * curve._p_mid * r)).ravel()
+    return (interp * carrier[:, None]).reshape(*r.shape, order).sum(axis=1).T
+
+
+def _one_shot_chan(curve, panels):
+    """The direct fold built whole: (X, 8, P) phase blocks over all points and
+    momenta."""
+    p, base = wp._radial_rule(curve.amp, panels)
+    chan = np.zeros((p.size, curve._r_chan.shape[0]), dtype=complex)
+    for a0 in range(0, curve._r_chan.shape[1], 8):
+        phases = np.exp(1j * curve._r_chan[:, a0:a0 + 8, None] * p[None, None, :])
+        chan += np.einsum("xap,a->px", phases, curve._gains[a0:a0 + 8])
+    return chan * base[:, None]
+
+
+def test_blocked_folds_match_one_shot_bits(iso_amp, standard_det, source):
+    # 12 x 12 nodes: X = 1,728 points of A = 144 channels, many point blocks;
+    # the radius-12 sphere's 64 points fold directly over more momenta than
+    # one column block
+    quad = QuadratureSpec(polar_nodes=12, azimuth_nodes=12)
+    curve = wp.detector_occupation(iso_amp, standard_det, source, quad)
+    assert curve._r_chan.size * curve._r_nodes.size > 8 * wp._FOLD_CELLS
+    assert np.array_equal(curve._mix, _one_shot_mix(curve))
+    big = qa.sphere_detector([0.0, 0.0, 20.0], 12.0, source)
+    curve = wp.detector_occupation(iso_amp, big, source,
+                                   QuadratureSpec(polar_nodes=4, azimuth_nodes=4))
+    assert curve._mix is None
+    omega, chan = curve._build(4 * curve._panels)
+    assert omega.size > 4 * wp._P_BLOCK
+    assert np.array_equal(chan, _one_shot_chan(curve, 4 * curve._panels))
+
+
+@pytest.mark.parametrize("radius, nodes, bound_mib", [(0.5, 8, 8), (0.5, 12, 16),
+                                                      (12.0, 4, 40)])
+def test_occupation_memory_is_bounded(iso_amp, source, radius, nodes, bound_mib):
+    # traced peaks of the whole folds were 15.9, 116.6 and 183.0 MiB: the
+    # (X*A, C) map of the r = 0.5 spheres and the (X, 8, P) phases of the
+    # radius-12 sphere's profile
+    det = qa.sphere_detector([0.0, 0.0, 20.0], radius, source)
+    quad = QuadratureSpec(polar_nodes=nodes, azimuth_nodes=nodes)
+    tracemalloc.start()
+    try:
+        if radius < 1.0:
+            wp.detector_occupation(iso_amp, det, source, quad)
+        else:
+            prob._occupation(iso_amp, det, source, quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2 ** 20
 
 
 def test_tabulated_angular_requires_axis():
