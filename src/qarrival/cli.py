@@ -54,8 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("sweep", help="path to the sweep file")
     sweep.add_argument("--out", default="out", help="output directory (default: out)")
     sweep.add_argument("--jobs", type=_positive_int, default=1,
-                       help="rows run at once in worker processes, at most "
-                            "one per usable core (default: 1)")
+                       help="accepted and ignored: rows run one after another "
+                            "in this process (default: 1)")
     sweep.add_argument("--strict", action="store_true",
                        help="exit 3 when any row misses a tail criterion "
                             "or its closure residual exceeds 1e-6")

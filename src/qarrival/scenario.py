@@ -577,6 +577,8 @@ def _apply_distance(s: Scenario, value: float) -> Scenario:
     if key is None:
         raise ScenarioError("sweep.parameter",
                             "detector.distance sweeps need a sphere or point detector")
+    if not value > 0.0:
+        raise ScenarioError("detector.distance", f"must be positive, got {value}")
     x0 = np.asarray(s.emission.x0, dtype=float)
     offset = np.asarray(_get(s, key), dtype=float) - x0
     length = float(np.linalg.norm(offset))
@@ -623,12 +625,16 @@ _SWEEP_COLUMNS = ("parameter", "value", "status", "error", "p_direction",
 
 
 def _sweep_row(template: Scenario, parameter: str, out_dir, value: float,
-               prepared: dict | None) -> dict:
-    """Run one sweep row, from `prepared` if given; failures are recorded."""
+               prepared: dict | None, failure: Exception | None) -> dict:
+    """Run one sweep row, from `prepared` if given, or fail with `failure`
+    once its own value is checked; failures are recorded."""
     row = {"parameter": parameter, "value": value, "status": "ok", "error": ""}
     try:
         scn = apply_parameter(template, parameter, value)
         row_dir = os.path.join(out_dir, f"{parameter}={_fmt(_FLOAT, value)}")
+        if failure is not None:
+            os.makedirs(row_dir, exist_ok=True)
+            raise failure
         summary = _run(scn, row_dir, prepared)
         for name in ("p_direction", "p_entry_final", "p_registered_final",
                      "mean_arrival", "classical_flight", "t_max", "converged",
@@ -640,75 +646,32 @@ def _sweep_row(template: Scenario, parameter: str, out_dir, value: float,
     return row
 
 
-# a sweep worker's shared stages: set once as the worker starts, so that under
-# fork it inherits them instead of unpickling them with every row
-_WORKER_PREPARED: dict | None = None
-
-
-def _init_worker(prepared: dict | None):
-    global _WORKER_PREPARED
-    _WORKER_PREPARED = prepared
-
-
-def _worker_row(template: Scenario, parameter: str, out_dir, value: float) -> dict:
-    return _sweep_row(template, parameter, out_dir, value, _WORKER_PREPARED)
-
-
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
-    """One scenario run per value; rows are independent and sorted by value.
+    """One scenario run per value, one after another in this process; rows
+    are independent and sorted by value.  `jobs` is accepted and ignored.
 
     Per-row failures are recorded in the row and the sweep continues.  The
     stages of a run before the first one the swept key changes (`_SWEEPABLE`)
-    are computed here from the template, with the text of the files they
-    write, before any worker starts; every row reads them (if that fails,
-    each row runs on its own).  With jobs > 1 the rows run in at most
-    min(jobs, rows, usable cores) worker processes (fork where the platform
-    has it); rows whose worker died are recorded as errors.
+    are computed once here from the template, with the text of the files they
+    write, and every row reads them.  If that fails, every row whose own
+    value passes records the template's error, except in a `grid.*` sweep:
+    the template's bound check reads the grid such a row replaces, so those
+    rows run alone.
     """
     template = parse_scenario(spec.scenario_path)
-    values = sorted(spec.values)
     os.makedirs(out_dir, exist_ok=True)
+    failure = None
     try:
         prepared = _prepare(template, _SWEEPABLE[spec.parameter])
         for name, stage in _FILES:
             if prepared.get(stage) is not None:
                 prepared[name] = prepared[stage].write_csv(None)
-    except Exception:  # noqa: BLE001 - the rows record it
+    except Exception as exc:  # noqa: BLE001 - the rows record it
         prepared = None
-
-    workers = min(jobs, len(values), _usable_cores())
-    if workers > 1:
-        # fork: the executor forks every worker before it starts its own
-        # thread, and workers inherit the imported modules.  Not forkserver:
-        # its workers are not descendants of this process, so their CPU time
-        # would be missing from the sweep's wait4/getrusage accounting.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context(method),
-                                 initializer=_init_worker, initargs=(prepared,)) as pool:
-            futures = [pool.submit(_worker_row, template, spec.parameter, out_dir, v)
-                       for v in values]
-            rows = []
-            for value, future in zip(values, futures):
-                try:
-                    rows.append(future.result())
-                except BrokenProcessPool:
-                    rows.append({"parameter": spec.parameter, "value": value,
-                                 "status": "error",
-                                 "error": "worker process exited before the row finished"})
-    else:
-        rows = [_sweep_row(template, spec.parameter, out_dir, v, prepared)
-                for v in values]
+        if _SWEEPABLE[spec.parameter] != "curve":
+            failure = exc
+    rows = [_sweep_row(template, spec.parameter, out_dir, v, prepared, failure)
+            for v in sorted(spec.values)]
 
     with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8",
               newline="") as fh:

@@ -1,10 +1,8 @@
-import concurrent.futures
 import csv
 import json
 import os
 import subprocess
 import sys
-import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -431,6 +429,28 @@ def test_shared_profile_failure_recorded_in_every_row(tmp_path):
     assert os.listdir(tmp_path / "out" / "coupling.k=0.5") == []
 
 
+def test_shared_profile_failure_built_once(tmp_path, monkeypatch):
+    # every row records the template's failed profile (the radial budget)
+    # instead of building it again; each still makes its directory
+    calls = count_profiles(monkeypatch)
+    (tmp_path / "scn.txt").write_text("detector.position = 0 0 20\n"
+                                      "quadrature.t_cap = 1e5\n"
+                                      "quadrature.eps_tail = 1e-300\n"
+                                      "grid.t_end = 5\n")
+    (tmp_path / "sweep.txt").write_text(
+        "sweep.scenario = scn.txt\nsweep.parameter = coupling.k\n"
+        "sweep.values = 0.25 0.5 1.5\n")
+    rows = qa.run_sweep(qa.parse_sweep(tmp_path / "sweep.txt"), tmp_path / "out")
+    assert len(calls) == 1
+    assert [row["status"] for row in rows] == ["error"] * 3
+    assert "budget of 262144 nodes" in rows[0]["error"]
+    assert rows[1]["error"] == rows[0]["error"]
+    # a row whose own value is out of range reports that first
+    assert rows[2]["error"].startswith("coupling.k: ")
+    assert sorted(os.listdir(tmp_path / "out")) == [
+        "coupling.k=0.25", "coupling.k=0.5", "sweep.csv"]
+
+
 def test_sweep_distance_tracks_classical_flight(tmp_path):
     (tmp_path / "scn.txt").write_text(POINT_FAST)
     (tmp_path / "sweep.txt").write_text(
@@ -460,8 +480,8 @@ def _tree_bytes(root):
     ("grid.dt", "0.1 0.2 0.4"),               # one profile shared by every row
     ("detector.distance", "50 100 150"),      # one profile per row
 ])
-def test_process_pool_sweep_matches_single_job(tmp_path, monkeypatch, parameter, values):
-    monkeypatch.setattr(scenario_mod, "_usable_cores", lambda: 2)
+def test_process_pool_sweep_matches_single_job(tmp_path, parameter, values):
+    # --jobs is accepted and ignored: it changes no byte
     (tmp_path / "scn.txt").write_text(POINT_FAST)
     (tmp_path / "sweep.txt").write_text(
         f"sweep.scenario = scn.txt\nsweep.parameter = {parameter}\n"
@@ -476,84 +496,18 @@ def test_process_pool_sweep_matches_single_job(tmp_path, monkeypatch, parameter,
     assert pooled_files == _tree_bytes(tmp_path / "single")
 
 
-def test_sweep_survives_dead_worker(tmp_path, monkeypatch, capsys):
-    # the worker of the last row exits once the other rows have written
-    # their summaries; fork children inherit the patched _run
-    monkeypatch.setattr(scenario_mod, "_usable_cores", lambda: 2)
-    run = scenario_mod._run
-    out = tmp_path / "out"
-    others = [out / "coupling.k=0.25" / "summary.json",
-              out / "coupling.k=0.5" / "summary.json"]
+def test_sweep_starts_no_process(tmp_path, monkeypatch):
+    # rows run one after another in the sweep's own process, whatever --jobs asks
+    def no_fork():
+        raise AssertionError("a sweep started a process")
 
-    def dying_run(s, out_dir, prepared=None):
-        if s.coupling_k != 0.75:
-            return run(s, out_dir, prepared)
-        deadline = time.monotonic() + 60.0
-        while not all(p.exists() for p in others) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        time.sleep(0.5)                  # let the finished rows reach the parent
-        os._exit(1)
-
-    monkeypatch.setattr(scenario_mod, "_run", dying_run)
+    monkeypatch.setattr(os, "fork", no_fork)
     (tmp_path / "scn.txt").write_text(POINT_FAST)
-    sweep = tmp_path / "k.sweep"
-    sweep.write_text("sweep.scenario = scn.txt\nsweep.parameter = coupling.k\n"
-                     "sweep.values = 0.25 0.5 0.75\n")
-    assert cli_main(["sweep", str(sweep), "--out", str(out), "--jobs", "2"]) == 0
-    assert "(3 rows, 1 failed)" in capsys.readouterr().out
-    lines = (out / "sweep.csv").read_text().splitlines()
-    assert len(lines) == 4
-    statuses = [line.split(",")[2] for line in lines[1:]]
-    assert statuses == ["ok", "ok", "error"]
-    assert "worker process exited" in lines[3]
-
-
-class _RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records the worker count and runs
-    each row in this process."""
-
-    started: list = []
-
-    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
-        self.started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
-
-
-@pytest.mark.parametrize("jobs, n_values, cores, expected", [
-    (64, 3, 4, [3]),            # capped by the row count
-    (64, 8, 4, [4]),            # capped by the usable cores
-    (2, 8, 4, [2]),             # as asked
-    (8, 8, 1, []),              # one usable core: the plain loop, no pool
-    (1, 8, 4, []),
-])
-def test_sweep_worker_count_is_bounded(tmp_path, monkeypatch, jobs, n_values, cores,
-                                       expected):
-    monkeypatch.setattr(_RecordingExecutor, "started", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
-    monkeypatch.setattr(scenario_mod, "_usable_cores", lambda: cores)
-    monkeypatch.setattr(scenario_mod, "_prepare", lambda s, until: {})
-    monkeypatch.setattr(scenario_mod, "_run", lambda s, out_dir, prepared: {
-        name: 0.0 for name in ("p_direction", "p_entry_final", "p_registered_final",
-                               "mean_arrival", "classical_flight", "t_max",
-                               "converged", "consistency_residual_max")})
-    (tmp_path / "scn.txt").write_text(POINT_FAST)
-    values = " ".join(str(0.1 * (i + 1)) for i in range(n_values))
     (tmp_path / "k.sweep").write_text("sweep.scenario = scn.txt\n"
                                       "sweep.parameter = coupling.k\n"
-                                      f"sweep.values = {values}\n")
-    rows = qa.run_sweep(qa.parse_sweep(tmp_path / "k.sweep"), tmp_path / "out", jobs=jobs)
-    assert [row["status"] for row in rows] == ["ok"] * n_values
-    assert _RecordingExecutor.started == expected
+                                      "sweep.values = 0.25 0.5 0.75\n")
+    rows = qa.run_sweep(qa.parse_sweep(tmp_path / "k.sweep"), tmp_path / "out", jobs=4)
+    assert [row["status"] for row in rows] == ["ok"] * 3
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -595,6 +549,18 @@ def test_sweep_row_failure_recorded(tmp_path):
         table = list(csv.reader(fh))
     assert [len(cells) for cells in table] == [11, 11, 11]
     assert table[2][3] == by_value[1.5]["error"]
+
+
+@pytest.mark.parametrize("value", ["-100", "0"])
+def test_sweep_distance_not_positive_refused(tmp_path, value):
+    # a negative distance would mirror the detector through the source
+    (tmp_path / "scn.txt").write_text(POINT_FAST)
+    (tmp_path / "sweep.txt").write_text(
+        "sweep.scenario = scn.txt\nsweep.parameter = detector.distance\n"
+        f"sweep.values = {value} 100\n")
+    rows = qa.run_sweep(qa.parse_sweep(tmp_path / "sweep.txt"), tmp_path / "out")
+    assert [row["status"] for row in rows] == ["error", "ok"]
+    assert rows[0]["error"] == f"detector.distance: must be positive, got {float(value)}"
 
 
 def test_cli_sweep_duplicate_key_names_it(tmp_path, capsys):
