@@ -9,10 +9,10 @@ downstream consumes the single-direction component
 
 and its superposition over the detector's direction cone (hbar = 1).
 
-The radial rule is a composite Gauss-Legendre panel rule of 32 nodes per
-panel whose panel count is driven by the local phase rate
-|n.(x - x0) - p (t - t0) / m| (at least 8 nodes per oscillation period);
-halving the panel width supplies the error estimate.
+psi at a point and every occupation curve take one path: a composite
+Gauss-Legendre radial rule of 32 nodes per panel, sized by the phase rate
+|n.(x - x0) - p (t - t0) / m| (at least 8 nodes per period) and refined by
+doubling, one channel fold, and one phase-sum kernel over the times.
 """
 
 from __future__ import annotations
@@ -326,61 +326,7 @@ def _radial_rule(amp: MomentumAmplitude, panels: int) -> tuple[np.ndarray, np.nd
 
 
 # ---------------------------------------------------------------------------
-# single-point evaluation
-# ---------------------------------------------------------------------------
-
-def _radial_sum_converged(amp: MomentumAmplitude, quad: QuadratureSpec,
-                          rs: np.ndarray, gains: np.ndarray, tau: float,
-                          mass: float) -> complex:
-    """Sum_a gains[a] (2 pi)^(-3/2) Integral p^2 dp scale R(p)
-    exp(i p rs[a] - i p^2 tau / 2m), refined by radial panel doubling."""
-    panels = _radial_panels(amp, float(rs.min()), float(rs.max()), tau, mass)
-    gain_bound = float(np.sum(np.abs(gains)))
-
-    def at(n_panels: int) -> tuple[complex, float]:
-        p, base = _radial_rule(amp, n_panels)
-        phases = np.exp(1j * (np.outer(rs, p) - (p * p * tau / (2.0 * mass))[None, :]))
-        return (complex(gains @ (phases * base).sum(axis=1)),
-                1e-3 * (float(np.sum(np.abs(base))) * gain_bound))
-
-    return refine_by_doubling(at, panels, _RADIAL_DOUBLINGS, quad.rtol,
-                              "radial quadrature")[0]
-
-
-def eval_angular_component(amp: MomentumAmplitude, request: AngularComponentRequest,
-                           source: EmissionEvent, quad: QuadratureSpec) -> complex:
-    """Single-direction component psi_n(x, t) of the packet."""
-    tau = request.time - source.t0
-    if tau < 0.0:
-        raise ValueError(f"time {request.time} precedes the emission time {source.t0}")
-    rel = request.position - source.x0
-    r = float(request.direction @ rel)
-    g = 1.0 + 0.0j
-    if not amp.is_isotropic:
-        g = complex(amp.angular_profile(float(request.direction @ amp.axis)))
-    return g * _radial_sum_converged(amp, quad, np.array([r]), np.ones(1), tau,
-                                     source.mass)
-
-
-def eval_detector_wavefunction(amp: MomentumAmplitude, position, time: float,
-                               det: DetectorGeometry, source: EmissionEvent,
-                               quad: QuadratureSpec) -> complex:
-    """psi_D(x, t): superposition of psi_n over the detector's direction cone,
-    on the cap's polar-azimuth product grid."""
-    position = _as_vec3(position, "position")
-    tau = float(time) - source.t0
-    if tau < 0.0:
-        raise ValueError(f"time {time} precedes the emission time {source.t0}")
-    dirs, dw = cap_directions(det.axis, det.cos_cone, quad.polar_nodes, quad.azimuth_nodes)
-    g = dw.astype(complex)
-    if not amp.is_isotropic:
-        g = g * amp.angular_profile(dirs @ amp.axis)
-    return _radial_sum_converged(amp, quad, dirs @ (position - source.x0), g, tau,
-                                 source.mass)
-
-
-# ---------------------------------------------------------------------------
-# curve evaluators (vectorized over time)
+# psi and the occupation curves: one direct fold, one phase-sum kernel
 # ---------------------------------------------------------------------------
 
 _P_BLOCK = 1024         # momentum columns per block of the phase-sum kernel
@@ -478,6 +424,70 @@ def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs: np.ndarray) -> np.n
     return samples.reshape((n_t,) + coeffs.shape[1:])
 
 
+def _direct_fold(amp: MomentumAmplitude, mass: float, r_chan: np.ndarray,
+                 gains: np.ndarray, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """omega_p = p^2 / 2m and chan[p, x] = c_p Sum_a gains[a] exp(i p r_chan[x, a])
+    on the radial rule of `panels` panels, in blocks of points, momenta and channels."""
+    p, base = _radial_rule(amp, panels)
+    omega = p * p / (2.0 * mass)
+    n_points, n_chan = r_chan.shape
+    chan = np.zeros((p.size, n_points), dtype=complex)
+    step = max(1, _FOLD_CELLS // (8 * _P_BLOCK))          # points per block
+    for x0 in range(0, n_points, step):
+        for p0 in range(0, p.size, _P_BLOCK):
+            pts, cols = slice(x0, x0 + step), slice(p0, p0 + _P_BLOCK)
+            for a0 in range(0, n_chan, 8):
+                phases = np.exp(1j * r_chan[pts, a0:a0 + 8, None]
+                                * p[None, None, cols])         # (x, 8, P)
+                chan[cols, pts] += np.einsum("xap,a->px", phases, gains[a0:a0 + 8])
+    chan *= base[:, None]
+    return omega, chan
+
+
+def _psi(amp: MomentumAmplitude, source: EmissionEvent, quad: QuadratureSpec,
+         dirs: np.ndarray, gains: np.ndarray, position: np.ndarray,
+         time: float) -> complex:
+    """Sum_a gains[a] psi_n_a(position, time): the direct fold's phase sum, refined
+    by doubling above the floor 1e-3 Sum_p |chan_p|, the fold's own bound (deep in
+    the tail the value is rounding, which no relative test can pass)."""
+    tau = float(time) - source.t0
+    if tau < 0.0:
+        raise ValueError(f"time {time} precedes the emission time {source.t0}")
+    r = (dirs @ (position - source.x0))[None, :]                  # (1, A)
+
+    def at(panels: int) -> tuple[complex, float]:
+        omega, chan = _direct_fold(amp, source.mass, r, gains, panels)
+        return complex(_phase_sums(omega, [tau], chan)[0, 0]), 1e-3 * np.abs(chan).sum()
+
+    return refine_by_doubling(at, _radial_panels(amp, r.min(), r.max(), tau, source.mass),
+                              _RADIAL_DOUBLINGS, quad.rtol, "radial quadrature")[0]
+
+
+def _cap_channels(amp: MomentumAmplitude, det: DetectorGeometry,
+                  quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The cap rule's directions n_a about `det.axis`, gains dOmega_a G(n_a.axis)."""
+    dirs, dw = cap_directions(det.axis, det.cos_cone, quad.polar_nodes, quad.azimuth_nodes)
+    gains = dw.astype(complex)
+    return dirs, gains if amp.is_isotropic else gains * amp.angular_profile(dirs @ amp.axis)
+
+
+def eval_angular_component(amp: MomentumAmplitude, request: AngularComponentRequest,
+                           source: EmissionEvent, quad: QuadratureSpec) -> complex:
+    """Single-direction component psi_n(x, t) of the packet."""
+    g = 1.0 if amp.is_isotropic else amp.angular_profile(float(request.direction @ amp.axis))
+    return _psi(amp, source, quad, request.direction[None, :], np.full(1, g, dtype=complex),
+                request.position, request.time)
+
+
+def eval_detector_wavefunction(amp: MomentumAmplitude, position, time: float,
+                               det: DetectorGeometry, source: EmissionEvent,
+                               quad: QuadratureSpec) -> complex:
+    """psi_D(x, t): superposition of psi_n over the detector's direction cone,
+    on the cap's polar-azimuth product grid."""
+    return _psi(amp, source, quad, *_cap_channels(amp, det, quad),
+                _as_vec3(position, "position"), time)
+
+
 class OccupationCurve:
     """Sum_x w_x |Sum_a g_a psi(r[x, a], tau)|^2 over arrays of elapsed times
     tau: points x of weight w_x, direction channels a of gain g_a at distance
@@ -542,22 +552,10 @@ class OccupationCurve:
             _RADIAL_DOUBLINGS, quad.rtol, "Plancherel mass")
 
     def _build(self, panels: int):
+        if self._mix is None:
+            return _direct_fold(self.amp, self.source.mass, self._r_chan, self._gains, panels)
         p, base = _radial_rule(self.amp, panels)
         omega = p * p / (2.0 * self.source.mass)
-        if self._mix is None:
-            n_points, n_chan = self._r_chan.shape
-            chan = np.zeros((p.size, n_points), dtype=complex)
-            step = max(1, _FOLD_CELLS // (8 * _P_BLOCK))          # points per block
-            for x0 in range(0, n_points, step):
-                for p0 in range(0, p.size, _P_BLOCK):
-                    pts, cols = slice(x0, x0 + step), slice(p0, p0 + _P_BLOCK)
-                    for a0 in range(0, n_chan, 8):
-                        phases = np.exp(1j * self._r_chan[pts, a0:a0 + 8, None]
-                                        * p[None, None, cols])         # (x, 8, P)
-                        chan[cols, pts] += np.einsum("xap,a->px", phases,
-                                                     self._gains[a0:a0 + 8])
-            chan *= base[:, None]
-            return omega, chan
         return omega, base[:, None] * np.exp(1j * np.outer(p - self._p_mid, self._r_nodes))
 
     def _density(self, sums: np.ndarray) -> np.ndarray:
@@ -619,11 +617,7 @@ def detector_occupation(amp: MomentumAmplitude, det: DetectorGeometry,
             float(np.abs(amp.angular_profile(det.axis @ amp.axis)) ** 2)
         return OccupationCurve(amp, source, quad, np.array([[det.distance]]),
                                np.ones(1, dtype=complex), np.array([g2]))
-    dirs, dw = cap_directions(det.axis, det.cos_cone, quad.polar_nodes,
-                              quad.azimuth_nodes)
+    dirs, gains = _cap_channels(amp, det, quad)
     points, vol_w = volume_grid(det, quad)
-    gains = dw.astype(complex)
-    if not amp.is_isotropic:
-        gains = gains * amp.angular_profile(dirs @ amp.axis)
     return OccupationCurve(amp, source, quad, (points - source.x0) @ dirs.T,
                            gains, vol_w)

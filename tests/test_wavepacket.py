@@ -1,4 +1,7 @@
 from dataclasses import replace
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 
 import qarrival as qa
 from qarrival import NormalizationError, QuadratureSpec
+from qarrival import oracle as orc
 from qarrival import wavepacket as wp
 from qarrival import probability as prob
 from qarrival.errors import IntegrationError
@@ -235,19 +239,62 @@ def test_request_validation(iso_amp, source):
 
 
 def test_volume_curve_matches_pointwise_field(iso_amp, standard_det, source):
-    # both time-curve folds against independent single evaluations: 2 x 2
-    # directions give 16 volume points, fewer than the Chebyshev order, so
-    # the channels fold per point; 4 x 4 give 64 and are compressed
+    # both time-curve folds against a brute sum: the 64-panel radial rule
+    # times exp(i p r_xa - i p^2 tau / 2m), one outer product summed over the
+    # channels.  2 x 2 directions give 16 volume points, fewer than the
+    # Chebyshev order, so the channels fold per point; 4 x 4 give 64 and are
+    # compressed
     taus = np.array([3.0, 4.0, 5.0])
+    p, base = wp._radial_rule(iso_amp, 64)
     for nodes, compressed in ((2, False), (4, True)):
         quad = QuadratureSpec(polar_nodes=nodes, azimuth_nodes=nodes)
         curve = wp.detector_occupation(iso_amp, standard_det, source, quad)
         assert (curve._mix is not None) == compressed
         points, weights = volume_grid(standard_det, quad)
-        total = [sum(w * abs(qa.eval_detector_wavefunction(iso_amp, x, tau, standard_det,
-                                                           source, quad)) ** 2
-                     for x, w in zip(points, weights)) for tau in taus]
+        dirs, gains = cap_directions(standard_det.axis, standard_det.cos_cone, nodes, nodes)
+        r = (points - source.x0) @ dirs.T                               # (X, A)
+        total = []
+        for tau in taus:
+            phases = np.exp(1j * (r[:, :, None] * p - p * p * tau / (2.0 * source.mass)))
+            total.append(weights @ np.abs((phases * base).sum(axis=2) @ gains) ** 2)
         np.testing.assert_allclose(curve(taus), total, rtol=1e-13)
+
+
+@pytest.mark.parametrize("z, tau", [(20.0, 40.0), (0.0, 50.0)])
+def test_psi_deep_in_the_tail(iso_amp, source, z, tau):
+    # |psi| ~ 1e-10 here, against Sum_p |c_p| ~ 0.14: the doubling residual is
+    # rounding (~6e-16), which only the absolute floor of the fold accepts
+    req = wp.AngularComponentRequest([0.0, 0.0, 1.0], [0.0, 0.0, z], tau)
+    value = qa.eval_angular_component(iso_amp, req, source, QuadratureSpec())
+    report = orc.oracle_angular_component(iso_amp, req.direction, req.position, tau, source)
+    assert np.isfinite(value) and 1e-11 <= abs(value) <= 1e-9
+    assert abs(value - report.value) <= report.error_estimate + 1e-14
+
+
+def test_cap_wavefunction_memory_is_bounded(iso_amp, source):
+    # 256 x 256 cap channels: one phase matrix over all channels and momenta
+    # is a (65536, 448) complex array of 448 MiB.  The blocked fold runs
+    # under a 1 GiB address space (one BLAS thread, whose buffers are not the
+    # fold's) and gives the 32 x 32 value
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+        "import qarrival as qa\n"
+        "src = qa.EmissionEvent(x0=[0, 0, 0], t0=0.0, mass=1.0)\n"
+        "det = qa.cap_detector([0, 0, 1], 0.05, 19.0, 21.0, src)\n"
+        "quad = qa.QuadratureSpec(polar_nodes=256, azimuth_nodes=256)\n"
+        "print(repr(qa.eval_detector_wavefunction(qa.isotropic_gaussian(5.0, 0.5),\n"
+        "      [0.0, 0.05, 20.0], 4.0, det, src, quad)))\n")
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(qa.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, (src_dir, os.environ.get("PYTHONPATH")))))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    det = qa.cap_detector([0, 0, 1], 0.05, 19.0, 21.0, source)
+    coarse = qa.eval_detector_wavefunction(iso_amp, [0.0, 0.05, 20.0], 4.0, det, source,
+                                           QuadratureSpec(polar_nodes=32, azimuth_nodes=32))
+    assert complex(result.stdout.split()[-1]) == pytest.approx(coarse, rel=1e-12)
 
 
 def _one_shot_mix(curve):
