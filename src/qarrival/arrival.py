@@ -19,7 +19,7 @@ import numpy as np
 from .errors import IntegrationError
 from .geometry import EmissionEvent, point_detector
 from .quadrature import QuadratureSpec, SemiInfiniteResult
-from .probability import OccupationProfile, write_columns_csv, _mass_end, _occupation
+from .probability import OccupationProfile, write_tables, _mass_end, _occupation
 from .wavepacket import MomentumAmplitude
 
 
@@ -39,8 +39,13 @@ class ArrivalTimeStats:
     classical_time: float | None = None
     spread: float | None = None
 
+    def csv_table(self) -> tuple:
+        """Header and float columns of arrival.csv."""
+        return "t,density", (self.t, self.density)
+
     def write_csv(self, path):
-        return write_columns_csv(path, "t,density", self.t, self.density)
+        # through the class, so any object with the statistics' columns writes
+        write_tables([(path, *ArrivalTimeStats.csv_table(self))])
 
 
 def stats_from_samples(taus, values, t0: float = 0.0,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .probability import EntryProbabilityCurve, write_columns_csv
+from .probability import EntryProbabilityCurve, write_tables
 from .quadrature import differentiate_sampled
 
 
@@ -80,10 +80,14 @@ class CouplingSchedule:
                              f"[{self.t[0]}, {self.t[-1]}]")
         return float(np.interp(t, self.t, self.angle))
 
+    def csv_table(self) -> tuple:
+        """Header and float columns of schedule.csv."""
+        return "t,rate,angle,p_registered,entry_rate", (
+            self.t, self.rate, self.angle, np.sin(self.angle) ** 2, self.entry_rate)
+
     def write_csv(self, path):
-        return write_columns_csv(path, "t,rate,angle,p_registered,entry_rate", self.t,
-                                 self.rate, self.angle, np.sin(self.angle) ** 2,
-                                 self.entry_rate)
+        # through the class, so any object with the schedule's columns writes
+        write_tables([(path, *CouplingSchedule.csv_table(self))])
 
 
 def coupling_schedule(curve: EntryProbabilityCurve, k: float) -> CouplingSchedule:

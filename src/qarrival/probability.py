@@ -13,6 +13,8 @@ detector replaces the volume integral by the single-point density
 
 from __future__ import annotations
 
+import os
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +27,7 @@ from .wavepacket import MomentumAmplitude, OccupationCurve, _cone_angular_mass, 
     radial_moments
 
 _NORM_TOL = 1e-6
-_CSV_BLOCK = 4096      # rows formatted per write in write_columns_csv
+_CSV_BLOCK = 2048      # rows per write in write_tables: a run holds one block a column
 _MAX_GRID_ROWS = 2 ** 22   # output samples; default time controls need <= 2,000,001
 _VANISHES = "detector occupation vanishes; the entry ratio is undefined"
 
@@ -86,23 +88,52 @@ class EntryProbabilityCurve:
     def dt(self) -> float:
         return float(self.t[1] - self.t[0]) if self.t.size > 1 else 0.0
 
+    def csv_table(self) -> tuple:
+        """Header and float columns of entry_curve.csv."""
+        return "t,p_conditional,p_entry", (self.t, self.p_conditional, self.p_entry)
+
     def write_csv(self, path):
-        return write_columns_csv(path, "t,p_conditional,p_entry", self.t,
-                                 self.p_conditional, self.p_entry)
+        # through the class, so any object with the curve's columns writes
+        write_tables([(path, *EntryProbabilityCurve.csv_table(self))])
 
 
-def write_columns_csv(path, header: str, *columns: np.ndarray) -> str | None:
-    """CSV of float columns at %.17g, formatted _CSV_BLOCK rows at a time.
-    Written to `path` a block at a time, so the text in memory never exceeds
-    one block; with `path` None, the whole text is returned instead."""
-    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
-    body = ("".join(map(row.format, *(c[lo:lo + _CSV_BLOCK].tolist() for c in columns)))
-            for lo in range(0, len(columns[0]), _CSV_BLOCK))
-    if path is None:
-        return header + "\n" + "".join(body)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(body)
+def _format_block(block: np.ndarray) -> list[str]:
+    """The block's values at %.17g (the bytes of f"{v:.17g}"), in one `%` call."""
+    return (("%.17g\n" * len(block))[:-1] % tuple(block.tolist())).split("\n")
+
+
+def format_columns(*columns: np.ndarray) -> dict:
+    """The texts of each _CSV_BLOCK block of float `columns`, by the block's
+    bits: columns every row of a sweep writes, for `write_tables` to read."""
+    return {column[lo:lo + _CSV_BLOCK].tobytes(): _format_block(column[lo:lo + _CSV_BLOCK])
+            for column in columns for lo in range(0, len(column), _CSV_BLOCK)}
+
+
+def write_tables(tables, shared: dict | None = None):
+    """Write CSV tables, (sink, header, float columns) triples whose sink is a
+    path or an open text stream, in step, _CSV_BLOCK rows at a time.
+
+    In each block of rows, every distinct column block (by its bits) is
+    formatted once, whichever tables hold it, or read from `shared`
+    (`format_columns`): the text held is one block per distinct column."""
+    shared = shared or {}
+    with ExitStack() as stack:
+        sinks = [stack.enter_context(open(sink, "w", encoding="utf-8", newline="\n"))
+                 if isinstance(sink, (str, os.PathLike)) else sink for sink, _, _ in tables]
+        for fh, (_, header, _) in zip(sinks, tables):
+            fh.write(header + "\n")
+        for lo in range(0, max((len(c[0]) for _, _, c in tables), default=0), _CSV_BLOCK):
+            texts = {}      # this block's value texts, by the block's bits
+            for fh, (_, _, columns) in zip(sinks, tables):
+                if lo >= len(columns[0]):
+                    continue
+                parts = []
+                for block in (c[lo:lo + _CSV_BLOCK] for c in columns):
+                    key = block.tobytes()
+                    if key not in texts:
+                        texts[key] = shared.get(key) or _format_block(block)
+                    parts.append(texts[key])
+                fh.write("\n".join(map(",".join, zip(*parts))) + "\n")
 
 
 def resolve_time_controls(amp: MomentumAmplitude, source: EmissionEvent,

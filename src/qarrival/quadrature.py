@@ -81,11 +81,12 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def gauss_legendre_panels(a: float, b: float, panels: int, nodes_per_panel: int,
-                          breaks=()) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule: `panels` equal panels on [a, b], also
-    split at the `breaks` inside (a, b).  A split piece keeps the panel's
-    node density, with at least 4 nodes (or the panel's, when fewer)."""
+def panel_pieces(a: float, b: float, panels: int, nodes_per_panel: int,
+                 breaks=()) -> tuple[np.ndarray, np.ndarray]:
+    """Edges and node counts of the pieces of `gauss_legendre_panels`:
+    `panels` equal panels on [a, b], also split at the `breaks` inside
+    (a, b).  A split piece keeps the panel's node density, with at least 4
+    nodes (or the panel's, when fewer)."""
     if not b > a:
         raise ValueError(f"empty integration range [{a}, {b}]")
     breaks = np.asarray(breaks, dtype=float)
@@ -94,6 +95,13 @@ def gauss_legendre_panels(a: float, b: float, panels: int, nodes_per_panel: int,
     edges = edges[np.append(True, np.diff(edges) > 0.0)]
     counts = np.minimum(np.maximum(np.ceil(
         nodes_per_panel * panels * np.diff(edges) / (b - a)), 4), nodes_per_panel)
+    return edges, counts
+
+
+def gauss_legendre_panels(a: float, b: float, panels: int, nodes_per_panel: int,
+                          breaks=()) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on the pieces of `panel_pieces`."""
+    edges, counts = panel_pieces(a, b, panels, nodes_per_panel, breaks)
     nodes, weights = [], []
     for m in sorted(set(counts.tolist())):    # not np.unique: it imports numpy.ma
         x, w = _leggauss(int(m))

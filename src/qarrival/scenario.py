@@ -10,6 +10,7 @@ JSON summary.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from contextlib import contextmanager
@@ -485,7 +486,8 @@ def run_scenario(s: Scenario, out_dir) -> dict:
 
 def _run(s: Scenario, out_dir, prepared: dict | None = None) -> dict:
     """`run_scenario`, from the stages a sweep shares in `prepared`: `_prepare`
-    results, plus the text of each file (by name) that they write."""
+    results, plus the text of each file (by name) that they write and, under
+    "columns", the texts of columns every row writes (`_share_texts`)."""
     os.makedirs(out_dir, exist_ok=True)
     r = _prepare(s, shared=prepared)
     (source, amp), det = r["amplitude"], r["detector"]
@@ -493,12 +495,14 @@ def _run(s: Scenario, out_dir, prepared: dict | None = None) -> dict:
     sched = r["schedule"] = detector_mod.coupling_schedule(curve, s.coupling_k)
     closure = detector_mod.ode_consistency(sched)
 
+    tables = []
     for name, stage in _FILES:
         path = os.path.join(out_dir, name)
         if name in r:
             _write_text(path, r[name])
         elif r[stage] is not None:
-            r[stage].write_csv(path)
+            tables.append((path, *r[stage].csv_table()))
+    prob_mod.write_tables(tables, r.get("columns"))
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -646,6 +650,21 @@ def _sweep_row(template: Scenario, parameter: str, out_dir, value: float,
     return row
 
 
+def _share_texts(template: Scenario, prepared: dict) -> dict:
+    """`prepared` with the text of each file its stages write, formatted in
+    one pass.  When they include the entry curve, the schedule's columns
+    that do not depend on k (`t`, `entry_rate`) are formatted once too, and
+    kept under "columns" for every row's schedule.csv to read."""
+    shared = {}
+    if "curve" in prepared:
+        sched = detector_mod.coupling_schedule(prepared["curve"], template.coupling_k)
+        shared = prob_mod.format_columns(sched.t, sched.entry_rate)
+    files = [(name, io.StringIO(), prepared[stage]) for name, stage in _FILES
+             if prepared.get(stage) is not None]
+    prob_mod.write_tables([(buf, *result.csv_table()) for _, buf, result in files], shared)
+    return prepared | {name: buf.getvalue() for name, buf, _ in files} | {"columns": shared}
+
+
 def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
     """One scenario run per value, one after another in this process; rows
     are independent and sorted by value.  `jobs` is accepted and ignored.
@@ -662,10 +681,7 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
     os.makedirs(out_dir, exist_ok=True)
     failure = None
     try:
-        prepared = _prepare(template, _SWEEPABLE[spec.parameter])
-        for name, stage in _FILES:
-            if prepared.get(stage) is not None:
-                prepared[name] = prepared[stage].write_csv(None)
+        prepared = _share_texts(template, _prepare(template, _SWEEPABLE[spec.parameter]))
     except Exception as exc:  # noqa: BLE001 - the rows record it
         prepared = None
         if _SWEEPABLE[spec.parameter] != "curve":

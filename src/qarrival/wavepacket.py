@@ -25,7 +25,7 @@ import numpy as np
 from .errors import IntegrationError, NormalizationError
 from .geometry import EmissionEvent, DetectorGeometry, unit_vector, _as_vec3
 from .quadrature import QuadratureSpec, gauss_legendre_panels, cap_directions, \
-    refine_by_doubling, volume_grid
+    panel_pieces, refine_by_doubling, volume_grid
 
 TWO_PI_32 = (2.0 * np.pi) ** 1.5
 GAUSSIAN_SUPPORT_SIGMAS = 8.0
@@ -304,11 +304,11 @@ def _radial_panels(amp: MomentumAmplitude, r_lo: float, r_hi: float, tau: float,
     n_target = max(8.0 * periods, float(amp.radial_node_floor))
     panels = max(at_least, int(np.ceil(n_target / _RADIAL_NODES)))
     # full panels alone bound the count from below; pieces split at knots add
-    # nodes, so the rule is laid out only when that bound fits
+    # nodes, so the pieces are counted only when that bound fits
     nodes = panels * 2 ** _RADIAL_DOUBLINGS * _RADIAL_NODES
     if nodes <= _RADIAL_BUDGET:
-        nodes = gauss_legendre_panels(p_lo, p_hi, panels * 2 ** _RADIAL_DOUBLINGS,
-                                      _RADIAL_NODES, amp.knots)[0].size
+        nodes = int(panel_pieces(p_lo, p_hi, panels * 2 ** _RADIAL_DOUBLINGS,
+                                 _RADIAL_NODES, amp.knots)[1].sum())
     if nodes > _RADIAL_BUDGET:
         raise IntegrationError(
             f"the radial rule at tau = {tau:.6g} would pass the budget of "

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -346,32 +347,48 @@ def test_sweep_profile_count(tmp_path, monkeypatch, parameter, values, profiles)
     assert len(calls) == profiles
 
 
-def count_csv_formats(monkeypatch) -> list:
-    """Record the header of each CSV the pipeline formats, whether it is
-    written to a file or returned as text."""
-    real = prob_mod.write_columns_csv
-    headers = []
+def count_column_formats(monkeypatch) -> list:
+    """Record each column block the CSV writers format, whether its table
+    is written to a file or kept as text."""
+    real = prob_mod._format_block
+    blocks = []
 
-    def counted(path, header, *columns):
-        headers.append(header)
-        return real(path, header, *columns)
+    def counted(block):
+        blocks.append(block.tobytes())
+        return real(block)
 
-    for mod in (prob_mod, arrival_mod, detector_mod):
-        monkeypatch.setattr(mod, "write_columns_csv", counted)
-    return headers
+    monkeypatch.setattr(prob_mod, "_format_block", counted)
+    return blocks
 
 
-def test_coupling_sweep_formats_shared_files_once(tmp_path, monkeypatch):
-    headers = count_csv_formats(monkeypatch)
+def block_formats(formatted: list, column) -> set:
+    """How many times each _CSV_BLOCK block of `column` was formatted."""
+    return {formatted.count(column[lo:lo + prob_mod._CSV_BLOCK].tobytes())
+            for lo in range(0, len(column), prob_mod._CSV_BLOCK)}
+
+
+def test_coupling_sweep_formats_each_column_once(tmp_path, monkeypatch):
+    formatted = count_column_formats(monkeypatch)
     (tmp_path / "scn.txt").write_text(POINT_FAST)
     (tmp_path / "sweep.txt").write_text(
         "sweep.scenario = scn.txt\nsweep.parameter = coupling.k\n"
         "sweep.values = 0.25 0.5 0.75\n")
     rows = qa.run_sweep(qa.parse_sweep(tmp_path / "sweep.txt"), tmp_path / "out", jobs=1)
     assert [row["status"] for row in rows] == ["ok"] * 3
-    # entry curve and arrival once, in the sweep; the schedule once per row
-    assert sorted(headers) == ["t,density", "t,p_conditional,p_entry"] \
-        + ["t,rate,angle,p_registered,entry_rate"] * 3
+    r = scenario_mod._prepare(qa.parse_scenario_text(POINT_FAST))
+    curve, arrival = r["curve"], r["arrival"]
+    scheds = [detector_mod.coupling_schedule(curve, k) for k in (0.25, 0.5, 0.75)]
+    # p_direction is 1, so p_entry has the bits of p_conditional and is never
+    # formatted on its own; t, p_conditional, density and entry_rate once in
+    # the sweep, rate, angle and p_registered once in each of the three rows
+    assert curve.p_entry.tobytes() == curve.p_conditional.tobytes()
+    assert arrival.t.tobytes() == curve.t.tobytes()
+    once = [curve.t, curve.p_conditional, arrival.density, scheds[0].entry_rate]
+    per_row = [c for sched in scheds for c in sched.csv_table()[1][1:4]]
+    for column in once + per_row:
+        assert block_formats(formatted, column) == {1}
+    blocks = -(-curve.t.size // prob_mod._CSV_BLOCK)
+    assert len(formatted) == blocks * (len(once) + len(per_row))
     for k in ("0.25", "0.5", "0.75"):
         qa.run_scenario(qa.parse_scenario_text(POINT_FAST + f"coupling.k = {k}\n"),
                         tmp_path / "single" / k)
@@ -722,7 +739,7 @@ def test_cli_missing_file(tmp_path):
 
 
 def csv_columns():
-    """Five columns of 5000 rows (two write blocks) with signed zeros,
+    """Five columns of 5000 rows (three write blocks) with signed zeros,
     subnormals, huge values, exact integers and values that need all 17
     significant digits."""
     rng = np.random.default_rng(3)
@@ -754,6 +771,113 @@ def test_csv_writers_match_per_row_format(tmp_path, writer):
     expected = header + "\n" + "".join(
         ",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*columns))
     assert (tmp_path / "out.csv").read_bytes() == expected.encode("utf-8")
+
+
+def per_value_csv(header: str, columns) -> bytes:
+    """The reference bytes of a CSV table: each value through f"{v:.17g}"."""
+    return (header + "\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                   for row in zip(*columns))).encode("utf-8")
+
+
+# a NaN whose payload differs from numpy's np.nan
+NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]
+
+
+@pytest.mark.parametrize("value, twin", [(0.0, -0.0), (np.nan, NAN_PAYLOAD)],
+                         ids=["signed zero", "nan payload"])
+def test_csv_columns_merge_only_equal_bits(tmp_path, monkeypatch, value, twin):
+    formatted = count_column_formats(monkeypatch)
+    a = csv_columns()[0]
+    b = a.copy()
+    a[:100], b[:100] = value, twin
+    assert np.array_equal(a, b, equal_nan=True) and a.tobytes() != b.tobytes()
+    prob_mod.write_tables([(tmp_path / "out.csv", "a,b,a", (a, b, a))])
+    assert (tmp_path / "out.csv").read_bytes() == per_value_csv("a,b,a", (a, b, a))
+    # the first block of b differs from a's in bits and is formatted on its
+    # own; the later blocks are bitwise equal and formatted once
+    blocks = [a[lo:lo + prob_mod._CSV_BLOCK].tobytes()
+              for lo in range(0, a.size, prob_mod._CSV_BLOCK)]
+    assert formatted == blocks[:1] + [b[:prob_mod._CSV_BLOCK].tobytes()] + blocks[1:]
+
+
+def test_csv_tables_in_step_across_block_boundaries(tmp_path, monkeypatch):
+    # the long tables cross two block boundaries; the short one shares its
+    # first block of t, but not its shorter second one, and t and d are
+    # formatted ahead, as a sweep formats its shared columns
+    cols = csv_columns()
+    short = prob_mod._CSV_BLOCK + 904
+    t, a, b, c, d = np.concatenate((cols, cols), axis=1)[:, :2 * prob_mod._CSV_BLOCK + 808]
+    tables = {"long.csv": ("t,a,b", (t, a, b)), "short.csv": ("t,c", (t[:short], c[:short])),
+              "other.csv": ("t,d,a", (t, d, a))}
+    formatted = count_column_formats(monkeypatch)
+    shared = prob_mod.format_columns(t, d)
+    prob_mod.write_tables([(tmp_path / name, header, columns)
+                           for name, (header, columns) in tables.items()], shared)
+    for name, (header, columns) in tables.items():
+        assert (tmp_path / name).read_bytes() == per_value_csv(header, columns)
+    blocks = {column[lo:lo + prob_mod._CSV_BLOCK].tobytes()
+              for _, columns in tables.values() for column in columns
+              for lo in range(0, len(column), prob_mod._CSV_BLOCK)}
+    assert len(formatted) == len(set(formatted)) == len(blocks) == 15
+    assert set(formatted) == blocks
+
+
+SEPARABLE_SPHERE = """
+amplitude.kind = separable
+amplitude.axis = 0 0 1
+amplitude.angular_sigma = 0.3
+detector.kind = sphere
+detector.center = 0 0 20
+detector.radius = 0.5
+"""
+
+
+@pytest.mark.parametrize("text", [SEPARABLE_SPHERE, POINT_FAST + "grid.dt = 0.2\n",
+                                  POINT_FAST + "emission.t0 = 3.25\n"],
+                         ids=["volume", "grid.dt", "t0"])
+def test_run_csvs_match_per_value_format(tmp_path, text):
+    s = qa.parse_scenario_text(text)
+    qa.run_scenario(s, tmp_path)
+    r = scenario_mod._prepare(s)
+    curve, arrival = r["curve"], r["arrival"]
+    sched = detector_mod.coupling_schedule(curve, s.coupling_k)
+    files = {"entry_curve.csv": ("t,p_conditional,p_entry",
+                                 (curve.t, curve.p_conditional, curve.p_entry)),
+             "schedule.csv": ("t,rate,angle,p_registered,entry_rate",
+                              (sched.t, sched.rate, sched.angle, np.sin(sched.angle) ** 2,
+                               sched.entry_rate))}
+    if s.is_point:
+        files["arrival.csv"] = ("t,density", (arrival.t, arrival.density))
+    assert sorted(os.listdir(tmp_path)) == sorted(files) + ["summary.json"]
+    for name, (header, columns) in files.items():
+        assert (tmp_path / name).read_bytes() == per_value_csv(header, columns)
+    if not s.is_point:     # a direction factor below 1: p_entry keeps its own text
+        assert curve.p_direction < 1.0 and curve.p_entry[-1] < curve.p_conditional[-1]
+    elif s.grid.dt is not None:
+        assert curve.t.size != arrival.t.size
+    else:
+        assert curve.t[0] == 3.25 and curve.t.tobytes() == arrival.t.tobytes()
+
+
+def test_csv_writer_holds_one_block_per_distinct_column():
+    # a run's three CSVs at 2^18 rows hold 7 distinct columns; a memo of
+    # whole columns would hold ~150 MB of value texts, the writer one block
+    # of each (~100 bytes a value: its string and its pointer)
+    n = 2 ** 18
+    rng = np.random.default_rng(5)
+    t = 0.25 + 1e-3 * np.arange(n)
+    p_conditional, rate, angle, entry_rate, density = rng.random((5, n))
+    tables = [(os.devnull, "t,p_conditional,p_entry", (t, p_conditional, 1.0 * p_conditional)),
+              (os.devnull, "t,rate,angle,p_registered,entry_rate",
+               (t, rate, angle, np.sin(angle) ** 2, entry_rate)),
+              (os.devnull, "t,density", (t, density))]
+    tracemalloc.start()
+    try:
+        prob_mod.write_tables(tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 7 * prob_mod._CSV_BLOCK * 100
 
 
 @pytest.mark.parametrize("command, lines, key", [

@@ -14,7 +14,8 @@ from qarrival import wavepacket as wp
 from qarrival import probability as prob
 from qarrival.errors import IntegrationError
 from qarrival.geometry import point_detector
-from qarrival.quadrature import cap_directions, semiinfinite_profile, volume_grid
+from qarrival.quadrature import cap_directions, gauss_legendre_panels, panel_pieces, \
+    semiinfinite_profile, volume_grid
 
 from conftest import tabulated_gaussian_amplitude
 
@@ -418,3 +419,18 @@ def test_radial_budget_counts_nodes_between_knots(source):
     assert 32 * 8 * -(-dense.radial_node_floor // 32) == 2 ** 18
     with pytest.raises(IntegrationError, match="budget of 262144 nodes"):
         wp._radial_panels(dense, 20.0, 20.0, 0.0, source.mass)
+
+
+@pytest.mark.parametrize("case", ["gaussian", "knotted table", "budget edge"])
+def test_radial_panels_count_is_the_rule_size(source, case):
+    # the budget counts the pieces' nodes without laying the rule out; the
+    # edge is a gaussian held at 1,024 panels: 2^18 nodes after three doublings
+    amp = tabulated_gaussian_amplitude() if case == "knotted table" \
+        else wp.isotropic_gaussian(5.0, 0.5)
+    at_least = 1024 if case == "budget edge" else 1
+    panels = wp._radial_panels(amp, 20.0, 20.0, 4.0, source.mass, at_least)
+    args = (*amp.p_support, 8 * panels, wp._RADIAL_NODES, amp.knots)
+    count = int(panel_pieces(*args)[1].sum())
+    assert count == gauss_legendre_panels(*args)[0].size
+    assert count == {"gaussian": 256 * panels, "knotted table": 39872,
+                     "budget edge": 2 ** 18}[case]
