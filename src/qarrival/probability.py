@@ -9,6 +9,9 @@ times the conditional occupation ratio
 and exposes both as sampled curves over a uniform time grid.  A point
 detector replaces the volume integral by the single-point density
 |psi_nD(x_D, t')|^2 and carries the direction factor separately (default 1).
+
+`write_tables` writes the bytes of "%.17g" % v: 17 digits exact from a double-double
+scaling by a power of ten, and Python's dtoa for what that product cannot decide.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -28,6 +32,8 @@ from .wavepacket import MomentumAmplitude, OccupationCurve, _cone_angular_mass, 
 
 _NORM_TOL = 1e-6
 _CSV_BLOCK = 2048      # rows per write in write_tables: a run holds one block a column
+_CSV_WIDTH = 24        # bytes of the longest %.17g text, -2.2250738585072014e-308
+_E0 = 284              # the kernel's tables hold E in [-_E0, _E0]; 10^(16 + _E0) * 2^27 is finite
 _MAX_GRID_ROWS = 2 ** 22   # output samples; default time controls need <= 2,000,001
 _VANISHES = "detector occupation vanishes; the entry ratio is undefined"
 
@@ -97,9 +103,110 @@ class EntryProbabilityCurve:
         write_tables([(path, *EntryProbabilityCurve.csv_table(self))])
 
 
-def _format_block(block: np.ndarray) -> list[str]:
-    """The block's values at %.17g (the bytes of f"{v:.17g}"), in one `%` call."""
-    return (("%.17g\n" * len(block))[:-1] % tuple(block.tolist())).split("\n")
+def _two_product(x, hi, lo):
+    """x (hi + lo) as p + s with p = fl(x hi): Dekker's error-free product of
+    x and hi, plus x lo, so p + s errs by ~2^-104 of the product."""
+    c, d = x * 134217729.0, hi * 134217729.0
+    xh, hh = c - (c - x), d - (d - hi)
+    p = x * hi
+    return p, (((xh * hh - p) + xh * (hi - hh)) + (x - xh) * hh) + (x - xh) * (hi - hh) + x * lo
+
+
+@cache
+def _csv_tables() -> tuple:
+    """The tables of `_format_block`, built by the first write: 10^(16 - E) as
+    a double-double hi + lo, by E + _E0; the ASCII of 0000..9999 as uint32;
+    for digit group j of 4 and its value, 4 j + the digits up to its last
+    nonzero one (0 for 0); by E + _E0, the exponent text and the first key of
+    E's notation; and the templates, by key."""
+    big = []
+    for j in range(-18, 19):    # 10^(16 j) = a / b as hi + lo, each rounded from the exact value
+        a, b = (10 ** (16 * j), 1) if j >= 0 else (1, 10 ** (-16 * j))
+        num, den = (a / b).as_integer_ratio()
+        big.append((a / b, (a * den - num * b) / (den * b)))
+    e = np.arange(-_E0, _E0 + 1)
+    p, s = _two_product((10 ** ((16 - e) % 16)).astype(float),
+                        *np.take(big, (16 - e) // 16 + 18, axis=0).T)
+    digit = np.arange(10, dtype=np.uint8)
+    groups = np.empty((10, 10, 10, 10, 4), np.uint8)     # the ASCII of 0000..9999
+    for j in range(4):
+        groups[..., j] = digit.reshape((10,) + (1,) * (3 - j)) + 48
+    last = np.where(digit > 0, 4, np.where(digit[:, None] > 0, 3, np.where(
+        digit[:, None, None] > 0, 2, digit[:, None, None, None] > 0))).astype(np.uint8).ravel()
+    # key (mode, nd, sign): mode E + 4 is fixed notation (E in [-4, 16]), 21 and 22
+    # exponential with 2 and 3 exponent digits; a text is a sign, a lead ("0." and
+    # -E - 1 zeros), the whole digits, a point, the other digits and the exponent,
+    # read from source bytes 0 ".", 1 "-", 2 "0", 3-19 the digits, 20-24 "e+ddd", 27 zero
+    m, nd, at = np.arange(23)[:, None, None], np.arange(1, 18)[:, None], np.arange(_CSV_WIDTH)
+    lead = np.where(m < 4, 5 - m, 0)
+    whole = np.where(m > 20, 1, np.maximum(m - 3, 0))
+    point = lead + whole + ((nd > whole) & (lead == 0))
+    digits = point + np.maximum(nd - whole, 0)
+    exp = np.where(m > 20, m - 17, 0)
+    text = np.select([at < lead, at < lead + whole, at < point, at < digits, at < digits + exp],
+                     [2 - 2 * (at == 1), 3 + at - lead, 0, 3 + whole + at - point,
+                      20 + at - digits + ((exp == 4) & (at - digits >= 2))], 27)
+    signed = np.concatenate([np.ones_like(text[..., :1]), text[..., :-1]], -1)
+    return (
+        p + s, s - ((p + s) - p), groups.view(np.uint32).ravel(),
+        ((last + 4 * digit[:4, None]) * (last > 0)).ravel(),
+        np.frombuffer(b"".join(b"e%+04d\0\0\0" % v for v in e.tolist()), np.uint32).reshape(-1, 2),
+        34 * np.where((e >= -4) & (e <= 16), e + 4, 21 + (abs(e) >= 100)),
+        np.stack([text, signed], 2).reshape(-1, _CSV_WIDTH))
+
+
+def _digits(x, i, hi, lo):
+    """floor(x 10^(16 - E)) and the fraction it drops, for E = i - _E0."""
+    p, s = _two_product(x, hi.take(i), lo.take(i))
+    whole = np.floor(p)
+    s += p - whole
+    part = np.floor(s)
+    return whole.astype(np.int64) + part.astype(np.int64), s - part
+
+
+def _format_block(block: np.ndarray) -> np.ndarray:
+    """The block's values at %.17g (the bytes of f"{v:.17g}"), one row of
+    _CSV_WIDTH bytes each, padded with zero bytes.
+
+    The 17 digits D of x are x 10^(16 - E) as a double-double, with E from
+    log10 |x| (moved by one where D falls outside [10^16, 10^17)), rounded to
+    nearest (10^17 carries to 10^16 and E + 1) and laid out by a template per
+    (notation, digits kept, sign).  What the product cannot decide (a fraction
+    within 1e-9 of a half, as in exact 18-digit ties, or |x| outside [1e-280,
+    1e280]) gets Python's own dtoa, in one `%` call a block."""
+    hi, lo, quad, lens, exps, modes, templates = _csv_tables()
+    n, x = block.size, np.abs(block)
+    decided = (x >= 1e-280) & (x <= 1e280)
+    x = np.where(decided, x, 1.0)
+    i = np.floor(np.log10(x)).astype(np.int64) + _E0
+    D, frac = _digits(x, i, hi, lo)
+    off = (D >= 10 ** 17).astype(np.int64) - (D < 10 ** 16)
+    if off.any():       # log10 missed E by one
+        j = np.flatnonzero(off)
+        i[j] += off[j]
+        D[j], frac[j] = _digits(x[j], i[j], hi, lo)
+    undecided = np.flatnonzero(~decided & (block != 0) | (np.abs(frac - 0.5) < 1e-9))
+    D += frac > 0.5
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    i += carry
+    D[block == 0] = 0       # with E = 0: "0" and "-0"
+    first, rest = np.divmod(D, 10 ** 16)
+    groups = np.stack(np.divmod(np.stack(np.divmod(rest, 10 ** 8)), 10000), 1).reshape(4, n)
+    src = np.empty((n, 7), np.uint32)   # ".-0", the 17 digits, the exponent, 3 zero bytes
+    src[:, 0] = (first << 24) + 0x30302D2E
+    src[:, 1:5] = quad.take(groups).T
+    src[:, 5:] = exps.take(i, axis=0)
+    groups += 10000 * np.arange(4)[:, None]
+    key = modes.take(i) + 2 * np.maximum.reduce(lens.take(groups)) + np.signbit(block)
+    index = templates.take(key, axis=0)
+    index += np.arange(0, 28 * n, 28)[:, None]
+    text = src.view(np.uint8).ravel().take(index)
+    if undecided.size:
+        held = ("%.17g\n" * undecided.size)[:-1] % tuple(block[undecided].tolist())
+        text[undecided] = np.array(held.split("\n"), f"S{_CSV_WIDTH}").view(np.uint8) \
+            .reshape(-1, _CSV_WIDTH)
+    return text
 
 
 def format_columns(*columns: np.ndarray) -> dict:
@@ -111,29 +218,32 @@ def format_columns(*columns: np.ndarray) -> dict:
 
 def write_tables(tables, shared: dict | None = None):
     """Write CSV tables, (sink, header, float columns) triples whose sink is a
-    path or an open text stream, in step, _CSV_BLOCK rows at a time.
+    path or an open binary stream, in step, _CSV_BLOCK rows at a time.
 
     In each block of rows, every distinct column block (by its bits) is
     formatted once, whichever tables hold it, or read from `shared`
-    (`format_columns`): the text held is one block per distinct column."""
+    (`format_columns`): the text held is one block per distinct column.  Rows
+    are a table's cells side by side, each with its separator, unpadded."""
     shared = shared or {}
     with ExitStack() as stack:
-        sinks = [stack.enter_context(open(sink, "w", encoding="utf-8", newline="\n"))
+        sinks = [stack.enter_context(open(sink, "wb"))
                  if isinstance(sink, (str, os.PathLike)) else sink for sink, _, _ in tables]
         for fh, (_, header, _) in zip(sinks, tables):
-            fh.write(header + "\n")
+            fh.write(header.encode() + b"\n")
         for lo in range(0, max((len(c[0]) for _, _, c in tables), default=0), _CSV_BLOCK):
             texts = {}      # this block's value texts, by the block's bits
             for fh, (_, _, columns) in zip(sinks, tables):
                 if lo >= len(columns[0]):
                     continue
-                parts = []
-                for block in (c[lo:lo + _CSV_BLOCK] for c in columns):
+                rows = np.full((min(len(columns[0]) - lo, _CSV_BLOCK), len(columns),
+                                _CSV_WIDTH + 1), ord(","), np.uint8)
+                rows[:, -1, -1] = ord("\n")
+                for j, block in enumerate(c[lo:lo + _CSV_BLOCK] for c in columns):
                     key = block.tobytes()
                     if key not in texts:
-                        texts[key] = shared.get(key) or _format_block(block)
-                    parts.append(texts[key])
-                fh.write("\n".join(map(",".join, zip(*parts))) + "\n")
+                        texts[key] = shared[key] if key in shared else _format_block(block)
+                    rows[:, j, :-1] = texts[key]
+                fh.write(rows[rows != 0].tobytes())
 
 
 def resolve_time_controls(amp: MomentumAmplitude, source: EmissionEvent,

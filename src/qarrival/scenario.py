@@ -307,13 +307,13 @@ def emit_scenario(s: Scenario) -> str:
     return "".join(lines)
 
 
-def _write_text(path, text: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _write_bytes(path, data: bytes):
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def write_scenario(s: Scenario, path):
-    _write_text(path, emit_scenario(s))
+    _write_bytes(path, emit_scenario(s).encode())
 
 
 # --- building the physics objects -------------------------------------------
@@ -486,7 +486,7 @@ def run_scenario(s: Scenario, out_dir) -> dict:
 
 def _run(s: Scenario, out_dir, prepared: dict | None = None) -> dict:
     """`run_scenario`, from the stages a sweep shares in `prepared`: `_prepare`
-    results, plus the text of each file (by name) that they write and, under
+    results, plus the bytes of each file (by name) that they write and, under
     "columns", the texts of columns every row writes (`_share_texts`)."""
     os.makedirs(out_dir, exist_ok=True)
     r = _prepare(s, shared=prepared)
@@ -499,7 +499,7 @@ def _run(s: Scenario, out_dir, prepared: dict | None = None) -> dict:
     for name, stage in _FILES:
         path = os.path.join(out_dir, name)
         if name in r:
-            _write_text(path, r[name])
+            _write_bytes(path, r[name])
         elif r[stage] is not None:
             tables.append((path, *r[stage].csv_table()))
     prob_mod.write_tables(tables, r.get("columns"))
@@ -530,7 +530,8 @@ def _run(s: Scenario, out_dir, prepared: dict | None = None) -> dict:
         "converged": bool(curve.denominator.converged
                           and (arrival_stats is not None or not s.is_point)),
     }
-    _write_text(os.path.join(out_dir, "summary.json"), json.dumps(summary, indent=2) + "\n")
+    _write_bytes(os.path.join(out_dir, "summary.json"),
+                 (json.dumps(summary, indent=2) + "\n").encode())
     return summary
 
 
@@ -651,7 +652,7 @@ def _sweep_row(template: Scenario, parameter: str, out_dir, value: float,
 
 
 def _share_texts(template: Scenario, prepared: dict) -> dict:
-    """`prepared` with the text of each file its stages write, formatted in
+    """`prepared` with the bytes of each file its stages write, formatted in
     one pass.  When they include the entry curve, the schedule's columns
     that do not depend on k (`t`, `entry_rate`) are formatted once too, and
     kept under "columns" for every row's schedule.csv to read."""
@@ -659,7 +660,7 @@ def _share_texts(template: Scenario, prepared: dict) -> dict:
     if "curve" in prepared:
         sched = detector_mod.coupling_schedule(prepared["curve"], template.coupling_k)
         shared = prob_mod.format_columns(sched.t, sched.entry_rate)
-    files = [(name, io.StringIO(), prepared[stage]) for name, stage in _FILES
+    files = [(name, io.BytesIO(), prepared[stage]) for name, stage in _FILES
              if prepared.get(stage) is not None]
     prob_mod.write_tables([(buf, *result.csv_table()) for _, buf, result in files], shared)
     return prepared | {name: buf.getvalue() for name, buf, _ in files} | {"columns": shared}
