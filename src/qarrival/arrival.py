@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .geometry import EmissionEvent, point_detector
+from .geometry import DetectorGeometry, EmissionEvent, point_detector
 from .quadrature import QuadratureSpec, SemiInfiniteResult
 from .probability import OccupationProfile, write_tables, _mass_end, _occupation
 from .wavepacket import MomentumAmplitude
@@ -99,6 +99,11 @@ def _stats_from_profile(profile: OccupationProfile,
                               classical_time=classical_time, normalizer=normalizer)
 
 
+def _classical_flight(source: EmissionEvent, amp: MomentumAmplitude,
+                      det: DetectorGeometry) -> float | None:
+    return None if amp.exposed_p0 is None else source.mass * det.distance / amp.exposed_p0
+
+
 def arrival_density(amp: MomentumAmplitude, x_detector, source: EmissionEvent,
                     quad: QuadratureSpec | None = None):
     """Sampled unit-mass arrival density: (absolute times, density values)."""
@@ -111,6 +116,4 @@ def mean_arrival_time(amp: MomentumAmplitude, x_detector, source: EmissionEvent,
     """Mean elapsed arrival time with the full sampled density attached."""
     det = point_detector(x_detector, source)
     _, profile = _occupation(amp, det, source, quad)
-    classical = None if amp.exposed_p0 is None \
-        else source.mass * det.distance / amp.exposed_p0
-    return _stats_from_profile(profile, classical)
+    return _stats_from_profile(profile, _classical_flight(source, amp, det))

@@ -441,16 +441,24 @@ def _curve_from_profile(profile: OccupationProfile, p_direction: float,
         quad_error=profile.quad_error)
 
 
-def _occupation(amp: MomentumAmplitude, det: DetectorGeometry,
-                source: EmissionEvent, quad: QuadratureSpec | None = None
-                ) -> tuple[float, OccupationProfile]:
-    """Direction factor and occupation profile of `det`.  A volume's time
-    controls are resolved against its direction factor; a point's keep the
+def _controls(amp: MomentumAmplitude, det: DetectorGeometry,
+              source: EmissionEvent, quad: QuadratureSpec | None = None
+              ) -> tuple[float, QuadratureSpec]:
+    """Direction factor of `det` and the resolved time controls of its profile:
+    a volume's are resolved against its direction factor; a point's keep the
     bound 1, so its entry curve and its arrival statistics read one profile."""
     quad = quad or QuadratureSpec()
     p_direction = direction_probability(amp, det, source, quad)
-    quad = resolve_time_controls(amp, source, det.distance, det.extent_along_axis,
-                                 quad, 1.0 if det.kind == "point" else p_direction)
+    return p_direction, resolve_time_controls(amp, source, det.distance,
+                                              det.extent_along_axis, quad,
+                                              1.0 if det.kind == "point" else p_direction)
+
+
+def _occupation(amp: MomentumAmplitude, det: DetectorGeometry,
+                source: EmissionEvent, quad: QuadratureSpec | None = None
+                ) -> tuple[float, OccupationProfile]:
+    """Direction factor and occupation profile of `det` (`_controls`)."""
+    p_direction, quad = _controls(amp, det, source, quad)
     return p_direction, _occupation_profile(detector_occupation(amp, det, source, quad),
                                             source, quad)
 

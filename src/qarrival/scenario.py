@@ -392,31 +392,19 @@ def make_detector(s: Scenario, source: EmissionEvent) -> DetectorGeometry | None
 # --- running -----------------------------------------------------------------
 
 # the stages of a run in order; each reads the scenario and the stages before it
-_STAGES = ("amplitude", "detector", "profile", "arrival", "curve", "schedule")
+_STAGES = ("amplitude", "detector", "controls", "profile", "arrival", "curve", "schedule")
 # each output CSV with the stage whose result writes it
 _FILES = (("entry_curve.csv", "curve"), ("schedule.csv", "schedule"),
           ("arrival.csv", "arrival"))
 
 
-def _check_grid(s: Scenario, source: EmissionEvent, amp: wp.MomentumAmplitude,
-                det: DetectorGeometry):
-    """Refuse an output grid that cannot hold the 3 samples a run needs, on
-    bounds: the end is grid.t_end when set, else the time cap (t_max <= t_cap),
-    and the step is grid.dt when set, else the finest one the time controls
-    resolve for any direction factor.  `_curve_from_profile` repeats it on
-    the profile's own end."""
-    # a direction bound of 1 gives the finest step; 0 the coarsest, so the latest cap
-    fine, coarse = (prob_mod.resolve_time_controls(amp, source, det.distance,
-                                                   det.extent_along_axis,
-                                                   s.quadrature, bound)
-                    for bound in (1.0, 0.0))
-    prob_mod._grid_steps(s.grid, source.t0, fine.dt, coarse.t_cap, min_samples=3,
+def _check_grid(s: Scenario, source: EmissionEvent, quad: QuadratureSpec):
+    """Refuse an output grid that cannot hold the 3 samples a run needs, or
+    holds more than the row budget, on the run's own time controls `quad`: the
+    end is grid.t_end when set, else the time cap (t_max <= t_cap), and the step
+    grid.dt, else quad.dt.  `_curve_from_profile` repeats it on the exact end."""
+    prob_mod._grid_steps(s.grid, source.t0, quad.dt, quad.t_cap, min_samples=3,
                          quad=s.quadrature)
-
-
-def _classical_flight(source: EmissionEvent, amp: wp.MomentumAmplitude,
-                      det: DetectorGeometry) -> float | None:
-    return None if amp.exposed_p0 is None else source.mass * det.distance / amp.exposed_p0
 
 
 def _prepare(s: Scenario, until: str = "schedule", shared: dict | None = None) -> dict:
@@ -425,11 +413,12 @@ def _prepare(s: Scenario, until: str = "schedule", shared: dict | None = None) -
     curve before the arrival statistics; both read only the profile).
 
     amplitude: source and amplitude; detector: its geometry (a point's too);
-    profile: direction factor and occupation profile; curve: the entry
-    curve; arrival: statistics of a point, None for a volume or when they
-    did not converge.  `_check_grid` runs once, before the first of the
-    profile and curve stages computed here, so a sweep row whose profile is
-    shared is checked too.
+    controls: direction factor and resolved time controls; profile: the
+    occupation profile on those controls; curve: the entry curve; arrival:
+    statistics of a point, None for a volume or when they did not converge.
+    When the curve is computed here, `_check_grid` runs on the controls
+    first, before any profile, so a sweep row whose profile is shared is
+    checked against its own grid.
     """
     r = dict(shared or {})
     todo = [stage for stage in _STAGES[:_STAGES.index(until)] if stage not in r]
@@ -442,14 +431,17 @@ def _prepare(s: Scenario, until: str = "schedule", shared: dict | None = None) -
             with _named("detector.position"):
                 r["detector"] = point_detector(s.detector.position, source,
                                                s.detector.reference_solid_angle)
-    if "profile" in todo or "curve" in todo:
+    if "controls" in todo:
         (source, amp), det = r["amplitude"], r["detector"]
-        _check_grid(s, source, amp, det)
-    if "profile" in todo:
-        r["profile"] = prob_mod._occupation(amp, det, source, s.quadrature)
+        r["controls"] = prob_mod._controls(amp, det, source, s.quadrature)
     if "curve" in todo:
-        p_direction, profile = r["profile"]
-        r["curve"] = prob_mod._curve_from_profile(profile, p_direction, s.grid,
+        _check_grid(s, r["amplitude"][0], r["controls"][1])
+    if "profile" in todo:
+        (source, amp), det, (_, quad) = r["amplitude"], r["detector"], r["controls"]
+        r["profile"] = prob_mod._occupation_profile(
+            wp.detector_occupation(amp, det, source, quad), source, quad)
+    if "curve" in todo:
+        r["curve"] = prob_mod._curve_from_profile(r["profile"], r["controls"][0], s.grid,
                                                   point_detector=s.is_point,
                                                   allow_unconverged=True, min_samples=3,
                                                   quad=s.quadrature)
@@ -458,7 +450,7 @@ def _prepare(s: Scenario, until: str = "schedule", shared: dict | None = None) -
         if s.is_point:
             try:
                 r["arrival"] = arrival_mod._stats_from_profile(
-                    r["profile"][1], _classical_flight(*r["amplitude"], r["detector"]))
+                    r["profile"], arrival_mod._classical_flight(*r["amplitude"], r["detector"]))
             except IntegrationError:
                 pass
     return r
@@ -466,11 +458,11 @@ def _prepare(s: Scenario, until: str = "schedule", shared: dict | None = None) -
 
 def check_scenario(s: Scenario) -> tuple:
     """Source, amplitude and detector geometry (a point's too) of a scenario
-    whose output grid can hold the 3 samples a run needs (`_check_grid`),
-    checked before any occupation profile."""
+    whose output grid can hold the 3 samples a run needs (`_check_grid` on
+    its resolved time controls), checked before any occupation profile."""
     r = _prepare(s, "profile")
     (source, amp), det = r["amplitude"], r["detector"]
-    _check_grid(s, source, amp, det)
+    _check_grid(s, source, r["controls"][1])
     return source, amp, det
 
 
@@ -518,7 +510,7 @@ def _run(s: Scenario, out_dir, prepared: dict | None = None) -> dict:
         "p_entry_final": float(curve.p_entry[-1]),
         "p_registered_final": float(np.sin(sched.angle[-1]) ** 2),
         "mean_arrival": None if arrival_stats is None else arrival_stats.mean_time,
-        "classical_flight": _classical_flight(source, amp, det),
+        "classical_flight": arrival_mod._classical_flight(source, amp, det),
         "dt": curve.dt,
         "t_max": curve.denominator.t_max,
         "denominator": curve.denominator.as_dict(),
@@ -563,8 +555,8 @@ _SWEEPABLE = {
     "amplitude.angular_sigma": "amplitude",
     "detector.radius": "detector", "detector.half_angle": "detector",
     "detector.distance": "detector",
-    "quadrature.dt": "profile", "quadrature.t_cap": "profile",
-    "quadrature.eps_tail": "profile",
+    "quadrature.dt": "controls", "quadrature.t_cap": "controls",
+    "quadrature.eps_tail": "controls",
     "grid.dt": "curve", "grid.t_end": "curve",
     "coupling.k": "schedule",
 }
@@ -674,19 +666,16 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
     stages of a run before the first one the swept key changes (`_SWEEPABLE`)
     are computed once here from the template, with the text of the files they
     write, and every row reads them.  If that fails, every row whose own
-    value passes records the template's error, except in a `grid.*` sweep:
-    the template's bound check reads the grid such a row replaces, so those
-    rows run alone.
+    value passes records the template's error.  A `grid.*` sweep's template
+    stops before the entry curve, so only each row's own grid is checked.
     """
     template = parse_scenario(spec.scenario_path)
     os.makedirs(out_dir, exist_ok=True)
-    failure = None
+    prepared = failure = None
     try:
         prepared = _share_texts(template, _prepare(template, _SWEEPABLE[spec.parameter]))
     except Exception as exc:  # noqa: BLE001 - the rows record it
-        prepared = None
-        if _SWEEPABLE[spec.parameter] != "curve":
-            failure = exc
+        failure = exc
     rows = [_sweep_row(template, spec.parameter, out_dir, v, prepared, failure)
             for v in sorted(spec.values)]
 

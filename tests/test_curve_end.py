@@ -2,6 +2,7 @@
 which at most float64 eps of the occupation mass remains."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import qarrival as qa
 from qarrival import probability as prob
 from qarrival import quadrature as quad_mod
+from qarrival import scenario as scenario_mod
 from qarrival import wavepacket as wp
 from qarrival.cli import main as cli_main
 from qarrival.geometry import point_detector
@@ -144,6 +146,31 @@ def test_row_budget_rejects_grid_before_profile(tmp_path, capsys, monkeypatch, l
     assert f"validation error: {key}: " in capsys.readouterr().err
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"validation error: {key}: " in capsys.readouterr().err
+    assert calls == []
+
+
+ISO_SPHERE = "detector.kind = sphere\ndetector.center = 0 0 20\ndetector.radius = 0.5\n"
+
+
+def test_row_budget_reads_the_runs_own_step(tmp_path, capsys, monkeypatch):
+    # the sphere's direction factor resolves the step 0.0121098 (a direction
+    # bound of 1 would give 0.00192734): an end of 20000 lays out 1,651,549
+    # rows, inside the budget, and 60000 lays out 4,954,646, past it
+    path = tmp_path / "scn.txt"
+    path.write_text(ISO_SPHERE + "grid.t_end = 20000\n")
+    assert cli_main(["validate", str(path)]) == 0
+    assert scenario_mod._prepare(qa.parse_scenario(path))["curve"].t.size == 1651549
+    assert os.listdir(tmp_path) == ["scn.txt"]
+    calls = []
+    monkeypatch.setattr(quad_mod, "semiinfinite_profile", lambda *a, **k: calls.append(1))
+    monkeypatch.setattr(prob, "semiinfinite_profile", lambda *a, **k: calls.append(1))
+    path.write_text(ISO_SPHERE + "grid.t_end = 60000\n")
+    capsys.readouterr()
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: grid.t_end: the output grid of step "
+                              "0.0121098 over [0, 60000] holds 4954646 samples")
     assert calls == []
 
 

@@ -307,7 +307,9 @@ def test_volume_run_has_no_arrival_csv(tmp_path):
 @pytest.mark.parametrize("parameter, value", [("coupling.k", "0.5"),
                                               ("grid.dt", "0.25"),
                                               ("grid.t_end", "30"),
-                                              ("quadrature.dt", "0.02")])
+                                              ("quadrature.dt", "0.02"),
+                                              ("quadrature.eps_tail", "0.5"),
+                                              ("quadrature.t_cap", "30")])
 def test_sweep_single_value_equals_run(tmp_path, parameter, value):
     # the row runs on the stages it shares with the template, the single run
     # computes its own
@@ -345,6 +347,51 @@ def test_sweep_profile_count(tmp_path, monkeypatch, parameter, values, profiles)
     rows = qa.run_sweep(qa.parse_sweep(tmp_path / "sweep.txt"), tmp_path / "out")
     assert [row["status"] for row in rows] == ["ok"] * 3
     assert len(calls) == profiles
+
+
+def test_over_budget_template_shares_its_profile(tmp_path, monkeypatch):
+    # the template's own grid (step 0.0002, 4,999,001 samples) is past the row
+    # budget, but every row of a grid.dt sweep replaces it: the template
+    # builds no entry curve, and its profile serves every row
+    calls = count_profiles(monkeypatch)
+    (tmp_path / "scn.txt").write_text(POINT_FAST + "grid.dt = 0.0002\n")
+    (tmp_path / "sweep.txt").write_text(
+        "sweep.scenario = scn.txt\nsweep.parameter = grid.dt\n"
+        "sweep.values = 0.1 0.2 0.4\n")
+    rows = qa.run_sweep(qa.parse_sweep(tmp_path / "sweep.txt"), tmp_path / "out")
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    assert len(calls) == 1
+    for dt in (0.1, 0.2, 0.4):
+        qa.run_scenario(qa.parse_scenario_text(POINT_FAST + f"grid.dt = {dt}\n"),
+                        tmp_path / "single" / str(dt))
+        assert _tree_bytes(tmp_path / "out" / f"grid.dt={dt:.17g}") \
+            == _tree_bytes(tmp_path / "single" / str(dt))
+
+
+@pytest.mark.parametrize("text", [MINIMAL, POINT_FAST], ids=["volume", "point"])
+def test_time_controls_resolved_once(tmp_path, monkeypatch, text):
+    # one resolution per run, per validation and per coupling.k sweep: the
+    # bound check, the profile and every row read the controls stage
+    real = prob_mod.resolve_time_controls
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(prob_mod, "resolve_time_controls", counted)
+    s = qa.parse_scenario_text(text)
+    qa.run_scenario(s, tmp_path / "run")
+    assert len(calls) == 1
+    scenario_mod.check_scenario(s)
+    assert len(calls) == 2
+    (tmp_path / "scn.txt").write_text(text)
+    (tmp_path / "sweep.txt").write_text(
+        "sweep.scenario = scn.txt\nsweep.parameter = coupling.k\n"
+        "sweep.values = 0.25 0.5 0.75\n")
+    rows = qa.run_sweep(qa.parse_sweep(tmp_path / "sweep.txt"), tmp_path / "sweep")
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    assert len(calls) == 3
 
 
 def count_column_formats(monkeypatch) -> list:
