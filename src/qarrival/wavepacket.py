@@ -331,31 +331,37 @@ def _radial_rule(amp: MomentumAmplitude, panels: int) -> tuple[np.ndarray, np.nd
 
 _P_BLOCK = 1024         # momentum columns per block of the phase-sum kernel
 _FOLD_CELLS = 2 ** 16   # cells of the largest temporary of a channel fold
-_DIRECT_ROWS = 256      # samples per block of the kernel's direct branch
+_ROW_BLOCK = 256        # samples per block of the kernel's direct sums and
+                        # of its panel interpolation
 _PANEL_PHASE = 16.0     # phase half-width [rad] of one Chebyshev tau-panel
 _PANEL_NODES = 44       # its Chebyshev nodes: interpolates exp(i k x), |k x| <= 16,
                         # to ~3e-15 (the 1.4 * 16 + 16 = 39 rule leaves 3.5e-12)
 
 
 def _cheb_points(lo: float, hi: float, n: int) -> np.ndarray:
-    k = np.arange(n)
-    x = np.cos((2.0 * k + 1.0) * np.pi / (2.0 * n))
+    """The n Chebyshev points of the first kind on [lo, hi], decreasing:
+    cos((2k + 1) pi / 2n) written as sin(m pi / 2n), m = n-1, n-3, ..., 1-n,
+    with the sign taken from m, so on [-s, s] x_(n-1-k) = -x_k to the bit."""
+    m = np.arange(n - 1, -n, -2)
+    x = np.copysign(np.sin(np.abs(m) * np.pi / (2.0 * n)), m)
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
 
 
 def _cheb_interp_matrix(lo: float, hi: float, n: int, targets: np.ndarray) -> np.ndarray:
-    """Barycentric interpolation matrix from Chebyshev nodes to `targets`."""
-    nodes = _cheb_points(lo, hi, n)
+    """Barycentric interpolation matrix from Chebyshev nodes to `targets`,
+    built in place in one (targets, n) array; a target within 1e-300 of a
+    node takes that node's value."""
     k = np.arange(n)
     bw = (-1.0) ** k * np.sin((2.0 * k + 1.0) * np.pi / (2.0 * n))
-    diff = targets[:, None] - nodes[None, :]
-    hit = np.abs(diff) <= 1e-300
-    diff = np.where(hit, 1.0, diff)
-    c = bw[None, :] / diff
-    mat = c / c.sum(axis=1, keepdims=True)
+    mat = np.subtract.outer(targets, _cheb_points(lo, hi, n))
+    hit = mat <= 1e-300
+    hit &= mat >= -1e-300
+    mat[hit] = 1.0
+    np.divide(bw, mat, out=mat)
+    mat /= mat.sum(axis=1, keepdims=True)
     exact_rows = hit.any(axis=1)
     if np.any(exact_rows):
-        mat[exact_rows] = hit[exact_rows].astype(float)
+        mat[exact_rows] = hit[exact_rows]
     return mat
 
 
@@ -373,6 +379,31 @@ def _uniform_step(taus: np.ndarray) -> float | None:
     return None
 
 
+def _panel_node_sums(detuning: np.ndarray, half_span: float, centres: np.ndarray,
+                     flat: np.ndarray) -> np.ndarray:
+    """(panels, nodes, columns) sums Sum_p exp(-i d_p (c_k + x_j)) flat[p, :]
+    over the detunings d_p, on the Chebyshev nodes x_j of [-half_span,
+    half_span] about every panel centre c_k, in blocks of _P_BLOCK momenta.
+    The nodes are mirrored, so each block evaluates half the node table and
+    takes the other half by conjugation, exact in IEEE arithmetic.  The
+    table's buffer is freed on return, before the kernel allocates its
+    samples."""
+    nodes = _cheb_points(-half_span, half_span, _PANEL_NODES)
+    half = _PANEL_NODES // 2
+    node_sums = np.zeros((centres.size, _PANEL_NODES, flat.shape[1]), dtype=complex)
+    buffer = np.empty(_PANEL_NODES * min(detuning.size, _P_BLOCK), dtype=complex)
+    for p0 in range(0, detuning.size, _P_BLOCK):
+        cols = slice(p0, p0 + _P_BLOCK)
+        shifted = -1j * detuning[cols]
+        table = buffer[:_PANEL_NODES * shifted.size].reshape(_PANEL_NODES, -1)
+        top = np.multiply.outer(nodes[:half], shifted, out=table[:half])
+        np.exp(top, out=top)
+        np.conjugate(table[half - 1::-1], out=table[half:])
+        for k in range(centres.size):
+            node_sums[k] += table @ (np.exp(centres[k] * shifted)[:, None] * flat[cols])
+    return node_sums
+
+
 def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Sum_p exp(-i omega_p tau_i) coeffs[p, ...] for every tau_i.
 
@@ -381,9 +412,11 @@ def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs: np.ndarray) -> np.n
     _PANEL_PHASE radians either way from the panel centre; it is evaluated
     exactly on the panel's Chebyshev nodes and mapped onto the samples by one
     barycentric matrix shared by all panels (the band-limited compression
-    behind NUFFTs).  Short, non-uniform or undersampled grids are summed
-    directly.  Both branches walk the momentum axis in blocks of _P_BLOCK
-    columns, so no time-by-momentum matrix is ever held.
+    behind NUFFTs), built and applied _ROW_BLOCK sample offsets at a time.
+    Short, non-uniform or undersampled grids are summed directly.  Both
+    branches walk the momentum axis in blocks of _P_BLOCK columns and the
+    samples in blocks of _ROW_BLOCK, so no time-by-momentum or time-by-node
+    matrix is ever held.
     """
     taus = np.asarray(taus, dtype=float)
     n_t = taus.size
@@ -400,27 +433,27 @@ def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs: np.ndarray) -> np.n
         out = np.zeros((n_t,) + coeffs.shape[1:], dtype=complex)
         for p0 in range(0, omega.size, _P_BLOCK):
             cols = slice(p0, p0 + _P_BLOCK)
-            for t0 in range(0, n_t, _DIRECT_ROWS):
-                rows = slice(t0, t0 + _DIRECT_ROWS)
+            for t0 in range(0, n_t, _ROW_BLOCK):
+                rows = slice(t0, t0 + _ROW_BLOCK)
                 out[rows] += np.exp(np.outer(taus[rows], -1j * omega[cols])) @ coeffs[cols]
         return out
     n_panels = -(-n_t // per_panel)
     half_span = 0.5 * (per_panel - 1) * h
-    nodes = _cheb_points(-half_span, half_span, _PANEL_NODES)
-    interp = _cheb_interp_matrix(-half_span, half_span, _PANEL_NODES,
-                                 h * np.arange(per_panel) - half_span)
     centres = taus[0] + half_span + h * per_panel * np.arange(n_panels)
     flat = coeffs.reshape(omega.size, -1)
-    node_sums = np.zeros((n_panels, _PANEL_NODES, flat.shape[1]), dtype=complex)
-    for p0 in range(0, omega.size, _P_BLOCK):
-        cols = slice(p0, p0 + _P_BLOCK)
-        shifted = -1j * (omega[cols] - w_mid)
-        table = np.exp(np.outer(nodes, shifted))        # (nodes, P_block)
-        anchors = np.exp(np.outer(centres, shifted))    # (panels, P_block)
-        for k in range(n_panels):
-            node_sums[k] += table @ (anchors[k, :, None] * flat[cols])
-    samples = np.matmul(interp, node_sums).reshape(n_panels * per_panel, -1)[:n_t]
-    samples *= np.exp(-1j * w_mid * taus)[:, None]
+    node_sums = _panel_node_sums(omega - w_mid, half_span, centres, flat)
+    # the interpolation matrix depends on the sample's offset in its panel
+    # only, so each block of offsets serves every panel
+    samples = np.empty((n_panels, per_panel, flat.shape[1]), dtype=complex)
+    for r0 in range(0, per_panel, _ROW_BLOCK):
+        rows = slice(r0, r0 + _ROW_BLOCK)
+        offsets = h * np.arange(r0, min(r0 + _ROW_BLOCK, per_panel)) - half_span
+        np.matmul(_cheb_interp_matrix(-half_span, half_span, _PANEL_NODES, offsets),
+                  node_sums, out=samples[:, rows])
+    samples = samples.reshape(n_panels * per_panel, -1)[:n_t]
+    for t0 in range(0, n_t, _ROW_BLOCK):
+        rows = slice(t0, t0 + _ROW_BLOCK)
+        samples[rows] *= np.exp(-1j * w_mid * taus[rows])[:, None]
     return samples.reshape((n_t,) + coeffs.shape[1:])
 
 

@@ -147,6 +147,8 @@ def _panel_samples(omega, h):
 @pytest.mark.parametrize("n_t, h, t0, columns, panels", [
     (3001, 0.004, 26.8, None, True),   # several panels, partial last one
     (3001, 0.004, 26.8, 3, True),      # the same with 2-d coefficients
+    (3001, 0.004, 26.8, 1, True),      # one column; 401 samples per panel
+    (2000, 0.0025, 26.8, 19, True),    # 641 per panel: two row blocks and a part
     (700, 0.03, 0.0, 2, True),         # short panels near the branch threshold
     (40, 0.004, 5.0, None, True),      # one panel holding every sample
     (400, 2.5, 3.0, None, False),      # undersampled: summed directly
@@ -158,8 +160,9 @@ def test_phase_sums_match_brute_force(n_t, h, t0, columns, panels):
     omega = p * p / 2.0
     per_panel = min(_panel_samples(omega, h), n_t)
     assert (n_t >= 16 and per_panel >= wp._PANEL_NODES // 2) == panels
-    if n_t == 3001:
-        assert n_t % per_panel and n_t > 2 * per_panel
+    if per_panel > wp._ROW_BLOCK:
+        # a partial block of rows in every panel, a partial last panel
+        assert per_panel % wp._ROW_BLOCK and n_t % per_panel and n_t > 2 * per_panel
     shape = (p.size,) if columns is None else (p.size, columns)
     coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     taus = t0 + h * np.arange(n_t)
@@ -167,6 +170,62 @@ def test_phase_sums_match_brute_force(n_t, h, t0, columns, panels):
     assert got.shape == (n_t,) + shape[1:]
     bound = 1e-12 * np.sum(np.abs(coeffs), axis=0)
     assert np.all(np.abs(got - _brute_phase_sums(omega, taus, coeffs)) <= bound)
+
+
+@pytest.mark.parametrize("columns", [1, 19])
+def test_phase_sums_memory_is_bounded(columns):
+    # one 8192-sample window held by a single tau-panel (the per-panel cap):
+    # beyond its output the kernel's traced peak stays under two complex
+    # (nodes, _P_BLOCK) tables; built as one (8192, 44) interpolation matrix
+    # with whole temporaries it peaked at 8.8 MiB (C = 1) and 10.7 MiB (C = 19)
+    rng = np.random.default_rng(columns)
+    p = np.sort(rng.uniform(4.0, 6.0, 2 * wp._P_BLOCK + 37))
+    omega = p * p / 2.0
+    n_t = 8192
+    h = 2.0 * wp._PANEL_PHASE / (0.5 * (omega.max() - omega.min()) * n_t)
+    taus = 50.0 + h * np.arange(n_t)
+    assert _panel_samples(omega, h) >= n_t
+    coeffs = rng.normal(size=(p.size, columns)) + 1j * rng.normal(size=(p.size, columns))
+    tracemalloc.start()
+    try:
+        out = wp._phase_sums(omega, taus, coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n_t, columns)
+    assert peak <= out.nbytes + 2 * wp._PANEL_NODES * wp._P_BLOCK * 16
+
+
+class _ExpCounter:
+    """numpy, with a count of the values passed to exp."""
+
+    def __init__(self):
+        self.values = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.values += np.size(x)
+        return np.exp(x, *args, **kwargs)
+
+
+def test_panel_nodes_are_mirrored_and_halve_the_exponentials(monkeypatch):
+    for half_span in (0.37, 1.0 / 3.0, 1234.5):
+        nodes = wp._cheb_points(-half_span, half_span, wp._PANEL_NODES)
+        assert np.array_equal(nodes, -nodes[::-1])
+    # per block of P momenta: 22 node and K panel-centre exponentials per
+    # momentum, then one carrier per sample
+    rng = np.random.default_rng(3)
+    p = np.sort(rng.uniform(1.0, 9.0, 2 * wp._P_BLOCK + 37))
+    omega = p * p / 2.0
+    taus = 26.8 + 0.004 * np.arange(3001)
+    n_panels = -(-taus.size // _panel_samples(omega, 0.004))
+    counter = _ExpCounter()
+    monkeypatch.setattr(wp, "np", counter)
+    wp._phase_sums(omega, taus, rng.normal(size=p.size) + 0j)
+    assert n_panels == 8
+    assert counter.values == (wp._PANEL_NODES // 2 + n_panels) * p.size + taus.size
 
 
 def test_phase_sums_band_edges_and_non_uniform_grid():
@@ -298,18 +357,41 @@ def test_cap_wavefunction_memory_is_bounded(iso_amp, source):
     assert complex(result.stdout.split()[-1]) == pytest.approx(coarse, rel=1e-12)
 
 
-def _one_shot_mix(curve):
-    """The compressed fold built whole: the (X*A, C) barycentric map, with
-    isclose for its exact hits, times the carriers, summed over channels."""
-    r, order = curve._r_chan, curve._r_nodes.size
-    nodes = wp._cheb_points(curve._r_lo, curve._r_hi, order)
-    k = np.arange(order)
-    bw = (-1.0) ** k * np.sin((2.0 * k + 1.0) * np.pi / (2.0 * order))
-    diff = r.ravel()[:, None] - nodes[None, :]
+def _reference_interp(nodes, targets):
+    """The barycentric matrix from Chebyshev `nodes` to `targets` built from
+    whole temporaries, with isclose for its exact hits."""
+    k = np.arange(nodes.size)
+    bw = (-1.0) ** k * np.sin((2.0 * k + 1.0) * np.pi / (2.0 * nodes.size))
+    diff = targets[:, None] - nodes[None, :]
     hit = np.isclose(diff, 0.0, atol=1e-300)
     c = bw[None, :] / np.where(hit, 1.0, diff)
     interp = c / c.sum(axis=1, keepdims=True)
     interp[hit.any(axis=1)] = hit[hit.any(axis=1)].astype(float)
+    return interp
+
+
+@pytest.mark.parametrize("lo, hi, n", [(-0.37, 0.37, wp._PANEL_NODES), (19.5, 20.5, 19),
+                                       (19.5, 20.5, 44), (-1e-295, 1e-295, 17)])
+@pytest.mark.filterwarnings("error")    # an exact hit must not divide by zero
+def test_interp_matrix_in_place_matches_reference_bits(lo, hi, n):
+    rng = np.random.default_rng(n)
+    nodes = wp._cheb_points(lo, hi, n)
+    # random targets, every node exactly, and (on the tiny interval) targets
+    # within 1e-300 of a node but not on it
+    targets = np.concatenate([rng.uniform(lo, hi, 500), nodes, [lo, hi],
+                              nodes[::3] + 4e-301, nodes[1::3] - 4e-301])
+    rng.shuffle(targets)
+    got = wp._cheb_interp_matrix(lo, hi, n, targets)
+    ref = _reference_interp(nodes, targets)
+    assert np.array_equal(got, ref)
+    assert np.count_nonzero(np.all((ref == 0.0) | (ref == 1.0), axis=1)) >= n
+
+
+def _one_shot_mix(curve):
+    """The compressed fold built whole: the (X*A, C) barycentric map times
+    the carriers, summed over channels."""
+    r, order = curve._r_chan, curve._r_nodes.size
+    interp = _reference_interp(wp._cheb_points(curve._r_lo, curve._r_hi, order), r.ravel())
     carrier = (curve._gains[None, :] * np.exp(1j * curve._p_mid * r)).ravel()
     return (interp * carrier[:, None]).reshape(*r.shape, order).sum(axis=1).T
 
