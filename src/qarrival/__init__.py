@@ -20,8 +20,7 @@ from .detector import (DetectorState, CouplingSchedule, coupling_schedule,
 from .arrival import ArrivalTimeStats, arrival_density, mean_arrival_time, \
     stats_from_samples
 from .scenario import (Scenario, SweepSpec, parse_scenario, parse_scenario_text,
-                       emit_scenario, write_scenario, parse_sweep,
-                       run_scenario, run_sweep)
+                       emit_scenario, parse_sweep, run_scenario, run_sweep)
 
 __version__ = "0.1.0"
 
@@ -43,7 +42,6 @@ __all__ = [
     "ArrivalTimeStats", "arrival_density", "mean_arrival_time",
     "stats_from_samples",
     "Scenario", "SweepSpec", "parse_scenario", "parse_scenario_text",
-    "emit_scenario", "write_scenario", "parse_sweep", "run_scenario",
-    "run_sweep",
+    "emit_scenario", "parse_sweep", "run_scenario", "run_sweep",
     "__version__",
 ]

@@ -58,27 +58,30 @@ class CouplingSchedule:
     """
 
     k: float
-    t: np.ndarray
     angle: np.ndarray
     rate: np.ndarray
     entry_rate: np.ndarray
     curve: EntryProbabilityCurve
 
     @property
-    def dt(self) -> float:
-        return float(self.t[1] - self.t[0])
+    def t(self) -> np.ndarray:
+        return self.curve.t
 
     @property
     def angle_max(self) -> float:
         return float(np.arcsin(np.sqrt(self.k)))
 
-    def angle_at(self, t: float) -> float:
-        t = float(t)
-        span = self.t[-1] - self.t[0]
+    def _on_grid(self, t: float) -> float:
+        """t as a float; ValueError when it lies off the grid by more than
+        1e-12 of its span."""
+        t, span = float(t), self.t[-1] - self.t[0]
         if t < self.t[0] - 1e-12 * span or t > self.t[-1] + 1e-12 * span:
             raise ValueError(f"time {t} lies outside the schedule grid "
                              f"[{self.t[0]}, {self.t[-1]}]")
-        return float(np.interp(t, self.t, self.angle))
+        return t
+
+    def angle_at(self, t: float) -> float:
+        return float(np.interp(self._on_grid(t), self.t, self.angle))
 
     def csv_table(self) -> tuple:
         """Header and float columns of schedule.csv."""
@@ -97,12 +100,10 @@ def coupling_schedule(curve: EntryProbabilityCurve, k: float) -> CouplingSchedul
         raise ValueError(f"coupling fraction k must lie in (0, 1), got {k}")
     if curve.t.size < 3:
         raise ValueError("coupling schedule needs a curve of at least 3 samples")
-    angle = np.arcsin(np.sqrt(np.clip(k * curve.p_entry, 0.0, 1.0)))
-    dt = curve.dt
-    rate = differentiate_sampled(angle, dt)
-    entry_rate = differentiate_sampled(curve.p_entry, dt)
-    return CouplingSchedule(k=k, t=curve.t.copy(), angle=angle, rate=rate,
-                            entry_rate=entry_rate, curve=curve)
+    p_entry, dt = curve.p_entry, curve.dt
+    angle = np.arcsin(np.sqrt(np.clip(k * p_entry, 0.0, 1.0)))
+    return CouplingSchedule(k=k, angle=angle, rate=differentiate_sampled(angle, dt),
+                            entry_rate=differentiate_sampled(p_entry, dt), curve=curve)
 
 
 def evolve_closed_form(sched: CouplingSchedule, t: float) -> DetectorState:
@@ -118,6 +119,7 @@ def registration_probability(sched: CouplingSchedule, t: float) -> float:
 
 _BLOCK = 4096           # intervals per running product; bounds the temporaries
 _MAX_SUBSTEPS = 64      # the last step-doubling test: 64 against 128 substeps
+_LOCAL_TOL = 1e-9       # per-interval agreement of n and 2n substeps, |dc0| + |dc1|
 
 
 def _rk4_growth(a_lo: np.ndarray, slope: np.ndarray, h: np.ndarray,
@@ -139,8 +141,7 @@ def _rk4_growth(a_lo: np.ndarray, slope: np.ndarray, h: np.ndarray,
     return g
 
 
-def _integrate_from_idle(sched: CouplingSchedule, h: np.ndarray,
-                         local_tol: float) -> np.ndarray:
+def _integrate_from_idle(sched: CouplingSchedule, h: np.ndarray) -> np.ndarray:
     """u = c0 + c1 at the end of the intervals [t_i, t_i + h_i], from idle.
 
     H = rate * sigma_x is diagonal in the fixed basis c0 +- c1, and RK4
@@ -148,7 +149,7 @@ def _integrate_from_idle(sched: CouplingSchedule, h: np.ndarray,
     u = c0 + c1 by a scalar growth factor and c0 - c1 by its conjugate; from
     idle, c0 = Re(u) and c1 = i Im(u).  The rate is linear on each grid
     interval.  Each interval takes n = 1, 2, ..., 64 substeps until n and 2n
-    agree to local_tol in |dc0| + |dc1| from its actual start state.
+    agree to _LOCAL_TOL in |dc0| + |dc1| from its actual start state.
     """
     m = h.size
     a_lo = sched.rate[:m]
@@ -163,7 +164,7 @@ def _integrate_from_idle(sched: CouplingSchedule, h: np.ndarray,
             ends = u * np.cumprod(fine)
             delta = np.concatenate(([u], ends[:-1])) * (fine - coarse)
             err = np.abs(delta.real) + np.abs(delta.imag)
-            bad = np.flatnonzero(~(err <= local_tol))
+            bad = np.flatnonzero(~(err <= _LOCAL_TOL))
             if bad.size == 0:
                 break
             if n[bad[0]] == _MAX_SUBSTEPS:
@@ -179,11 +180,10 @@ def _integrate_from_idle(sched: CouplingSchedule, h: np.ndarray,
     return out
 
 
-def evolve_ode_trajectory(sched: CouplingSchedule,
-                          local_tol: float = 1e-9) -> np.ndarray:
+def evolve_ode_trajectory(sched: CouplingSchedule) -> np.ndarray:
     """States at every schedule node from numerically integrating
     i d(chi)/dt = rate(t) sigma_x chi with the rate interpolated linearly."""
-    u = _integrate_from_idle(sched, np.diff(sched.t), local_tol)
+    u = _integrate_from_idle(sched, np.diff(sched.t))
     out = np.empty((sched.t.size, 2), dtype=complex)
     out[0] = (1.0, 0.0)
     out[1:, 0] = u.real
@@ -191,28 +191,21 @@ def evolve_ode_trajectory(sched: CouplingSchedule,
     return out
 
 
-def evolve_ode(sched: CouplingSchedule, t: float,
-               local_tol: float = 1e-9) -> DetectorState:
+def evolve_ode(sched: CouplingSchedule, t: float) -> DetectorState:
     """Numerical integration of the detector equation of motion up to t."""
-    t = float(t)
-    span = sched.t[-1] - sched.t[0]
-    if t < sched.t[0] - 1e-12 * span or t > sched.t[-1] + 1e-12 * span:
-        raise ValueError(f"time {t} lies outside the schedule grid "
-                         f"[{sched.t[0]}, {sched.t[-1]}]")
-    grid = sched.t
+    t, grid = sched._on_grid(t), sched.t
     m = int(np.searchsorted(grid[:-1], t))
     if m == 0:
         return IDLE_STATE
     h = np.minimum(grid[1:m + 1], t) - grid[:m]
-    u = complex(_integrate_from_idle(sched, h, local_tol)[-1])
+    u = complex(_integrate_from_idle(sched, h)[-1])
     return DetectorState(complex(u.real), 1j * u.imag)
 
 
-def ode_consistency(sched: CouplingSchedule,
-                    local_tol: float = 1e-9) -> dict:
+def ode_consistency(sched: CouplingSchedule) -> dict:
     """Close the loop: re-integrate the equation of motion and compare the
     triggered population against k * p_entry on the whole grid."""
-    states = evolve_ode_trajectory(sched, local_tol)
+    states = evolve_ode_trajectory(sched)
     populations = np.abs(states[:, 1]) ** 2
     norms = np.abs(states[:, 0]) ** 2 + populations
     residual = float(np.max(np.abs(populations - sched.k * sched.curve.p_entry)))

@@ -29,6 +29,15 @@ def _as_vec3(value, name: str) -> np.ndarray:
     return v
 
 
+def _unit_axis(value, name: str = "axis") -> np.ndarray:
+    """`value` as a 3-vector scaled to unit length; ValueError when it is 0."""
+    v = _as_vec3(value, name)
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        raise ValueError(f"{name} must be nonzero")
+    return v / norm
+
+
 def unit_vector(value, name: str = "direction") -> np.ndarray:
     """Validate that `value` is a unit 3-vector to within 1e-12."""
     v = _as_vec3(value, name)
@@ -130,11 +139,7 @@ def cap_detector(axis, half_angle: float, r_inner: float, r_outer: float,
                  source: EmissionEvent) -> DetectorGeometry:
     """Source-centered sector: directions within `half_angle` of `axis`,
     radii in [r_inner, r_outer] from the source."""
-    axis = _as_vec3(axis, "axis")
-    norm = float(np.linalg.norm(axis))
-    if norm == 0.0:
-        raise ValueError("axis must be nonzero")
-    axis = axis / norm
+    axis = _unit_axis(axis)
     half_angle = float(half_angle)
     r_inner, r_outer = float(r_inner), float(r_outer)
     if not 0.0 < half_angle <= np.pi:
@@ -177,13 +182,7 @@ def point_detector(position, source: EmissionEvent,
 def solid_angle(det: DetectorGeometry, source: EmissionEvent) -> float:
     """Solid angle [sr] the detector subtends at the source position."""
     if det.kind == "sphere":
-        offset = det.center - source.x0
-        distance = float(np.linalg.norm(offset))
-        if distance <= det.radius:
-            raise GeometryError(
-                f"source lies inside or on the detector (distance {distance} <= radius {det.radius})"
-            )
-        return _sphere_cone(det.radius / distance)[0]
+        return sphere_detector(det.center, det.radius, source).omega
     scale = max(1.0, float(np.linalg.norm(det.center)))
     if float(np.linalg.norm(det.apex - source.x0)) > 1e-9 * scale:
         raise GeometryError(f"{det.kind} detector was built for a different source position")

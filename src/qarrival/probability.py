@@ -63,32 +63,29 @@ class EntryProbabilityCurve:
 
     `denominator` is the occupation normalizer; its `t_max` is absolute, as
     in `ArrivalTimeStats.normalizer`.
-    p_entry = p_direction * p_conditional holds pointwise by construction;
-    p_entry is nondecreasing, starts at 0, and stays within [0, 1].  A curve
-    that breaks these invariants comes from a failed integration, so the
-    checks raise IntegrationError.
+    p_entry = p_direction * p_conditional is nondecreasing, starts at 0, and
+    stays within [0, 1].  A curve that breaks these invariants comes from a
+    failed integration, so the checks raise IntegrationError.
     """
 
     t: np.ndarray
     p_direction: float
     p_conditional: np.ndarray
-    p_entry: np.ndarray
     denominator: SemiInfiniteResult
-    point_detector: bool
     quad_error: float = 0.0
 
     def __post_init__(self):
         if np.any(self.p_conditional < -1e-12) or np.any(self.p_conditional > 1.0 + 1e-12):
             raise IntegrationError("conditional probabilities leave [0, 1]")
-        if np.any(np.diff(self.p_entry) < -1e-10):
+        p_entry = self.p_entry
+        if np.any(np.diff(p_entry) < -1e-10):
             raise IntegrationError("entry probability is not nondecreasing")
-        if abs(self.p_entry[0]) > 1e-300:
+        if abs(p_entry[0]) > 1e-300:
             raise IntegrationError("entry probability must start at 0")
-        residual = np.max(np.abs(self.p_entry - self.p_direction * self.p_conditional))
-        if residual > 1e-12:
-            raise IntegrationError(
-                f"entry probability fails to factorize (residual {residual})",
-                estimate=float(residual))
+
+    @property
+    def p_entry(self) -> np.ndarray:
+        return self.p_direction * self.p_conditional
 
     @property
     def dt(self) -> float:
@@ -401,7 +398,7 @@ def _grid_steps(grid: TimeGridSpec, t0: float, dt: float, tau_end: float,
         raise ScenarioError(key, f"t_end {grid.t_end!r} precedes the emission "
                                  f"time {t0!r}")
     steps = tau_end / dt if tau_end > 0.0 else 0.0
-    n = int(round(min(steps, _MAX_GRID_ROWS)))
+    n = int(round(steps)) if steps < _MAX_GRID_ROWS else _MAX_GRID_ROWS   # NaN: over
     if n + 1 > _MAX_GRID_ROWS:
         key = ("grid.dt" if grid.dt is not None
                else "quadrature.dt" if quad is not None and quad.dt is not None
@@ -417,7 +414,7 @@ def _grid_steps(grid: TimeGridSpec, t0: float, dt: float, tau_end: float,
 
 
 def _curve_from_profile(profile: OccupationProfile, p_direction: float,
-                        grid: TimeGridSpec | None, point_detector: bool, *,
+                        grid: TimeGridSpec | None, *,
                         allow_unconverged: bool = False, min_samples: int = 1,
                         quad: QuadratureSpec | None = None) -> EntryProbabilityCurve:
     """Entry curve on the output grid (see `_grid_steps` for its errors; `quad`
@@ -435,9 +432,8 @@ def _curve_from_profile(profile: OccupationProfile, p_direction: float,
         / profile.result.value
     return EntryProbabilityCurve(
         t=profile.t0 + tau_out, p_direction=p_direction,
-        p_conditional=conditional, p_entry=p_direction * conditional,
+        p_conditional=conditional,
         denominator=replace(profile.result, t_max=profile.t0 + profile.result.t_max),
-        point_detector=point_detector,
         quad_error=profile.quad_error)
 
 
@@ -474,7 +470,6 @@ def build_entry_curve(amp: MomentumAmplitude, det: DetectorGeometry,
     """
     p_direction, profile = _occupation(amp, det, source, quad)
     return _curve_from_profile(profile, p_direction, grid,
-                               point_detector=det.kind == "point",
                                allow_unconverged=allow_unconverged, quad=quad)
 
 

@@ -312,10 +312,6 @@ def _write_bytes(path, data: bytes):
         fh.write(data)
 
 
-def write_scenario(s: Scenario, path):
-    _write_bytes(path, emit_scenario(s).encode())
-
-
 # --- building the physics objects -------------------------------------------
 
 def load_table(path) -> tuple[np.ndarray, np.ndarray]:
@@ -343,8 +339,18 @@ def make_source(s: Scenario) -> EmissionEvent:
                          t0=s.emission.t0, mass=s.emission.mass)
 
 
+_WIDTH_MAX = float(np.sqrt(np.finfo(float).max / 4.0))   # a gaussian's 4 width^2 is finite
+_RADIUS_MAX = 1e102    # a detector volume, at most 4 pi r^3 / 3 < 4.2e306, is finite
+_PLACED_AT = {"sphere": "detector.center", "point": "detector.position"}
+
+
 def make_amplitude(s: Scenario) -> wp.MomentumAmplitude:
     a = s.amplitude
+    for key in ("amplitude.sigma_p", "amplitude.angular_sigma"):
+        if not (_get(s, key) or 0.0) < _WIDTH_MAX:
+            raise ScenarioError(key, f"must be below {_WIDTH_MAX:.6g}, got {_get(s, key)}")
+    if a.p0 is not None and a.p0 + wp.GAUSSIAN_SUPPORT_SIGMAS * a.sigma_p == a.p0:
+        raise ScenarioError("amplitude.sigma_p", f"p0 + 8 sigma_p rounds to p0 = {a.p0}")
     if a.kind == "isotropic-gaussian":
         return wp.isotropic_gaussian(a.p0, a.sigma_p)
     axis = None
@@ -368,11 +374,20 @@ def make_amplitude(s: Scenario) -> wp.MomentumAmplitude:
 
 
 def make_detector(s: Scenario, source: EmissionEvent) -> DetectorGeometry | None:
-    """The detector volume, or None for a point.  Of the arguments `_check`
-    passes, the builders reject only a source inside the ball (an error of
-    the sphere's center) and a zero cap axis.  A direction cone whose cosine
-    rounds to 1 has no direction grid, an error of its size's key."""
+    """The detector volume, or None for a point.  An overflowing distance to
+    the source is an error of the farther point's key, a size at or above
+    _RADIUS_MAX one of its own; the builders reject only a source inside the
+    ball (an error of the sphere's center) and a zero cap axis.  A direction
+    cone whose cosine rounds to 1 is an error of its size's key."""
     d = s.detector
+    key = _PLACED_AT.get(d.kind)
+    with np.errstate(over="ignore"):
+        if key and not np.isfinite(np.linalg.norm(np.subtract(_get(s, key), source.x0))):
+            raise ScenarioError(key if np.abs(_get(s, key)).max() >= np.abs(source.x0).max()
+                                else "emission.x0", "the distance to the source overflows")
+    key = {"sphere": "detector.radius", "cap": "detector.r_outer"}.get(d.kind)
+    if key and not _get(s, key) < _RADIUS_MAX:
+        raise ScenarioError(key, f"must be below {_RADIUS_MAX:g}, got {_get(s, key)}")
     if d.kind == "point":
         return None
     if d.kind == "sphere":
@@ -402,9 +417,14 @@ def _check_grid(s: Scenario, source: EmissionEvent, quad: QuadratureSpec):
     """Refuse an output grid that cannot hold the 3 samples a run needs, or
     holds more than the row budget, on the run's own time controls `quad`: the
     end is grid.t_end when set, else the time cap (t_max <= t_cap), and the step
-    grid.dt, else quad.dt.  `_curve_from_profile` repeats it on the exact end."""
-    prob_mod._grid_steps(s.grid, source.t0, quad.dt, quad.t_cap, min_samples=3,
-                         quad=s.quadrature)
+    grid.dt, else quad.dt.  `_curve_from_profile` repeats it on the exact end.
+    A step within the float spacing of the grid's times is an error of
+    grid.dt when set, else of emission.t0."""
+    dt, n = prob_mod._grid_steps(s.grid, source.t0, quad.dt, quad.t_cap, min_samples=3,
+                                 quad=s.quadrature)
+    if not dt > np.spacing(max(abs(source.t0), abs(source.t0 + n * dt))):
+        raise ScenarioError("grid.dt" if s.grid.dt is not None else "emission.t0",
+                            f"the step {dt:.6g} is lost in the times from {source.t0!r}")
 
 
 def _prepare(s: Scenario, until: str = "schedule", shared: dict | None = None) -> dict:
@@ -442,7 +462,6 @@ def _prepare(s: Scenario, until: str = "schedule", shared: dict | None = None) -
             wp.detector_occupation(amp, det, source, quad), source, quad)
     if "curve" in todo:
         r["curve"] = prob_mod._curve_from_profile(r["profile"], r["controls"][0], s.grid,
-                                                  point_detector=s.is_point,
                                                   allow_unconverged=True, min_samples=3,
                                                   quad=s.quadrature)
     if "arrival" in todo:
@@ -570,7 +589,7 @@ def _check_sweepable(parameter: str):
 
 
 def _apply_distance(s: Scenario, value: float) -> Scenario:
-    key = {"point": "detector.position", "sphere": "detector.center"}.get(s.detector.kind)
+    key = _PLACED_AT.get(s.detector.kind)
     if key is None:
         raise ScenarioError("sweep.parameter",
                             "detector.distance sweeps need a sphere or point detector")
@@ -670,6 +689,8 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
     stops before the entry curve, so only each row's own grid is checked.
     """
     template = parse_scenario(spec.scenario_path)
+    if spec.parameter == "detector.distance":
+        _apply_distance(template, 1.0)     # refuses a template without a line of sight
     os.makedirs(out_dir, exist_ok=True)
     prepared = failure = None
     try:

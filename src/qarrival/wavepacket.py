@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import IntegrationError, NormalizationError
-from .geometry import EmissionEvent, DetectorGeometry, unit_vector, _as_vec3
+from .geometry import EmissionEvent, DetectorGeometry, _unit_axis, unit_vector, _as_vec3
 from .quadrature import QuadratureSpec, gauss_legendre_panels, cap_directions, \
     panel_pieces, refine_by_doubling, volume_grid
 
@@ -133,28 +133,23 @@ def _gaussian_kind_checks(p0: float, sigma_p: float):
             "not negligible", stacklevel=3)
 
 
-def isotropic_gaussian(p0: float, sigma_p: float, *, normalized: bool = True) -> MomentumAmplitude:
+def isotropic_gaussian(p0: float, sigma_p: float) -> MomentumAmplitude:
     _gaussian_kind_checks(p0, sigma_p)
     amp = MomentumAmplitude(kind="isotropic-gaussian", p0=float(p0), sigma_p=float(sigma_p))
-    return normalize(amp) if normalized else amp
+    return normalize(amp)
 
 
-def separable_gaussian(p0: float, sigma_p: float, axis, angular_sigma: float, *,
-                       normalized: bool = True) -> MomentumAmplitude:
+def separable_gaussian(p0: float, sigma_p: float, axis, angular_sigma: float) -> MomentumAmplitude:
     _gaussian_kind_checks(p0, sigma_p)
     if not angular_sigma > 0.0:
         raise ValueError(f"angular_sigma must be positive, got {angular_sigma}")
-    axis = _as_vec3(axis, "axis")
-    norm = float(np.linalg.norm(axis))
-    if norm == 0.0:
-        raise ValueError("axis must be nonzero")
     amp = MomentumAmplitude(kind="separable", p0=float(p0), sigma_p=float(sigma_p),
-                            axis=axis / norm, angular_sigma=float(angular_sigma))
-    return normalize(amp) if normalized else amp
+                            axis=_unit_axis(axis), angular_sigma=float(angular_sigma))
+    return normalize(amp)
 
 
 def tabulated(p_grid, radial_values, cos_grid=None, angular_values=None,
-              axis=None, *, normalized: bool = True) -> MomentumAmplitude:
+              axis=None) -> MomentumAmplitude:
     p_grid = np.asarray(p_grid, dtype=float)
     radial_values = np.asarray(radial_values, dtype=complex)
     if p_grid.ndim != 1 or p_grid.size < 2 or radial_values.shape != p_grid.shape:
@@ -174,14 +169,10 @@ def tabulated(p_grid, radial_values, cos_grid=None, angular_values=None,
             raise ValueError("angular values must be finite")
         if axis is None:
             raise ValueError("an angular table requires a symmetry axis")
-        axis = _as_vec3(axis, "axis")
-        norm = float(np.linalg.norm(axis))
-        if norm == 0.0:
-            raise ValueError("axis must be nonzero")
-        axis = axis / norm
+        axis = _unit_axis(axis)
     amp = MomentumAmplitude(kind="tabulated", p_grid=p_grid, radial_values=radial_values,
                             cos_grid=cos_grid, angular_values=angular_values, axis=axis)
-    return normalize(amp) if normalized else amp
+    return normalize(amp)
 
 
 @dataclass(frozen=True, eq=False)

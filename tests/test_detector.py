@@ -11,9 +11,8 @@ def synthetic_curve(t, conditional, p_direction=1.0):
     conditional = np.asarray(conditional, dtype=float)
     return EntryProbabilityCurve(
         t=np.asarray(t, dtype=float), p_direction=p_direction,
-        p_conditional=conditional, p_entry=p_direction * conditional,
-        denominator=SemiInfiniteResult(1.0, 0.0, float(t[-1]), True),
-        point_detector=True)
+        p_conditional=conditional,
+        denominator=SemiInfiniteResult(1.0, 0.0, float(t[-1]), True))
 
 
 def synthetic_schedule(t, angle, k=0.9):
@@ -21,7 +20,7 @@ def synthetic_schedule(t, angle, k=0.9):
     angle = np.asarray(angle, dtype=float)
     rate = qa.differentiate_sampled(angle, t[1] - t[0])
     curve = synthetic_curve(t, np.clip(np.sin(angle) ** 2 / k, 0.0, 1.0))
-    return CouplingSchedule(k=k, t=t, angle=angle, rate=rate,
+    return CouplingSchedule(k=k, angle=angle, rate=rate,
                             entry_rate=np.zeros_like(t), curve=curve)
 
 

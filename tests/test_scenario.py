@@ -574,12 +574,13 @@ def test_sweep_starts_no_process(tmp_path, monkeypatch):
     assert [row["status"] for row in rows] == ["ok"] * 3
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "abc"])
 def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs):
     with pytest.raises(SystemExit) as exit_info:
         cli_main(["sweep", str(tmp_path / "k.sweep"), "--jobs", jobs])
     assert exit_info.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    assert f"argument --jobs: {'expected an integer' if jobs == 'abc' else 'must be >= 1'}" \
+        in capsys.readouterr().err
 
 
 def test_sweep_coupling_ratio(tmp_path):
@@ -673,6 +674,64 @@ def test_cli_validate(tmp_path, capsys):
     assert cli_main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert "coupling.k" in err
+
+
+CAP = ("detector.kind = cap\ndetector.axis = 0 0 1\ndetector.half_angle = 0.1\n"
+       "detector.r_inner = {}\ndetector.r_outer = {}\n")
+TABLE = "amplitude.kind = tabulated\namplitude.radial_file = radial.txt\ndetector.position = 0 0 10\n"
+
+
+def sweep_of(parameter="coupling.k", values="0.5"):
+    return f"sweep.scenario = scn.txt\nsweep.parameter = {parameter}\nsweep.values = {values}\n"
+
+
+# a refused input: its scenario file scn.txt, or its sweep file k.sweep (over
+# scn.txt), the radial table radial.txt it reads, and the key its error names;
+# a scenario is refused by both validate and run, a sweep by sweep
+@pytest.mark.parametrize("files, key", [
+    ({"scn.txt": "amplitude.sigma_p = 1e200\ndetector.position = 0 0 10\n"},
+     "amplitude.sigma_p"),
+    ({"scn.txt": "amplitude.kind = separable\namplitude.axis = 0 0 1\n"
+                 "amplitude.angular_sigma = 1e160\ndetector.position = 0 0 10\n"},
+     "amplitude.angular_sigma"),
+    ({"scn.txt": "detector.kind = sphere\ndetector.center = 0 0 1e150\n"
+                 "detector.radius = 1e149\n"}, "detector.radius"),
+    ({"scn.txt": CAP.format(1e119, 1e120)}, "detector.r_outer"),
+    ({"scn.txt": "amplitude.sigma_p = 1e-300\ndetector.position = 0 0 10\n"},
+     "amplitude.sigma_p"),
+    ({"scn.txt": "detector.position = 0 0 1e155\n"}, "detector.position"),
+    ({"scn.txt": "emission.x0 = 1e300 0 0\ndetector.position = 0 0 10\n"}, "emission.x0"),
+    ({"scn.txt": "emission.t0 = 1e17\ndetector.position = 0 0 10\n"}, "emission.t0"),
+    ({"scn.txt": CAP.format(21, 19)}, "detector.r_inner"),
+    ({"scn.txt": TABLE + "amplitude.angular_file = angular.txt\n"}, "amplitude.axis"),
+    ({"scn.txt": "detector.position 0 0 10\n"}, "line 1"),
+    ({"scn.txt": "detector.kind = cube\n"}, "detector.kind"),
+    ({"scn.txt": TABLE, "radial.txt": "4 0.5\n5 1 2\n"}, "amplitude.radial_file"),
+    ({"scn.txt": TABLE, "radial.txt": "5 1\n4 0.5\n"}, "amplitude.radial_file"),
+    ({"scn.txt": POINT_FAST, "k.sweep": sweep_of(values="")}, "sweep.values"),
+    ({"scn.txt": POINT_FAST, "k.sweep": "sweep.scenario = scn.txt\nsweep.values = 0.5\n"},
+     "sweep.parameter"),
+    ({"scn.txt": POINT_FAST, "k.sweep": sweep_of(values="0.5 half")}, "sweep.values"),
+    ({"scn.txt": CAP.format(19, 21), "k.sweep": sweep_of("detector.distance", "20")},
+     "sweep.parameter"),
+    ({"scn.txt": "detector.position = 0 0 0\n",
+      "k.sweep": sweep_of("detector.distance", "20")}, "sweep.parameter"),
+], ids=["huge sigma_p", "huge angular_sigma", "huge sphere", "huge cap", "tiny sigma_p",
+        "far point", "far source", "late emission", "inverted cap", "angular table no axis",
+        "line without =", "unknown detector kind", "malformed table line",
+        "decreasing radial grid", "sweep no values", "sweep missing key",
+        "sweep unparsable value", "distance sweep of a cap",
+        "distance sweep of a point at the source"])
+def test_cli_refusal_names_its_key(tmp_path, capsys, files, key):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = str(tmp_path / "out")
+    commands = [["sweep", str(tmp_path / "k.sweep"), "--out", out]] if "k.sweep" in files \
+        else [["validate", str(tmp_path / "scn.txt")], ["run", str(tmp_path / "scn.txt"),
+                                                        "--out", out]]
+    for argv in commands:
+        assert cli_main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"validation error: {key}:"), argv
 
 
 def test_cli_run(tmp_path):

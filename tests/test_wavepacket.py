@@ -269,9 +269,9 @@ def test_linearity(source):
     r1 = np.exp(-((grid - 4.5) ** 2) / (4 * 0.09))
     r2 = np.exp(-((grid - 5.5) ** 2) / (4 * 0.09)) * (0.2 + 0.7j)
     a, b = 0.7 - 0.2j, 0.3 + 0.5j
-    amp1 = wp.tabulated(grid, r1, normalized=False)
-    amp2 = wp.tabulated(grid, r2, normalized=False)
-    amp3 = wp.tabulated(grid, a * r1 + b * r2, normalized=False)
+    amp1 = replace(wp.tabulated(grid, r1), scale=1.0)
+    amp2 = replace(wp.tabulated(grid, r2), scale=1.0)
+    amp3 = replace(wp.tabulated(grid, a * r1 + b * r2), scale=1.0)
     req = wp.AngularComponentRequest([0.0, 0.0, 1.0], [0.0, 0.0, 12.0], 2.0)
     quad = QuadratureSpec()
     v1 = qa.eval_angular_component(amp1, req, source, quad)
@@ -497,7 +497,7 @@ def test_radial_budget_counts_nodes_between_knots(source):
     # 10,923 knots ask for 1,024 panels: 262,144 nodes after three doublings
     # in full panels, but every knot splits one, so the rule would hold more
     grid = np.linspace(1.0, 9.0, 10923)
-    dense = wp.tabulated(grid, np.exp(-((grid - 5.0) ** 2)), normalized=False)
+    dense = replace(wp.tabulated(grid, np.exp(-((grid - 5.0) ** 2))), scale=1.0)
     assert 32 * 8 * -(-dense.radial_node_floor // 32) == 2 ** 18
     with pytest.raises(IntegrationError, match="budget of 262144 nodes"):
         wp._radial_panels(dense, 20.0, 20.0, 0.0, source.mass)
