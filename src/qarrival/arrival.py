@@ -64,13 +64,15 @@ def stats_from_samples(taus, values, t0: float = 0.0,
         raise IntegrationError("arrival density has zero mass", estimate=0.0)
     density = values / mass
     mean = float(np.trapezoid(taus * density, taus))
-    var = float(np.trapezoid((taus - mean) ** 2 * density, taus))
+    # centred and scaled by a power of two, exact, so squares of huge times stay finite
+    scale = np.ldexp(1.0, -int(np.frexp(np.max(np.abs(taus - mean)))[1]))
+    var = float(np.trapezoid(((taus - mean) * scale) ** 2 * density, taus))
     if normalizer is None:
         normalizer = SemiInfiniteResult(value=mass, error_estimate=0.0,
                                         t_max=t0 + float(taus[-1]), converged=True)
     return ArrivalTimeStats(mean_time=mean, t=t0 + taus, density=density,
                             normalizer=normalizer, classical_time=classical_time,
-                            spread=float(np.sqrt(max(var, 0.0))))
+                            spread=float(np.sqrt(max(var, 0.0)) / scale))
 
 
 def _stats_from_profile(profile: OccupationProfile,

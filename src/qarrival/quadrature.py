@@ -76,9 +76,34 @@ class SemiInfiniteResult:
                 "t_max": self.t_max, "converged": self.converged}
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(1, n):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return p1, n * (p0 - x * p1) / ((1 - x) * (1 + x))
+
+
 @lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]:
+    Newton's method on the recurrence of P_n from the cosine guess (Hale &
+    Townsend, SIAM J. Sci. Comput. 35 (2013) A652), weights 2 / ((1 - x^2)
+    P_n'(x)^2) normalized to sum 2, as numpy's leggauss.  The guess is
+    symmetrized, and every step keeps the nodes mirrored to the bit.  It runs
+    in long double, so the nodes round correctly and the weights are those of
+    the roots, not of their rounding."""
+    x = np.cos(np.pi * (4.0 * np.arange(n, 0, -1) - 1.0) / (4.0 * n + 2.0))
+    x = (x - x[::-1]).astype(np.longdouble) / 2
+    for _ in range(100):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) <= 1e-12:    # quadratic: the next step is below 1e-20
+            break
+    dp = _legendre(n, x)[1]
+    w = (2 / ((1 - x) * (1 + x) * dp * dp)).astype(float)
+    return x.astype(float), w * (2.0 / w.sum())
 
 
 def panel_pieces(a: float, b: float, panels: int, nodes_per_panel: int,

@@ -263,16 +263,20 @@ def normalize(amp: MomentumAmplitude) -> MomentumAmplitude:
 
 def radial_moments(amp: MomentumAmplitude) -> tuple[float, float]:
     """Mean and standard deviation of the radial density p^2 |R|^2, on 4097
-    trapezoid nodes over the support (auto-scale helper)."""
+    trapezoid nodes over the support (auto-scale helper).  The moments are
+    taken of p scaled into [0, 1) by a power of two, which is exact, so a
+    huge support does not overflow them."""
     lo, hi = amp.p_support
     p = np.linspace(lo, hi, 4097)
-    dens = p * p * np.abs(amp.radial_profile(p)) ** 2
-    mass = np.trapezoid(dens, p)
+    scale = np.ldexp(1.0, -max(int(np.frexp(hi)[1]), 0))
+    q = p * scale
+    dens = q * q * np.abs(amp.radial_profile(p)) ** 2
+    mass = np.trapezoid(dens, q)
     if mass <= 0.0:
         raise NormalizationError("amplitude has zero radial mass")
-    mean = np.trapezoid(p * dens, p) / mass
-    var = np.trapezoid((p - mean) ** 2 * dens, p) / mass
-    return float(mean), float(np.sqrt(max(var, 0.0)))
+    mean = np.trapezoid(q * dens, q) / mass
+    var = np.trapezoid((q - mean) ** 2 * dens, q) / mass
+    return float(mean / scale), float(np.sqrt(max(var, 0.0)) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -370,33 +374,44 @@ def _uniform_step(taus: np.ndarray) -> float | None:
     return None
 
 
+def _coeff_rows(coeffs, cols: slice) -> np.ndarray:
+    """The seam through which the phase-sum kernel reads its coefficients:
+    rows `cols` as a (rows, columns) array.  An array passes its own slice;
+    a function of the slice (the compressed fold's) computes those rows only."""
+    return coeffs(cols) if callable(coeffs) else coeffs.reshape(len(coeffs), -1)[cols]
+
+
 def _panel_node_sums(detuning: np.ndarray, half_span: float, centres: np.ndarray,
-                     flat: np.ndarray) -> np.ndarray:
-    """(panels, nodes, columns) sums Sum_p exp(-i d_p (c_k + x_j)) flat[p, :]
+                     coeffs) -> np.ndarray:
+    """(panels, nodes, columns) sums Sum_p exp(-i d_p (c_k + x_j)) coeffs[p, :]
     over the detunings d_p, on the Chebyshev nodes x_j of [-half_span,
-    half_span] about every panel centre c_k, in blocks of _P_BLOCK momenta.
+    half_span] about every panel centre c_k, in blocks of _P_BLOCK momenta,
+    each block of coefficients read once (`_coeff_rows`).
     The nodes are mirrored, so each block evaluates half the node table and
     takes the other half by conjugation, exact in IEEE arithmetic.  The
     table's buffer is freed on return, before the kernel allocates its
     samples."""
     nodes = _cheb_points(-half_span, half_span, _PANEL_NODES)
     half = _PANEL_NODES // 2
-    node_sums = np.zeros((centres.size, _PANEL_NODES, flat.shape[1]), dtype=complex)
+    node_sums = np.zeros((centres.size, _PANEL_NODES, _coeff_rows(coeffs, slice(0)).shape[1]),
+                         dtype=complex)
     buffer = np.empty(_PANEL_NODES * min(detuning.size, _P_BLOCK), dtype=complex)
     for p0 in range(0, detuning.size, _P_BLOCK):
         cols = slice(p0, p0 + _P_BLOCK)
+        block = _coeff_rows(coeffs, cols)
         shifted = -1j * detuning[cols]
         table = buffer[:_PANEL_NODES * shifted.size].reshape(_PANEL_NODES, -1)
         top = np.multiply.outer(nodes[:half], shifted, out=table[:half])
         np.exp(top, out=top)
         np.conjugate(table[half - 1::-1], out=table[half:])
         for k in range(centres.size):
-            node_sums[k] += table @ (np.exp(centres[k] * shifted)[:, None] * flat[cols])
+            node_sums[k] += table @ (np.exp(centres[k] * shifted)[:, None] * block)
     return node_sums
 
 
-def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Sum_p exp(-i omega_p tau_i) coeffs[p, ...] for every tau_i.
+def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs) -> np.ndarray:
+    """Sum_p exp(-i omega_p tau_i) coeffs[p, ...] for every tau_i, the
+    coefficients an array or a function of a slice of momenta (`_coeff_rows`).
 
     The sum is band-limited in tau.  On a uniform grid the samples are split
     into panels over which the band-centred sum turns by at most
@@ -407,10 +422,11 @@ def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs: np.ndarray) -> np.n
     Short, non-uniform or undersampled grids are summed directly.  Both
     branches walk the momentum axis in blocks of _P_BLOCK columns and the
     samples in blocks of _ROW_BLOCK, so no time-by-momentum or time-by-node
-    matrix is ever held.
+    matrix is ever held, and read each block of coefficients once.
     """
     taus = np.asarray(taus, dtype=float)
     n_t = taus.size
+    shape = (n_t, -1) if callable(coeffs) else (n_t,) + coeffs.shape[1:]
     h = _uniform_step(taus)
     w_mid = 0.5 * (omega.max() + omega.min())
     half_band = 0.5 * (omega.max() - omega.min())
@@ -421,21 +437,21 @@ def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs: np.ndarray) -> np.n
     # with fewer samples per panel than half its node count, the node sums
     # cost more than summing the samples directly
     if per_panel < _PANEL_NODES // 2:
-        out = np.zeros((n_t,) + coeffs.shape[1:], dtype=complex)
+        out = np.zeros((n_t, _coeff_rows(coeffs, slice(0)).shape[1]), dtype=complex)
         for p0 in range(0, omega.size, _P_BLOCK):
             cols = slice(p0, p0 + _P_BLOCK)
+            block = _coeff_rows(coeffs, cols)
             for t0 in range(0, n_t, _ROW_BLOCK):
                 rows = slice(t0, t0 + _ROW_BLOCK)
-                out[rows] += np.exp(np.outer(taus[rows], -1j * omega[cols])) @ coeffs[cols]
-        return out
+                out[rows] += np.exp(np.outer(taus[rows], -1j * omega[cols])) @ block
+        return out.reshape(shape)
     n_panels = -(-n_t // per_panel)
     half_span = 0.5 * (per_panel - 1) * h
     centres = taus[0] + half_span + h * per_panel * np.arange(n_panels)
-    flat = coeffs.reshape(omega.size, -1)
-    node_sums = _panel_node_sums(omega - w_mid, half_span, centres, flat)
+    node_sums = _panel_node_sums(omega - w_mid, half_span, centres, coeffs)
     # the interpolation matrix depends on the sample's offset in its panel
     # only, so each block of offsets serves every panel
-    samples = np.empty((n_panels, per_panel, flat.shape[1]), dtype=complex)
+    samples = np.empty((n_panels, per_panel, node_sums.shape[2]), dtype=complex)
     for r0 in range(0, per_panel, _ROW_BLOCK):
         rows = slice(r0, r0 + _ROW_BLOCK)
         offsets = h * np.arange(r0, min(r0 + _ROW_BLOCK, per_panel)) - half_span
@@ -445,7 +461,7 @@ def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs: np.ndarray) -> np.n
     for t0 in range(0, n_t, _ROW_BLOCK):
         rows = slice(t0, t0 + _ROW_BLOCK)
         samples[rows] *= np.exp(-1j * w_mid * taus[rows])[:, None]
-    return samples.reshape((n_t,) + coeffs.shape[1:])
+    return samples.reshape(shape)
 
 
 def _direct_fold(amp: MomentumAmplitude, mass: float, r_chan: np.ndarray,
@@ -512,6 +528,23 @@ def eval_detector_wavefunction(amp: MomentumAmplitude, position, time: float,
                 _as_vec3(position, "position"), time)
 
 
+def _channel_map(r_chan: np.ndarray, gains: np.ndarray, r_lo: float, r_hi: float,
+                 order: int, p_mid: float) -> np.ndarray:
+    """The compressed fold's (points, order) map from the Chebyshev r-nodes of
+    [r_lo, r_hi] to the points: Sum_a gains[a] exp(i p_mid r[x, a]) times the
+    barycentric row of r[x, a].  Each row depends on its own distances only,
+    so it is built and summed over the channels a block of points at a time."""
+    n_points, n_chan = r_chan.shape
+    mix = np.empty((n_points, order), dtype=complex)
+    step = max(1, _FOLD_CELLS // (n_chan * order))
+    for x0 in range(0, n_points, step):
+        r = r_chan[x0:x0 + step]                                          # (x, A)
+        interp = _cheb_interp_matrix(r_lo, r_hi, order, r.ravel())
+        carrier = gains[None, :] * np.exp(1j * p_mid * r)
+        mix[x0:x0 + step] = (interp.reshape(*r.shape, order) * carrier[:, :, None]).sum(axis=1)
+    return mix
+
+
 class OccupationCurve:
     """Sum_x w_x |Sum_a g_a psi(r[x, a], tau)|^2 over arrays of elapsed times
     tau: points x of weight w_x, direction channels a of gain g_a at distance
@@ -521,7 +554,9 @@ class OccupationCurve:
     points than the Chebyshev order the distances need, the channels fold
     into the momentum coefficients directly; otherwise their phases
     exp(i p r) are compressed onto a Chebyshev basis in r, which keeps the
-    time-by-momentum product small.
+    time-by-momentum product small.  The compressed fold keeps neither the
+    distances nor its map, only the map's QR factor, and computes its
+    coefficients one block of momenta at a time.
 
     `full_mass` is the curve's integral over all tau, known without
     sampling: psi is Sum_p c_p exp(-i omega_p tau) with omega_p = p^2 / 2m,
@@ -535,36 +570,28 @@ class OccupationCurve:
                  weights: np.ndarray):
         self.amp, self.source, self.quad = amp, source, quad
         # r_chan is (points, channels)
-        self._r_chan, self._gains, self._weights = r_chan, gains, weights
+        self._gains, self._weights = gains, weights
         self._r_lo, self._r_hi = float(r_chan.min()), float(r_chan.max())
         self._panels = 0            # panels of the last batch's accepted rule
         self.scale = self.abs_error = 0.0
-        n_points, n_chan = r_chan.shape
         p_lo, p_hi = amp.p_support
         halfband = 0.5 * (p_hi - p_lo)
         half_len = 0.5 * max(self._r_hi - self._r_lo, 1e-12)
         order = int(np.ceil(1.4 * halfband * half_len)) + 16
-        self._mix = None
-        if order < n_points:
-            # exact values on Chebyshev r-nodes, barycentric map to the
-            # channels; the map depends on the geometry, not on the radial
-            # rule, so every _build shares it
+        self._mix_r = None
+        if order < r_chan.shape[0]:
+            # exact values on Chebyshev r-nodes, mapped to the points; the map
+            # depends on the geometry, not on the radial rule, so every _build
+            # shares it
             self._p_mid = 0.5 * (p_lo + p_hi)
             self._r_nodes = _cheb_points(self._r_lo, self._r_hi, order)
-            # each row of the map depends on its own distance only, so it is
-            # built and summed over the channels a block of points at a time
-            mix = np.empty((n_points, order), dtype=complex)
-            step = max(1, _FOLD_CELLS // (n_chan * order))
-            for x0 in range(0, n_points, step):
-                r = r_chan[x0:x0 + step]                                  # (x, A)
-                interp = _cheb_interp_matrix(self._r_lo, self._r_hi, order, r.ravel())
-                carrier = gains[None, :] * np.exp(1j * self._p_mid * r)
-                mix[x0:x0 + step] = (interp.reshape(*r.shape, order)
-                                     * carrier[:, :, None]).sum(axis=1)
-            self._mix = mix.T                                             # (C, X)
-            # sum_x w_x |(s M)_x|^2 = |R s|^2 with (M diag(sqrt w))^T = Q R,
-            # so the density costs C^2 per sample instead of C X
-            self._mix_r = np.linalg.qr((self._mix * np.sqrt(weights)).T, mode="r").T  # (C, C)
+            mix = _channel_map(r_chan, gains, self._r_lo, self._r_hi, order, self._p_mid)
+            # sum_x w_x |(s M)_x|^2 = |R s|^2 with diag(sqrt w) M^T = Q R, so
+            # the density costs C^2 per sample instead of C X
+            mix *= np.sqrt(weights)[:, None]
+            self._mix_r = np.linalg.qr(mix, mode="r").T                   # (C, C)
+            del mix
+        self._r_chan = r_chan if self._mix_r is None else None
         # anchor the relative-error scale at the arrival peak: this probe batch
         # is judged against its own maximum, and later batches, typically ~0
         # early on, against the scale it leaves
@@ -576,16 +603,27 @@ class OccupationCurve:
             _RADIAL_DOUBLINGS, quad.rtol, "Plancherel mass")
 
     def _build(self, panels: int):
-        if self._mix is None:
+        """omega_p and the coefficients of the radial rule of `panels` panels:
+        the direct fold's (P, X) array, or the compressed fold's function of a
+        slice of momenta, base_p exp(i (p - p_mid) r_k) for that slice only."""
+        if self._mix_r is None:
             return _direct_fold(self.amp, self.source.mass, self._r_chan, self._gains, panels)
         p, base = _radial_rule(self.amp, panels)
-        omega = p * p / (2.0 * self.source.mass)
-        return omega, base[:, None] * np.exp(1j * np.outer(p - self._p_mid, self._r_nodes))
+
+        def rows(cols: slice) -> np.ndarray:
+            phase = np.multiply.outer(p[cols] - self._p_mid, self._r_nodes)
+            block = np.empty(phase.shape, dtype=complex)
+            np.cos(phase, out=block.real)
+            np.sin(phase, out=block.imag)
+            block *= base[cols, None]
+            return block
+
+        return p * p / (2.0 * self.source.mass), rows
 
     def _density(self, sums: np.ndarray) -> np.ndarray:
         """Sum_x w_x |field_x|^2 of rows of per-point sums (direct fold) or
         of Chebyshev-node sums (compressed fold)."""
-        if self._mix is None:
+        if self._mix_r is None:
             return (sums.real ** 2 + sums.imag ** 2) @ self._weights
         fields = sums @ self._mix_r                       # (T, C) @ (C, C)
         return (fields.real ** 2 + fields.imag ** 2).sum(axis=1)
@@ -597,12 +635,15 @@ class OccupationCurve:
     def _full_mass(self, panels: int) -> tuple[float, float]:
         """The Plancherel sum 2 pi m Sum_p |c_p|^2 / (w_p p) of the radial
         rule of `panels` panels (w_p its Gauss-Legendre weights), reduced
-        over the points like a sample."""
+        over the points like a sample, a block of momenta at a time."""
         p_lo, p_hi = self.amp.p_support
         p, w = gauss_legendre_panels(p_lo, p_hi, panels, _RADIAL_NODES, self.amp.knots)
         _, coeffs = self._build(panels)
-        return 2.0 * np.pi * self.source.mass * float(
-            np.sum(self._density(coeffs) / (w * p))), 0.0
+        density = np.empty(p.size)
+        for p0 in range(0, p.size, _P_BLOCK):
+            cols = slice(p0, p0 + _P_BLOCK)
+            density[cols] = self._density(_coeff_rows(coeffs, cols))
+        return 2.0 * np.pi * self.source.mass * float(np.sum(density / (w * p))), 0.0
 
     def mass_error(self, length: float) -> float:
         """Error of `full_mass` minus the running integrals of the curve over

@@ -124,3 +124,19 @@ def test_arrival_csv(tmp_path, narrow_stats):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,density"
     assert len(lines) == narrow_stats.t.size + 1
+
+
+def test_spread_of_huge_times_is_finite():
+    # elapsed times near 1e301 (emission.mass = 1e300 at distance 10) overflowed
+    # the variance's squares; centred times are scaled by a power of two, which
+    # is exact: the moments scale with the times, and those of ordinary times
+    # keep the bits of the unscaled formula
+    taus = np.linspace(0.0, 40.0, 801)
+    values = np.exp(-((taus - 20.0) / 3.0) ** 2)
+    ref = qa.stats_from_samples(taus, values)
+    assert ref.spread == float(np.sqrt(np.trapezoid((taus - ref.mean_time) ** 2
+                                                    * ref.density, taus)))
+    with np.errstate(all="raise"):
+        huge = qa.stats_from_samples(taus * 2.0 ** 900, values)
+    assert huge.mean_time == ref.mean_time * 2.0 ** 900
+    assert huge.spread == ref.spread * 2.0 ** 900

@@ -138,6 +138,12 @@ def _brute_phase_sums(omega, taus, coeffs):
     return np.exp(-1j * np.outer(taus, omega)) @ coeffs
 
 
+def _distances(amp, det, source, quad):
+    """r[x, a] of a volume's occupation, recomputed from its geometry."""
+    dirs, _ = wp._cap_channels(amp, det, quad)
+    return (volume_grid(det, quad)[0] - source.x0) @ dirs.T
+
+
 def _panel_samples(omega, h):
     """Samples per tau-panel of the kernel's Chebyshev branch."""
     half_band = 0.5 * (omega.max() - omega.min())
@@ -258,8 +264,10 @@ def test_curve_evaluators_match_exact_phases(iso_amp, narrow_amp, standard_det,
                         (volume, np.linspace(2.0, 8.0, 3001))):
         values = curve(taus)
         omega, coeffs = curve._build(curve._panels)
-        sums = _brute_phase_sums(omega, taus, coeffs)
-        fields = sums if curve._mix is None else sums @ curve._mix
+        sums = _brute_phase_sums(omega, taus, wp._coeff_rows(coeffs, slice(None)))
+        fields = sums if curve._mix_r is None else sums @ wp._channel_map(
+            _distances(iso_amp, standard_det, source, quad), curve._gains, curve._r_lo,
+            curve._r_hi, curve._r_nodes.size, curve._p_mid).T
         ref = (np.abs(fields) ** 2) @ curve._weights
         assert np.max(np.abs(values - ref)) <= 1e-11 * ref.max()
 
@@ -309,7 +317,7 @@ def test_volume_curve_matches_pointwise_field(iso_amp, standard_det, source):
     for nodes, compressed in ((2, False), (4, True)):
         quad = QuadratureSpec(polar_nodes=nodes, azimuth_nodes=nodes)
         curve = wp.detector_occupation(iso_amp, standard_det, source, quad)
-        assert (curve._mix is not None) == compressed
+        assert (curve._mix_r is not None) == compressed
         points, weights = volume_grid(standard_det, quad)
         dirs, gains = cap_directions(standard_det.axis, standard_det.cos_cone, nodes, nodes)
         r = (points - source.x0) @ dirs.T                               # (X, A)
@@ -387,13 +395,13 @@ def test_interp_matrix_in_place_matches_reference_bits(lo, hi, n):
     assert np.count_nonzero(np.all((ref == 0.0) | (ref == 1.0), axis=1)) >= n
 
 
-def _one_shot_mix(curve):
-    """The compressed fold built whole: the (X*A, C) barycentric map times
-    the carriers, summed over channels."""
-    r, order = curve._r_chan, curve._r_nodes.size
+def _one_shot_mix(curve, r):
+    """The compressed fold's map built whole: the (X*A, C) barycentric map
+    times the carriers, summed over channels."""
+    order = curve._r_nodes.size
     interp = _reference_interp(wp._cheb_points(curve._r_lo, curve._r_hi, order), r.ravel())
     carrier = (curve._gains[None, :] * np.exp(1j * curve._p_mid * r)).ravel()
-    return (interp * carrier[:, None]).reshape(*r.shape, order).sum(axis=1).T
+    return (interp * carrier[:, None]).reshape(*r.shape, order).sum(axis=1)
 
 
 def _one_shot_chan(curve, panels):
@@ -408,28 +416,56 @@ def _one_shot_chan(curve, panels):
 
 
 def test_blocked_folds_match_one_shot_bits(iso_amp, standard_det, source):
-    # 12 x 12 nodes: X = 1,728 points of A = 144 channels, many point blocks;
+    # 12 x 12 nodes: X = 1,728 points of A = 144 channels, many point blocks,
+    # whose distances the compressed curve does not keep;
     # the radius-12 sphere's 64 points fold directly over more momenta than
     # one column block
     quad = QuadratureSpec(polar_nodes=12, azimuth_nodes=12)
     curve = wp.detector_occupation(iso_amp, standard_det, source, quad)
-    assert curve._r_chan.size * curve._r_nodes.size > 8 * wp._FOLD_CELLS
-    assert np.array_equal(curve._mix, _one_shot_mix(curve))
+    r = _distances(iso_amp, standard_det, source, quad)
+    assert curve._r_chan is None
+    assert r.size * curve._r_nodes.size > 8 * wp._FOLD_CELLS
+    assert np.array_equal(wp._channel_map(r, curve._gains, curve._r_lo, curve._r_hi,
+                                          curve._r_nodes.size, curve._p_mid),
+                          _one_shot_mix(curve, r))
     big = qa.sphere_detector([0.0, 0.0, 20.0], 12.0, source)
     curve = wp.detector_occupation(iso_amp, big, source,
                                    QuadratureSpec(polar_nodes=4, azimuth_nodes=4))
-    assert curve._mix is None
+    assert curve._mix_r is None
     omega, chan = curve._build(4 * curve._panels)
     assert omega.size > 4 * wp._P_BLOCK
     assert np.array_equal(chan, _one_shot_chan(curve, 4 * curve._panels))
 
 
+def test_compressed_fold_blocks_match_whole_coefficients(iso_amp, source):
+    # the radius-12 sphere at 8 x 8 nodes folds compressed: its coefficients,
+    # computed one block of momenta at a time, are the whole (P, C) matrix
+    # base_p exp(i (p - p_mid) r_k) to the bit, and so are the phase sums and
+    # the Plancherel sum the kernel reads through them
+    det = qa.sphere_detector([0.0, 0.0, 20.0], 12.0, source)
+    curve = wp.detector_occupation(iso_amp, det, source, QuadratureSpec())
+    panels = 2 * curve._panels
+    omega, rows = curve._build(panels)
+    p, base = wp._radial_rule(iso_amp, panels)
+    whole = base[:, None] * np.exp(1j * np.outer(p - curve._p_mid, curve._r_nodes))
+    assert curve._r_chan is None and p.size % wp._P_BLOCK and p.size > 2 * wp._P_BLOCK
+    blocks = [rows(slice(p0, p0 + wp._P_BLOCK)) for p0 in range(0, p.size, wp._P_BLOCK)]
+    assert np.array_equal(np.concatenate(blocks), whole)
+    for taus in (np.linspace(3.0, 5.0, 2001), np.array([3.0, 4.0, 5.0])):
+        assert np.array_equal(wp._phase_sums(omega, taus, rows),
+                              wp._phase_sums(omega, taus, whole))
+    w = gauss_legendre_panels(*iso_amp.p_support, panels, wp._RADIAL_NODES)[1]
+    assert curve._full_mass(panels)[0] == 2.0 * np.pi * source.mass * float(
+        np.sum(curve._density(whole) / (w * p)))
+
+
 @pytest.mark.parametrize("radius, nodes, bound_mib", [(0.5, 8, 8), (0.5, 12, 16),
-                                                      (12.0, 4, 40)])
+                                                      (12.0, 4, 40), (12.0, 8, 10)])
 def test_occupation_memory_is_bounded(iso_amp, source, radius, nodes, bound_mib):
     # traced peaks of the whole folds were 15.9, 116.6 and 183.0 MiB: the
     # (X*A, C) map of the r = 0.5 spheres and the (X, 8, P) phases of the
-    # radius-12 sphere's profile
+    # radius-12 sphere's direct profile; its compressed profile at 8 x 8 nodes
+    # peaked at 22.7 MiB with whole (P, C) coefficients
     det = qa.sphere_detector([0.0, 0.0, 20.0], radius, source)
     quad = QuadratureSpec(polar_nodes=nodes, azimuth_nodes=nodes)
     tracemalloc.start()
@@ -479,7 +515,7 @@ def test_full_mass_is_the_profile_total(iso_amp, narrow_amp, standard_det, sourc
                                       QuadratureSpec(polar_nodes=nodes,
                                                      azimuth_nodes=nodes))
     curve = wp.detector_occupation(amp, det, source, quad)
-    assert (curve._mix is None) == (nodes == 2 or kind == "point")
+    assert (curve._mix_r is None) == (nodes == 2 or kind == "point")
     res = semiinfinite_profile(curve, replace(quad, t_cap=130.0), full_mass=np.inf,
                                band=curve.band)[3]
     assert res.t_max == 130.0
@@ -516,3 +552,17 @@ def test_radial_panels_count_is_the_rule_size(source, case):
     assert count == gauss_legendre_panels(*args)[0].size
     assert count == {"gaussian": 256 * panels, "knotted table": 39872,
                      "budget edge": 2 ** 18}[case]
+
+
+def test_radial_moments_of_a_huge_support():
+    # sigma_p ~ 1.9e81: p^3 |R|^2 and (p - mean)^2 p^2 |R|^2 over its support
+    # overflowed, and the NaN spread became a NaN step; the moments are taken
+    # of p scaled by a power of two, which is exact, so they are those of the
+    # same packet 2^270 times smaller, scaled back
+    huge = wp.MomentumAmplitude(kind="isotropic-gaussian", p0=5.0, sigma_p=2.0 ** 270)
+    small = wp.MomentumAmplitude(kind="isotropic-gaussian", p0=5.0 * 2.0 ** -270,
+                                 sigma_p=1.0)
+    with np.errstate(all="raise"):
+        mean, spread = wp.radial_moments(huge)
+    assert np.isfinite(spread) and spread > 0.0
+    assert (mean, spread) == tuple(v * 2.0 ** 270 for v in wp.radial_moments(small))
