@@ -68,6 +68,11 @@ class CouplingSchedule:
         return self.curve.t
 
     @property
+    def tau(self) -> np.ndarray:
+        """The grid's elapsed times dt k, whose steps carry no rounding of t0."""
+        return self.curve.dt * np.arange(self.t.size)
+
+    @property
     def angle_max(self) -> float:
         return float(np.arcsin(np.sqrt(self.k)))
 
@@ -141,19 +146,21 @@ def _rk4_growth(a_lo: np.ndarray, slope: np.ndarray, h: np.ndarray,
     return g
 
 
-def _integrate_from_idle(sched: CouplingSchedule, h: np.ndarray) -> np.ndarray:
+def _integrate_from_idle(sched: CouplingSchedule, h: np.ndarray,
+                         steps: np.ndarray) -> np.ndarray:
     """u = c0 + c1 at the end of the intervals [t_i, t_i + h_i], from idle.
 
     H = rate * sigma_x is diagonal in the fixed basis c0 +- c1, and RK4
     commutes with that change of basis, so every RK4 step multiplies
     u = c0 + c1 by a scalar growth factor and c0 - c1 by its conjugate; from
     idle, c0 = Re(u) and c1 = i Im(u).  The rate is linear on each grid
-    interval.  Each interval takes n = 1, 2, ..., 64 substeps until n and 2n
-    agree to _LOCAL_TOL in |dc0| + |dc1| from its actual start state.
+    interval, of width `steps`.  Each interval takes n = 1, 2, ..., 64
+    substeps until n and 2n agree to _LOCAL_TOL in |dc0| + |dc1| from its
+    actual start state.
     """
     m = h.size
     a_lo = sched.rate[:m]
-    slope = np.diff(sched.rate[:m + 1]) / np.diff(sched.t[:m + 1])
+    slope = np.diff(sched.rate[:m + 1]) / steps
     out = np.empty(m, dtype=complex)
     u = 1.0 + 0.0j
     for lo in range(0, m, _BLOCK):
@@ -183,7 +190,8 @@ def _integrate_from_idle(sched: CouplingSchedule, h: np.ndarray) -> np.ndarray:
 def evolve_ode_trajectory(sched: CouplingSchedule) -> np.ndarray:
     """States at every schedule node from numerically integrating
     i d(chi)/dt = rate(t) sigma_x chi with the rate interpolated linearly."""
-    u = _integrate_from_idle(sched, np.diff(sched.t))
+    steps = np.diff(sched.tau)
+    u = _integrate_from_idle(sched, steps, steps)
     out = np.empty((sched.t.size, 2), dtype=complex)
     out[0] = (1.0, 0.0)
     out[1:, 0] = u.real
@@ -193,12 +201,12 @@ def evolve_ode_trajectory(sched: CouplingSchedule) -> np.ndarray:
 
 def evolve_ode(sched: CouplingSchedule, t: float) -> DetectorState:
     """Numerical integration of the detector equation of motion up to t."""
-    t, grid = sched._on_grid(t), sched.t
+    t, grid = sched._on_grid(t) - sched.t[0], sched.tau
     m = int(np.searchsorted(grid[:-1], t))
     if m == 0:
         return IDLE_STATE
     h = np.minimum(grid[1:m + 1], t) - grid[:m]
-    u = complex(_integrate_from_idle(sched, h)[-1])
+    u = complex(_integrate_from_idle(sched, h, np.diff(grid[:m + 1]))[-1])
     return DetectorState(complex(u.real), 1j * u.imag)
 
 

@@ -61,8 +61,9 @@ class TimeGridSpec:
 class EntryProbabilityCurve:
     """Sampled entry probabilities on a uniform time grid from t0.
 
-    `denominator` is the occupation normalizer; its `t_max` is absolute, as
-    in `ArrivalTimeStats.normalizer`.
+    `dt` is the grid's step: t = t0 + dt k, so t[1] - t[0] carries the
+    rounding of t0 and is not the step.  `denominator` is the occupation
+    normalizer; its `t_max` is absolute, as in `ArrivalTimeStats.normalizer`.
     p_entry = p_direction * p_conditional is nondecreasing, starts at 0, and
     stays within [0, 1].  A curve that breaks these invariants comes from a
     failed integration, so the checks raise IntegrationError.
@@ -72,6 +73,7 @@ class EntryProbabilityCurve:
     p_direction: float
     p_conditional: np.ndarray
     denominator: SemiInfiniteResult
+    dt: float = 0.0
     quad_error: float = 0.0
 
     def __post_init__(self):
@@ -86,10 +88,6 @@ class EntryProbabilityCurve:
     @property
     def p_entry(self) -> np.ndarray:
         return self.p_direction * self.p_conditional
-
-    @property
-    def dt(self) -> float:
-        return float(self.t[1] - self.t[0]) if self.t.size > 1 else 0.0
 
     def csv_table(self) -> tuple:
         """Header and float columns of entry_curve.csv."""
@@ -434,7 +432,7 @@ def _curve_from_profile(profile: OccupationProfile, p_direction: float,
         t=profile.t0 + tau_out, p_direction=p_direction,
         p_conditional=conditional,
         denominator=replace(profile.result, t_max=profile.t0 + profile.result.t_max),
-        quad_error=profile.quad_error)
+        dt=dt, quad_error=profile.quad_error)
 
 
 def _controls(amp: MomentumAmplitude, det: DetectorGeometry,

@@ -12,7 +12,7 @@ and its superposition over the detector's direction cone (hbar = 1).
 psi at a point and every occupation curve take one path: a composite
 Gauss-Legendre radial rule of 32 nodes per panel, sized by the phase rate
 |n.(x - x0) - p (t - t0) / m| (at least 8 nodes per period) and refined by
-doubling, one channel fold, and one phase-sum kernel over the times.
+doubling, one channel fold onto Chebyshev nodes in r, and one phase-sum kernel.
 """
 
 from __future__ import annotations
@@ -321,7 +321,7 @@ def _radial_rule(amp: MomentumAmplitude, panels: int) -> tuple[np.ndarray, np.nd
 
 
 # ---------------------------------------------------------------------------
-# psi and the occupation curves: one direct fold, one phase-sum kernel
+# psi and the occupation curves: one channel fold, one phase-sum kernel
 # ---------------------------------------------------------------------------
 
 _P_BLOCK = 1024         # momentum columns per block of the phase-sum kernel
@@ -374,31 +374,24 @@ def _uniform_step(taus: np.ndarray) -> float | None:
     return None
 
 
-def _coeff_rows(coeffs, cols: slice) -> np.ndarray:
-    """The seam through which the phase-sum kernel reads its coefficients:
-    rows `cols` as a (rows, columns) array.  An array passes its own slice;
-    a function of the slice (the compressed fold's) computes those rows only."""
-    return coeffs(cols) if callable(coeffs) else coeffs.reshape(len(coeffs), -1)[cols]
-
-
 def _panel_node_sums(detuning: np.ndarray, half_span: float, centres: np.ndarray,
                      coeffs) -> np.ndarray:
     """(panels, nodes, columns) sums Sum_p exp(-i d_p (c_k + x_j)) coeffs[p, :]
     over the detunings d_p, on the Chebyshev nodes x_j of [-half_span,
     half_span] about every panel centre c_k, in blocks of _P_BLOCK momenta,
-    each block of coefficients read once (`_coeff_rows`).
+    each block of coefficients read once (`coeffs(cols)`).
     The nodes are mirrored, so each block evaluates half the node table and
     takes the other half by conjugation, exact in IEEE arithmetic.  The
     table's buffer is freed on return, before the kernel allocates its
     samples."""
     nodes = _cheb_points(-half_span, half_span, _PANEL_NODES)
     half = _PANEL_NODES // 2
-    node_sums = np.zeros((centres.size, _PANEL_NODES, _coeff_rows(coeffs, slice(0)).shape[1]),
+    node_sums = np.zeros((centres.size, _PANEL_NODES, coeffs(slice(0)).shape[1]),
                          dtype=complex)
     buffer = np.empty(_PANEL_NODES * min(detuning.size, _P_BLOCK), dtype=complex)
     for p0 in range(0, detuning.size, _P_BLOCK):
         cols = slice(p0, p0 + _P_BLOCK)
-        block = _coeff_rows(coeffs, cols)
+        block = coeffs(cols)
         shifted = -1j * detuning[cols]
         table = buffer[:_PANEL_NODES * shifted.size].reshape(_PANEL_NODES, -1)
         top = np.multiply.outer(nodes[:half], shifted, out=table[:half])
@@ -410,8 +403,9 @@ def _panel_node_sums(detuning: np.ndarray, half_span: float, centres: np.ndarray
 
 
 def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs) -> np.ndarray:
-    """Sum_p exp(-i omega_p tau_i) coeffs[p, ...] for every tau_i, the
-    coefficients an array or a function of a slice of momenta (`_coeff_rows`).
+    """(taus, columns) sums Sum_p exp(-i omega_p tau_i) coeffs[p, :] for every
+    tau_i, the coefficients read through `coeffs`, a function of a slice of
+    momenta that returns those rows as a (rows, columns) array.
 
     The sum is band-limited in tau.  On a uniform grid the samples are split
     into panels over which the band-centred sum turns by at most
@@ -426,7 +420,6 @@ def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs) -> np.ndarray:
     """
     taus = np.asarray(taus, dtype=float)
     n_t = taus.size
-    shape = (n_t, -1) if callable(coeffs) else (n_t,) + coeffs.shape[1:]
     h = _uniform_step(taus)
     w_mid = 0.5 * (omega.max() + omega.min())
     half_band = 0.5 * (omega.max() - omega.min())
@@ -437,14 +430,14 @@ def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs) -> np.ndarray:
     # with fewer samples per panel than half its node count, the node sums
     # cost more than summing the samples directly
     if per_panel < _PANEL_NODES // 2:
-        out = np.zeros((n_t, _coeff_rows(coeffs, slice(0)).shape[1]), dtype=complex)
+        out = np.zeros((n_t, coeffs(slice(0)).shape[1]), dtype=complex)
         for p0 in range(0, omega.size, _P_BLOCK):
             cols = slice(p0, p0 + _P_BLOCK)
-            block = _coeff_rows(coeffs, cols)
+            block = coeffs(cols)
             for t0 in range(0, n_t, _ROW_BLOCK):
                 rows = slice(t0, t0 + _ROW_BLOCK)
                 out[rows] += np.exp(np.outer(taus[rows], -1j * omega[cols])) @ block
-        return out.reshape(shape)
+        return out
     n_panels = -(-n_t // per_panel)
     half_span = 0.5 * (per_panel - 1) * h
     centres = taus[0] + half_span + h * per_panel * np.arange(n_panels)
@@ -461,46 +454,84 @@ def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs) -> np.ndarray:
     for t0 in range(0, n_t, _ROW_BLOCK):
         rows = slice(t0, t0 + _ROW_BLOCK)
         samples[rows] *= np.exp(-1j * w_mid * taus[rows])[:, None]
-    return samples.reshape(shape)
+    return samples
 
 
-def _direct_fold(amp: MomentumAmplitude, mass: float, r_chan: np.ndarray,
-                 gains: np.ndarray, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """omega_p = p^2 / 2m and chan[p, x] = c_p Sum_a gains[a] exp(i p r_chan[x, a])
-    on the radial rule of `panels` panels, in blocks of points, momenta and channels."""
-    p, base = _radial_rule(amp, panels)
-    omega = p * p / (2.0 * mass)
+def _fold_nodes(amp: MomentumAmplitude, r_lo: float, r_hi: float) -> np.ndarray:
+    """The Chebyshev r-nodes of the channel fold on [r_lo, r_hi]: as many as
+    the band needs, 1.4 (p_max - p_min)/2 (r_hi - r_lo)/2 + 16, or a single
+    node, which is exact at a single distance, when those points are not
+    distinct doubles (one distance, or distances a few ulps apart)."""
+    p_lo, p_hi = amp.p_support
+    halfband, half_len = 0.5 * (p_hi - p_lo), 0.5 * max(r_hi - r_lo, 1e-12)
+    nodes = _cheb_points(r_lo, r_hi, int(np.ceil(1.4 * halfband * half_len)) + 16)
+    return nodes if np.all(nodes[1:] < nodes[:-1]) else _cheb_points(r_lo, r_hi, 1)
+
+
+def _channel_map(r_chan: np.ndarray, gains: np.ndarray, r_lo: float, r_hi: float,
+                 order: int, p_mid: float) -> np.ndarray:
+    """The channel fold's (points, order) map from the Chebyshev r-nodes of
+    [r_lo, r_hi] to the points: Sum_a gains[a] exp(i p_mid r[x, a]) times the
+    barycentric row of r[x, a].  Each row depends on its own distances only,
+    so it is built a block of points and of channels at a time, at most
+    _FOLD_CELLS cells per block, and summed over the channel blocks."""
     n_points, n_chan = r_chan.shape
-    chan = np.zeros((p.size, n_points), dtype=complex)
-    step = max(1, _FOLD_CELLS // (8 * _P_BLOCK))          # points per block
+    mix = np.zeros((n_points, order), dtype=complex)
+    chans = max(1, min(n_chan, _FOLD_CELLS // order))
+    step = max(1, _FOLD_CELLS // (chans * order))
     for x0 in range(0, n_points, step):
-        for p0 in range(0, p.size, _P_BLOCK):
-            pts, cols = slice(x0, x0 + step), slice(p0, p0 + _P_BLOCK)
-            for a0 in range(0, n_chan, 8):
-                phases = np.exp(1j * r_chan[pts, a0:a0 + 8, None]
-                                * p[None, None, cols])         # (x, 8, P)
-                chan[cols, pts] += np.einsum("xap,a->px", phases, gains[a0:a0 + 8])
-    chan *= base[:, None]
-    return omega, chan
+        for a0 in range(0, n_chan, chans):
+            r = r_chan[x0:x0 + step, a0:a0 + chans]                       # (x, a)
+            interp = _cheb_interp_matrix(r_lo, r_hi, order, r.ravel())
+            carrier = gains[None, a0:a0 + chans] * np.exp(1j * p_mid * r)
+            mix[x0:x0 + step] += (interp.reshape(*r.shape, order)
+                                  * carrier[:, :, None]).sum(axis=1)
+    return mix
+
+
+def _fold_coefficients(amp: MomentumAmplitude, mass: float, panels: int,
+                       p_mid: float, r_nodes: np.ndarray):
+    """omega_p = p^2 / 2m on the radial rule of `panels` panels, and its
+    channel-fold coefficients as a function of a slice of momenta:
+    base_p exp(i (p - p_mid) r_k) at the r-nodes r_k, for that slice only."""
+    p, base = _radial_rule(amp, panels)
+
+    def rows(cols: slice) -> np.ndarray:
+        phase = np.multiply.outer(p[cols] - p_mid, r_nodes)
+        block = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=block.real)
+        np.sin(phase, out=block.imag)
+        block *= base[cols, None]
+        return block
+
+    return p * p / (2.0 * mass), rows
 
 
 def _psi(amp: MomentumAmplitude, source: EmissionEvent, quad: QuadratureSpec,
          dirs: np.ndarray, gains: np.ndarray, position: np.ndarray,
          time: float) -> complex:
-    """Sum_a gains[a] psi_n_a(position, time): the direct fold's phase sum, refined
-    by doubling above the floor 1e-3 Sum_p |chan_p|, the fold's own bound (deep in
-    the tail the value is rounding, which no relative test can pass)."""
+    """Sum_a gains[a] psi_n_a(position, time): the channel fold at the one
+    point and the phase sum at the one time, refined by doubling above the
+    floor 1e-3 Sum_p |c_p Sum_a g_a exp(i p r_a)|, the fold's own bound (deep
+    in the tail the value is rounding, which no relative test can pass)."""
     tau = float(time) - source.t0
     if tau < 0.0:
         raise ValueError(f"time {time} precedes the emission time {source.t0}")
     r = (dirs @ (position - source.x0))[None, :]                  # (1, A)
+    r_lo, r_hi = float(r.min()), float(r.max())
+    # the rule's budget bounds the band, so the nodes, before they are laid out
+    panels = _radial_panels(amp, r_lo, r_hi, tau, source.mass)
+    p_mid, r_nodes = 0.5 * sum(amp.p_support), _fold_nodes(amp, r_lo, r_hi)
+    mix = _channel_map(r, gains, r_lo, r_hi, r_nodes.size, p_mid)[0]
 
     def at(panels: int) -> tuple[complex, float]:
-        omega, chan = _direct_fold(amp, source.mass, r, gains, panels)
-        return complex(_phase_sums(omega, [tau], chan)[0, 0]), 1e-3 * np.abs(chan).sum()
+        omega, rows = _fold_coefficients(amp, source.mass, panels, p_mid, r_nodes)
+        floor = sum(np.abs(rows(slice(p0, p0 + _P_BLOCK)) @ mix).sum()
+                    for p0 in range(0, omega.size, _P_BLOCK))
+        return complex(_phase_sums(omega, [tau], rows)[0] @ mix), 1e-3 * floor
 
-    return refine_by_doubling(at, _radial_panels(amp, r.min(), r.max(), tau, source.mass),
-                              _RADIAL_DOUBLINGS, quad.rtol, "radial quadrature")[0]
+    return refine_by_doubling(at, panels, _RADIAL_DOUBLINGS, quad.rtol,
+                              "radial quadrature")[0]
 
 
 def _cap_channels(amp: MomentumAmplitude, det: DetectorGeometry,
@@ -528,35 +559,17 @@ def eval_detector_wavefunction(amp: MomentumAmplitude, position, time: float,
                 _as_vec3(position, "position"), time)
 
 
-def _channel_map(r_chan: np.ndarray, gains: np.ndarray, r_lo: float, r_hi: float,
-                 order: int, p_mid: float) -> np.ndarray:
-    """The compressed fold's (points, order) map from the Chebyshev r-nodes of
-    [r_lo, r_hi] to the points: Sum_a gains[a] exp(i p_mid r[x, a]) times the
-    barycentric row of r[x, a].  Each row depends on its own distances only,
-    so it is built and summed over the channels a block of points at a time."""
-    n_points, n_chan = r_chan.shape
-    mix = np.empty((n_points, order), dtype=complex)
-    step = max(1, _FOLD_CELLS // (n_chan * order))
-    for x0 in range(0, n_points, step):
-        r = r_chan[x0:x0 + step]                                          # (x, A)
-        interp = _cheb_interp_matrix(r_lo, r_hi, order, r.ravel())
-        carrier = gains[None, :] * np.exp(1j * p_mid * r)
-        mix[x0:x0 + step] = (interp.reshape(*r.shape, order) * carrier[:, :, None]).sum(axis=1)
-    return mix
-
-
 class OccupationCurve:
     """Sum_x w_x |Sum_a g_a psi(r[x, a], tau)|^2 over arrays of elapsed times
     tau: points x of weight w_x, direction channels a of gain g_a at distance
     r[x, a] = n_a.(x - x0).  Every batch is one `refine_by_doubling` of its
     radial rule, judged against the running scale; the next batch starts
-    from no fewer panels than the coarser rule that agreed.  With fewer
-    points than the Chebyshev order the distances need, the channels fold
-    into the momentum coefficients directly; otherwise their phases
-    exp(i p r) are compressed onto a Chebyshev basis in r, which keeps the
-    time-by-momentum product small.  The compressed fold keeps neither the
-    distances nor its map, only the map's QR factor, and computes its
-    coefficients one block of momenta at a time.
+    from no fewer panels than the coarser rule that agreed.  The channel
+    phases exp(i p r) are folded onto Chebyshev nodes in r (`_fold_nodes`),
+    which keeps the time-by-momentum product small.  The curve keeps
+    neither the distances nor the map: with more points than nodes only
+    the map's QR factor, else the weighted map itself; its coefficients
+    are computed one block of momenta at a time.
 
     `full_mass` is the curve's integral over all tau, known without
     sampling: psi is Sum_p c_p exp(-i omega_p tau) with omega_p = p^2 / 2m,
@@ -575,23 +588,18 @@ class OccupationCurve:
         self._panels = 0            # panels of the last batch's accepted rule
         self.scale = self.abs_error = 0.0
         p_lo, p_hi = amp.p_support
-        halfband = 0.5 * (p_hi - p_lo)
-        half_len = 0.5 * max(self._r_hi - self._r_lo, 1e-12)
-        order = int(np.ceil(1.4 * halfband * half_len)) + 16
-        self._mix_r = None
-        if order < r_chan.shape[0]:
-            # exact values on Chebyshev r-nodes, mapped to the points; the map
-            # depends on the geometry, not on the radial rule, so every _build
-            # shares it
-            self._p_mid = 0.5 * (p_lo + p_hi)
-            self._r_nodes = _cheb_points(self._r_lo, self._r_hi, order)
-            mix = _channel_map(r_chan, gains, self._r_lo, self._r_hi, order, self._p_mid)
-            # sum_x w_x |(s M)_x|^2 = |R s|^2 with diag(sqrt w) M^T = Q R, so
-            # the density costs C^2 per sample instead of C X
-            mix *= np.sqrt(weights)[:, None]
-            self._mix_r = np.linalg.qr(mix, mode="r").T                   # (C, C)
-            del mix
-        self._r_chan = r_chan if self._mix_r is None else None
+        # the tau = 0 rule's budget bounds the band, so the nodes, before they are laid out
+        mass_panels = _radial_panels(amp, self._r_lo, self._r_hi, 0.0, source.mass)
+        # exact values on Chebyshev r-nodes, mapped to the points; the map
+        # depends on the geometry only, so every _build shares it
+        self._p_mid, self._r_nodes = 0.5 * (p_lo + p_hi), _fold_nodes(amp, self._r_lo, self._r_hi)
+        mix = _channel_map(r_chan, gains, self._r_lo, self._r_hi, self._r_nodes.size,
+                           self._p_mid)
+        mix *= np.sqrt(weights)[:, None]
+        # sum_x w_x |(s M)_x|^2 = |R s|^2 with diag(sqrt w) M^T = Q R, so with
+        # more points X than nodes C the density costs C^2 per sample, not C X
+        self._mix_r = np.linalg.qr(mix, mode="r").T if mix.shape[0] > mix.shape[1] else mix.T
+        del mix
         # anchor the relative-error scale at the arrival peak: this probe batch
         # is judged against its own maximum, and later batches, typically ~0
         # early on, against the scale it leaves
@@ -599,38 +607,19 @@ class OccupationCurve:
         self(flight * np.array([0.7, 0.85, 1.0, 1.2, 1.5]))
         self.band = (p_hi * p_hi - p_lo * p_lo) / (2.0 * source.mass)
         self.full_mass, _, self._full_mass_residual = refine_by_doubling(
-            self._full_mass, _radial_panels(amp, self._r_lo, self._r_hi, 0.0, source.mass),
-            _RADIAL_DOUBLINGS, quad.rtol, "Plancherel mass")
+            self._full_mass, mass_panels, _RADIAL_DOUBLINGS, quad.rtol, "Plancherel mass")
 
     def _build(self, panels: int):
-        """omega_p and the coefficients of the radial rule of `panels` panels:
-        the direct fold's (P, X) array, or the compressed fold's function of a
-        slice of momenta, base_p exp(i (p - p_mid) r_k) for that slice only."""
-        if self._mix_r is None:
-            return _direct_fold(self.amp, self.source.mass, self._r_chan, self._gains, panels)
-        p, base = _radial_rule(self.amp, panels)
-
-        def rows(cols: slice) -> np.ndarray:
-            phase = np.multiply.outer(p[cols] - self._p_mid, self._r_nodes)
-            block = np.empty(phase.shape, dtype=complex)
-            np.cos(phase, out=block.real)
-            np.sin(phase, out=block.imag)
-            block *= base[cols, None]
-            return block
-
-        return p * p / (2.0 * self.source.mass), rows
+        return _fold_coefficients(self.amp, self.source.mass, panels, self._p_mid, self._r_nodes)
 
     def _density(self, sums: np.ndarray) -> np.ndarray:
-        """Sum_x w_x |field_x|^2 of rows of per-point sums (direct fold) or
-        of Chebyshev-node sums (compressed fold)."""
-        if self._mix_r is None:
-            return (sums.real ** 2 + sums.imag ** 2) @ self._weights
-        fields = sums @ self._mix_r                       # (T, C) @ (C, C)
+        """Sum_x w_x |field_x|^2 of rows of Chebyshev-node sums."""
+        fields = sums @ self._mix_r                 # (T, C) @ (C, C) or (C, X)
         return (fields.real ** 2 + fields.imag ** 2).sum(axis=1)
 
     def _field_square(self, state, taus: np.ndarray) -> np.ndarray:
         omega, coeffs = state
-        return self._density(_phase_sums(omega, taus, coeffs))  # (T, X) or (T, C)
+        return self._density(_phase_sums(omega, taus, coeffs))  # (T, C)
 
     def _full_mass(self, panels: int) -> tuple[float, float]:
         """The Plancherel sum 2 pi m Sum_p |c_p|^2 / (w_p p) of the radial
@@ -642,7 +631,7 @@ class OccupationCurve:
         density = np.empty(p.size)
         for p0 in range(0, p.size, _P_BLOCK):
             cols = slice(p0, p0 + _P_BLOCK)
-            density[cols] = self._density(_coeff_rows(coeffs, cols))
+            density[cols] = self._density(coeffs(cols))
         return 2.0 * np.pi * self.source.mass * float(np.sum(density / (w * p))), 0.0
 
     def mass_error(self, length: float) -> float:

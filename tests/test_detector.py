@@ -12,7 +12,8 @@ def synthetic_curve(t, conditional, p_direction=1.0):
     return EntryProbabilityCurve(
         t=np.asarray(t, dtype=float), p_direction=p_direction,
         p_conditional=conditional,
-        denominator=SemiInfiniteResult(1.0, 0.0, float(t[-1]), True))
+        denominator=SemiInfiniteResult(1.0, 0.0, float(t[-1]), True),
+        dt=float(t[1] - t[0]))
 
 
 def synthetic_schedule(t, angle, k=0.9):

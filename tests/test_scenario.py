@@ -750,6 +750,34 @@ def test_cli_huge_sigma_p_runs_or_fails_numerically(tmp_path, capsys, sigma_p):
             assert err.startswith("validation error: amplitude.sigma_p:"), err
 
 
+@pytest.mark.parametrize("sigma_p", ["1e6", "1e80"])
+@pytest.mark.filterwarnings("ignore:sigma_p")     # the clipped-support warning
+def test_cli_huge_sigma_p_sphere_fails_on_the_radial_budget(tmp_path, capsys, sigma_p):
+    # the band of these supports would ask the channel fold for up to ~1e68
+    # Chebyshev nodes: the tau = 0 rule's budget refuses it first
+    path = tmp_path / "scn.txt"
+    path.write_text(MINIMAL + f"amplitude.sigma_p = {sigma_p}\n")
+    status = cli_main(["run", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert status == 3 and "budget of 262144 nodes" in err, err
+
+
+def test_late_emission_keeps_the_step_schedule_and_closure(tmp_path):
+    # the schedule and its closure step over the elapsed grid dt k, so a
+    # late emission time moves the t column only; t[1] - t[0] of t0 = 1e13
+    # read 0.005859375 (+7%) and the closure residual 0.052
+    runs = {}
+    for t0 in ("0", "1e6", "1e12", "1e13"):
+        out = tmp_path / t0
+        summary = qa.run_scenario(qa.parse_scenario_text(
+            POINT_FAST + f"emission.t0 = {t0}\n"), out)
+        with open(out / "schedule.csv", newline="") as fh:
+            columns = [row[1:] for row in csv.reader(fh)]
+        runs[t0] = summary["dt"], summary["consistency_residual_max"], columns
+    for t0 in ("1e6", "1e12", "1e13"):
+        assert runs[t0] == runs["0"], t0
+
+
 def test_cli_run(tmp_path):
     path = tmp_path / "scn.txt"
     path.write_text(POINT_FAST)

@@ -138,6 +138,11 @@ def _brute_phase_sums(omega, taus, coeffs):
     return np.exp(-1j * np.outer(taus, omega)) @ coeffs
 
 
+def _rows(coeffs):
+    """The kernel's coefficient function of a slice of momenta, over an array."""
+    return lambda cols: coeffs.reshape(len(coeffs), -1)[cols]
+
+
 def _distances(amp, det, source, quad):
     """r[x, a] of a volume's occupation, recomputed from its geometry."""
     dirs, _ = wp._cap_channels(amp, det, quad)
@@ -172,10 +177,11 @@ def test_phase_sums_match_brute_force(n_t, h, t0, columns, panels):
     shape = (p.size,) if columns is None else (p.size, columns)
     coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     taus = t0 + h * np.arange(n_t)
-    got = wp._phase_sums(omega, taus, coeffs)
-    assert got.shape == (n_t,) + shape[1:]
+    got = wp._phase_sums(omega, taus, _rows(coeffs))
+    assert got.shape == (n_t, columns or 1)
     bound = 1e-12 * np.sum(np.abs(coeffs), axis=0)
-    assert np.all(np.abs(got - _brute_phase_sums(omega, taus, coeffs)) <= bound)
+    assert np.all(np.abs(got - _brute_phase_sums(omega, taus, coeffs).reshape(n_t, -1))
+                  <= bound)
 
 
 @pytest.mark.parametrize("columns", [1, 19])
@@ -194,7 +200,7 @@ def test_phase_sums_memory_is_bounded(columns):
     coeffs = rng.normal(size=(p.size, columns)) + 1j * rng.normal(size=(p.size, columns))
     tracemalloc.start()
     try:
-        out = wp._phase_sums(omega, taus, coeffs)
+        out = wp._phase_sums(omega, taus, _rows(coeffs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -229,7 +235,7 @@ def test_panel_nodes_are_mirrored_and_halve_the_exponentials(monkeypatch):
     n_panels = -(-taus.size // _panel_samples(omega, 0.004))
     counter = _ExpCounter()
     monkeypatch.setattr(wp, "np", counter)
-    wp._phase_sums(omega, taus, rng.normal(size=p.size) + 0j)
+    wp._phase_sums(omega, taus, _rows(rng.normal(size=p.size) + 0j))
     assert n_panels == 8
     assert counter.values == (wp._PANEL_NODES // 2 + n_panels) * p.size + taus.size
 
@@ -241,13 +247,13 @@ def test_phase_sums_band_edges_and_non_uniform_grid():
     for j in (0, omega.size - 1):
         unit = np.zeros(omega.size, dtype=complex)
         unit[j] = 1.0
-        assert np.max(np.abs(wp._phase_sums(omega, taus, unit)
+        assert np.max(np.abs(wp._phase_sums(omega, taus, _rows(unit))[:, 0]
                              - np.exp(-1j * omega[j] * taus))) <= 1e-12
     rng = np.random.default_rng(7)
     jittered = np.sort(rng.uniform(0.0, 40.0, 300))
     coeffs = rng.normal(size=(omega.size, 2)) + 0j
     assert wp._uniform_step(jittered) is None
-    np.testing.assert_allclose(wp._phase_sums(omega, jittered, coeffs),
+    np.testing.assert_allclose(wp._phase_sums(omega, jittered, _rows(coeffs)),
                                _brute_phase_sums(omega, jittered, coeffs),
                                rtol=0.0, atol=1e-12 * np.abs(coeffs).sum())
 
@@ -260,14 +266,14 @@ def test_curve_evaluators_match_exact_phases(iso_amp, narrow_amp, standard_det,
     point = wp.detector_occupation(narrow_amp, point_detector([0.0, 0.0, 100.0], source),
                                    source, quad)
     volume = wp.detector_occupation(iso_amp, standard_det, source, quad)
-    for curve, taus in ((point, np.linspace(14.0, 26.0, 3001)),
-                        (volume, np.linspace(2.0, 8.0, 3001))):
+    for curve, r, taus in ((point, np.array([[100.0]]), np.linspace(14.0, 26.0, 3001)),
+                           (volume, _distances(iso_amp, standard_det, source, quad),
+                            np.linspace(2.0, 8.0, 3001))):
         values = curve(taus)
         omega, coeffs = curve._build(curve._panels)
-        sums = _brute_phase_sums(omega, taus, wp._coeff_rows(coeffs, slice(None)))
-        fields = sums if curve._mix_r is None else sums @ wp._channel_map(
-            _distances(iso_amp, standard_det, source, quad), curve._gains, curve._r_lo,
-            curve._r_hi, curve._r_nodes.size, curve._p_mid).T
+        sums = _brute_phase_sums(omega, taus, coeffs(slice(None)))
+        fields = sums @ wp._channel_map(r, curve._gains, curve._r_lo, curve._r_hi,
+                                        curve._r_nodes.size, curve._p_mid).T
         ref = (np.abs(fields) ** 2) @ curve._weights
         assert np.max(np.abs(values - ref)) <= 1e-11 * ref.max()
 
@@ -307,17 +313,15 @@ def test_request_validation(iso_amp, source):
 
 
 def test_volume_curve_matches_pointwise_field(iso_amp, standard_det, source):
-    # both time-curve folds against a brute sum: the 64-panel radial rule
+    # the time-curve fold against a brute sum: the 64-panel radial rule
     # times exp(i p r_xa - i p^2 tau / 2m), one outer product summed over the
     # channels.  2 x 2 directions give 16 volume points, fewer than the
-    # Chebyshev order, so the channels fold per point; 4 x 4 give 64 and are
-    # compressed
+    # Chebyshev nodes; 4 x 4 give 64
     taus = np.array([3.0, 4.0, 5.0])
     p, base = wp._radial_rule(iso_amp, 64)
-    for nodes, compressed in ((2, False), (4, True)):
+    for nodes in (2, 4):
         quad = QuadratureSpec(polar_nodes=nodes, azimuth_nodes=nodes)
         curve = wp.detector_occupation(iso_amp, standard_det, source, quad)
-        assert (curve._mix_r is not None) == compressed
         points, weights = volume_grid(standard_det, quad)
         dirs, gains = cap_directions(standard_det.axis, standard_det.cos_cone, nodes, nodes)
         r = (points - source.x0) @ dirs.T                               # (X, A)
@@ -404,37 +408,65 @@ def _one_shot_mix(curve, r):
     return (interp * carrier[:, None]).reshape(*r.shape, order).sum(axis=1)
 
 
-def _one_shot_chan(curve, panels):
-    """The direct fold built whole: (X, 8, P) phase blocks over all points and
-    momenta."""
-    p, base = wp._radial_rule(curve.amp, panels)
-    chan = np.zeros((p.size, curve._r_chan.shape[0]), dtype=complex)
-    for a0 in range(0, curve._r_chan.shape[1], 8):
-        phases = np.exp(1j * curve._r_chan[:, a0:a0 + 8, None] * p[None, None, :])
-        chan += np.einsum("xap,a->px", phases, curve._gains[a0:a0 + 8])
-    return chan * base[:, None]
-
-
 def test_blocked_folds_match_one_shot_bits(iso_amp, standard_det, source):
     # 12 x 12 nodes: X = 1,728 points of A = 144 channels, many point blocks,
-    # whose distances the compressed curve does not keep;
-    # the radius-12 sphere's 64 points fold directly over more momenta than
-    # one column block
+    # whose distances the curve does not keep
     quad = QuadratureSpec(polar_nodes=12, azimuth_nodes=12)
     curve = wp.detector_occupation(iso_amp, standard_det, source, quad)
     r = _distances(iso_amp, standard_det, source, quad)
-    assert curve._r_chan is None
     assert r.size * curve._r_nodes.size > 8 * wp._FOLD_CELLS
     assert np.array_equal(wp._channel_map(r, curve._gains, curve._r_lo, curve._r_hi,
                                           curve._r_nodes.size, curve._p_mid),
                           _one_shot_mix(curve, r))
-    big = qa.sphere_detector([0.0, 0.0, 20.0], 12.0, source)
-    curve = wp.detector_occupation(iso_amp, big, source,
-                                   QuadratureSpec(polar_nodes=4, azimuth_nodes=4))
-    assert curve._mix_r is None
-    omega, chan = curve._build(4 * curve._panels)
-    assert omega.size > 4 * wp._P_BLOCK
-    assert np.array_equal(chan, _one_shot_chan(curve, 4 * curve._panels))
+
+
+def test_channel_map_of_one_point_is_blocked_by_channels(iso_amp, source):
+    # psi_D's point over the 256 x 256 cap channels: the map's temporaries
+    # are blocked over the channels too (one block of points over all of them
+    # peaked at 26.8 MiB), and the blocks sum to the map built whole
+    det = qa.cap_detector([0, 0, 1], 0.05, 19.0, 21.0, source)
+    dirs, gains = wp._cap_channels(iso_amp, det, QuadratureSpec(polar_nodes=256,
+                                                                azimuth_nodes=256))
+    r = (dirs @ np.array([0.0, 0.05, 20.0]))[None, :]                   # (1, 65536)
+    lo, hi, p_mid = float(r.min()), float(r.max()), 0.5 * sum(iso_amp.p_support)
+    nodes = wp._fold_nodes(iso_amp, lo, hi)
+    tracemalloc.start()
+    try:
+        got = wp._channel_map(r, gains, lo, hi, nodes.size, p_mid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.size * nodes.size > 16 * wp._FOLD_CELLS
+    assert peak <= 4 * 2 ** 20
+    # the whole map's channel sums, taken pairwise along contiguous rows
+    terms = _reference_interp(nodes, r.ravel()) * (gains * np.exp(1j * p_mid * r.ravel()))[:, None]
+    whole = np.ascontiguousarray(terms.T).sum(axis=1)
+    assert np.max(np.abs(got[0] - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+
+@pytest.mark.parametrize("half_angle", [2.2e-8, 3e-8, 5e-8, 1e-7])
+def test_thin_cap_psi_is_the_sum_of_its_directions(iso_amp, source, half_angle):
+    # the channel distances at 20 z span 1 to 28 ulps, too few for distinct
+    # Chebyshev nodes: the fold takes one node, and psi_D is Sum_a g_a psi_n_a
+    det = qa.cap_detector([0, 0, 1], half_angle, 19.0, 21.0, source)
+    quad = QuadratureSpec()
+    x = np.array([0.0, 0.0, 20.0])
+    dirs, gains = wp._cap_channels(iso_amp, det, quad)
+    r = dirs @ x
+    assert 1.0 <= (r.max() - r.min()) / np.spacing(20.0) <= 28.0
+    assert wp._fold_nodes(iso_amp, r.min(), r.max()).size == 1
+    value = qa.eval_detector_wavefunction(iso_amp, x, 4.0, det, source, quad)
+    ref = sum(g * qa.eval_angular_component(
+        iso_amp, wp.AngularComponentRequest(n, x, 4.0), source, quad)
+        for n, g in zip(dirs, gains))
+    assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+def test_point_fold_has_one_node_at_its_distance(narrow_amp, source):
+    det = point_detector([3.0, -4.0, 99.7], source)
+    curve = wp.detector_occupation(narrow_amp, det, source, QuadratureSpec())
+    assert curve._r_nodes.tolist() == [det.distance]
+    assert curve._mix_r.shape == (1, 1)
 
 
 def test_compressed_fold_blocks_match_whole_coefficients(iso_amp, source):
@@ -448,12 +480,12 @@ def test_compressed_fold_blocks_match_whole_coefficients(iso_amp, source):
     omega, rows = curve._build(panels)
     p, base = wp._radial_rule(iso_amp, panels)
     whole = base[:, None] * np.exp(1j * np.outer(p - curve._p_mid, curve._r_nodes))
-    assert curve._r_chan is None and p.size % wp._P_BLOCK and p.size > 2 * wp._P_BLOCK
+    assert p.size % wp._P_BLOCK and p.size > 2 * wp._P_BLOCK
     blocks = [rows(slice(p0, p0 + wp._P_BLOCK)) for p0 in range(0, p.size, wp._P_BLOCK)]
     assert np.array_equal(np.concatenate(blocks), whole)
     for taus in (np.linspace(3.0, 5.0, 2001), np.array([3.0, 4.0, 5.0])):
         assert np.array_equal(wp._phase_sums(omega, taus, rows),
-                              wp._phase_sums(omega, taus, whole))
+                              wp._phase_sums(omega, taus, _rows(whole)))
     w = gauss_legendre_panels(*iso_amp.p_support, panels, wp._RADIAL_NODES)[1]
     assert curve._full_mass(panels)[0] == 2.0 * np.pi * source.mass * float(
         np.sum(curve._density(whole) / (w * p)))
@@ -507,15 +539,14 @@ def test_full_mass_is_the_profile_total(iso_amp, narrow_amp, standard_det, sourc
                                         kind, nodes):
     # Plancherel: far from the source the occupation holds no mass before
     # emission, so the integral over all times is the forward profile's,
-    # run uncertified to tau = 130, past its mass; the point folds its
-    # channel directly, the volume both ways
+    # run uncertified to tau = 130, past its mass; the volume with fewer
+    # points than nodes (2 x 2) and with more (8 x 8)
     amp, det = ((narrow_amp, point_detector([0.0, 0.0, 100.0], source)) if kind == "point"
                 else (iso_amp, standard_det))
     quad = prob.resolve_time_controls(amp, source, det.distance, det.extent_along_axis,
                                       QuadratureSpec(polar_nodes=nodes,
                                                      azimuth_nodes=nodes))
     curve = wp.detector_occupation(amp, det, source, quad)
-    assert (curve._mix_r is None) == (nodes == 2 or kind == "point")
     res = semiinfinite_profile(curve, replace(quad, t_cap=130.0), full_mass=np.inf,
                                band=curve.band)[3]
     assert res.t_max == 130.0
