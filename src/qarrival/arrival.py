@@ -38,10 +38,11 @@ class ArrivalTimeStats:
     normalizer: SemiInfiniteResult
     classical_time: float | None = None
     spread: float | None = None
+    header = "t,density"
 
     def csv_table(self) -> tuple:
         """Header and float columns of arrival.csv."""
-        return "t,density", (self.t, self.density)
+        return ArrivalTimeStats.header, (self.t, self.density)
 
     def write_csv(self, path):
         # through the class, so any object with the statistics' columns writes
@@ -75,11 +76,38 @@ def stats_from_samples(taus, values, t0: float = 0.0,
                             spread=float(np.sqrt(max(var, 0.0)) / scale))
 
 
-def _stats_from_profile(profile: OccupationProfile,
-                        classical_time: float | None = None) -> ArrivalTimeStats:
+@dataclass(frozen=True, eq=False)
+class _ArrivalRows:
+    """A point's arrival statistics on `size` rows of the default output
+    grid, t = t0 + dt k, with the density read off the occupation profile a
+    block of rows at a time."""
+
+    profile: OccupationProfile
+    size: int
+    mean_time: float
+    spread: float
+    normalizer: SemiInfiniteResult
+    classical_time: float | None
+
+    def rows(self, lo: int, hi: int) -> tuple:
+        """t and density at rows [lo, hi)."""
+        taus, p = self.profile.dt * np.arange(lo, hi), self.profile
+        return p.t0 + taus, np.interp(taus, p.tau, p.values) / self.normalizer.value
+
+    def whole(self) -> ArrivalTimeStats:
+        t, density = self.rows(0, self.size)
+        return ArrivalTimeStats(mean_time=self.mean_time, t=t, density=density,
+                                normalizer=self.normalizer,
+                                classical_time=self.classical_time, spread=self.spread)
+
+
+def _arrival_rows(profile: OccupationProfile,
+                  classical_time: float | None = None) -> _ArrivalRows:
     """Arrival statistics read off a point occupation profile, sampled on
     the default output grid: the quadrature step out to where at most
-    float64 eps of the mass remains (`_mass_end`)."""
+    float64 eps of the mass remains (`_mass_end`).  The moments are taken
+    over the whole grid, which the profile bounds; the density is read off
+    the profile again a block of rows at a time (`_ArrivalRows.rows`)."""
     tail = profile.result
     if not tail.converged:
         raise IntegrationError(
@@ -93,12 +121,14 @@ def _stats_from_profile(profile: OccupationProfile,
     if not mass > 0.0:
         raise IntegrationError("arrival density vanishes along the line of sight",
                                estimate=tail.error_estimate)
+    stats = stats_from_samples(taus, values)
     normalizer = SemiInfiniteResult(
         value=mass,
         error_estimate=max(tail.error_estimate, abs(tail.value - mass)),
         t_max=profile.t0 + tail.t_max, converged=True)
-    return stats_from_samples(taus, values, t0=profile.t0,
-                              classical_time=classical_time, normalizer=normalizer)
+    return _ArrivalRows(profile=profile, size=n + 1, mean_time=stats.mean_time,
+                        spread=stats.spread, normalizer=normalizer,
+                        classical_time=classical_time)
 
 
 def _classical_flight(source: EmissionEvent, amp: MomentumAmplitude,
@@ -118,4 +148,4 @@ def mean_arrival_time(amp: MomentumAmplitude, x_detector, source: EmissionEvent,
     """Mean elapsed arrival time with the full sampled density attached."""
     det = point_detector(x_detector, source)
     _, profile = _occupation(amp, det, source, quad)
-    return _stats_from_profile(profile, _classical_flight(source, amp, det))
+    return _arrival_rows(profile, _classical_flight(source, amp, det)).whole()

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .probability import EntryProbabilityCurve, write_tables
+from .probability import EntryProbabilityCurve, _check_entry_rows, write_tables
 from .quadrature import differentiate_sampled
 
 
@@ -62,6 +62,7 @@ class CouplingSchedule:
     rate: np.ndarray
     entry_rate: np.ndarray
     curve: EntryProbabilityCurve
+    header = "t,rate,angle,p_registered,entry_rate"
 
     @property
     def t(self) -> np.ndarray:
@@ -90,7 +91,7 @@ class CouplingSchedule:
 
     def csv_table(self) -> tuple:
         """Header and float columns of schedule.csv."""
-        return "t,rate,angle,p_registered,entry_rate", (
+        return CouplingSchedule.header, (
             self.t, self.rate, self.angle, np.sin(self.angle) ** 2, self.entry_rate)
 
     def write_csv(self, path):
@@ -105,10 +106,41 @@ def coupling_schedule(curve: EntryProbabilityCurve, k: float) -> CouplingSchedul
         raise ValueError(f"coupling fraction k must lie in (0, 1), got {k}")
     if curve.t.size < 3:
         raise ValueError("coupling schedule needs a curve of at least 3 samples")
-    p_entry, dt = curve.p_entry, curve.dt
+    angle, rate, entry_rate = _schedule_rows(curve.p_entry, k, curve.dt)
+    return CouplingSchedule(k=k, angle=angle, rate=rate, entry_rate=entry_rate, curve=curve)
+
+
+def _schedule_rows(p_entry: np.ndarray, k: float, dt: float, first: int = 0,
+                   last: int | None = None) -> tuple:
+    """angle, rate and entry_rate at rows [first, last) of `p_entry`, which
+    holds the rows the rates read around them (`differentiate_sampled`)."""
     angle = np.arcsin(np.sqrt(np.clip(k * p_entry, 0.0, 1.0)))
-    return CouplingSchedule(k=k, angle=angle, rate=differentiate_sampled(angle, dt),
-                            entry_rate=differentiate_sampled(p_entry, dt), curve=curve)
+    return (angle[first:last], differentiate_sampled(angle, dt, first, last),
+            differentiate_sampled(p_entry, dt, first, last))
+
+
+def _run_blocks(curve, k: float, rows: int, closure, arrival=None):
+    """The columns of a run's tables a block of `rows` rows at a time, each
+    an empty tuple past its table's end: the entry curve's (t, p_conditional,
+    p_entry), read off `curve` (a `probability._CurveRows`) and checked; the
+    schedule's (t, rate, angle, p_registered, entry_rate), whose rows are
+    fed to `closure`; and the arrival density's (t, density), off `arrival`.
+    The rates read the rows around a block, one after it and two before."""
+    for lo in range(0, max(curve.size, 0 if arrival is None else arrival.size), rows):
+        entry = schedule = density = ()
+        if lo < curve.size:
+            a = max(lo - 2, 0)
+            t, conditional, p_entry = curve.rows(a, min(lo + rows + 1, curve.size))
+            _check_entry_rows(conditional, p_entry, starts=a == 0)
+            block = slice(lo - a, min(lo + rows, curve.size) - a)
+            angle, rate, entry_rate = _schedule_rows(p_entry, k, curve.dt, block.start,
+                                                     block.stop)
+            closure.feed(rate, p_entry[block])
+            entry = t[block], conditional[block], p_entry[block]
+            schedule = t[block], rate, angle, np.sin(angle) ** 2, entry_rate
+        if arrival is not None and lo < arrival.size:
+            density = arrival.rows(lo, min(lo + rows, arrival.size))
+        yield entry, schedule, density
 
 
 def evolve_closed_form(sched: CouplingSchedule, t: float) -> DetectorState:
@@ -122,7 +154,8 @@ def registration_probability(sched: CouplingSchedule, t: float) -> float:
     return float(np.sin(sched.angle_at(t)) ** 2)
 
 
-_BLOCK = 4096           # intervals per running product; bounds the temporaries
+_BLOCK = 4096           # intervals per running product
+_GROWTH = 2048          # RK4 substeps per growth evaluation; bounds its temporaries
 _MAX_SUBSTEPS = 64      # the last step-doubling test: 64 against 128 substeps
 _LOCAL_TOL = 1e-9       # per-interval agreement of n and 2n substeps, |dc0| + |dc1|
 
@@ -130,68 +163,116 @@ _LOCAL_TOL = 1e-9       # per-interval agreement of n and 2n substeps, |dc0| + |
 def _rk4_growth(a_lo: np.ndarray, slope: np.ndarray, h: np.ndarray,
                 n: np.ndarray) -> np.ndarray:
     """Growth factor of RK4 on y' = -i a(t) y over [0, h], a = a_lo + slope t,
-    taken in n substeps (per interval)."""
+    taken in n substeps (per interval), _GROWTH substeps at a time."""
     g = np.empty(h.size, dtype=complex)
     for level in sorted(set(n.tolist())):    # not np.unique: it imports numpy.ma
-        sel = n == level
-        hs = h[sel, None] / level
-        ta = np.arange(level) * hs
-        a_lo_s, slope_s = a_lo[sel, None], slope[sel, None]
-        a_mid = a_lo_s + slope_s * (ta + 0.5 * hs)
-        k1 = -1j * (a_lo_s + slope_s * ta)
-        k2 = -1j * a_mid * (1.0 + 0.5 * hs * k1)
-        k3 = -1j * a_mid * (1.0 + 0.5 * hs * k2)
-        k4 = -1j * (a_lo_s + slope_s * (ta + hs)) * (1.0 + hs * k3)
-        g[sel] = np.prod(1.0 + (hs / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), axis=1)
+        where, rows = np.flatnonzero(n == level), max(_GROWTH // level, 1)
+        for lo in range(0, where.size, rows):
+            sel = where[lo:lo + rows]
+            hs = h[sel, None] / level
+            ta = np.arange(level) * hs
+            a_lo_s, slope_s = a_lo[sel, None], slope[sel, None]
+            a_mid = a_lo_s + slope_s * (ta + 0.5 * hs)
+            k1 = -1j * (a_lo_s + slope_s * ta)
+            k2 = -1j * a_mid * (1.0 + 0.5 * hs * k1)
+            k3 = -1j * a_mid * (1.0 + 0.5 * hs * k2)
+            k4 = -1j * (a_lo_s + slope_s * (ta + hs)) * (1.0 + hs * k3)
+            g[sel] = np.prod(1.0 + (hs / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), axis=1)
     return g
 
 
-def _integrate_from_idle(sched: CouplingSchedule, h: np.ndarray,
-                         steps: np.ndarray) -> np.ndarray:
-    """u = c0 + c1 at the end of the intervals [t_i, t_i + h_i], from idle.
+def _integrate_block(rate: np.ndarray, steps: np.ndarray, h: np.ndarray, u,
+                     t_at) -> np.ndarray:
+    """u = c0 + c1 at the end of the intervals [tau_i, tau_i + h_i] of one
+    block, from `u` at the block's start.
 
     H = rate * sigma_x is diagonal in the fixed basis c0 +- c1, and RK4
     commutes with that change of basis, so every RK4 step multiplies
     u = c0 + c1 by a scalar growth factor and c0 - c1 by its conjugate; from
-    idle, c0 = Re(u) and c1 = i Im(u).  The rate is linear on each grid
-    interval, of width `steps`.  Each interval takes n = 1, 2, ..., 64
-    substeps until n and 2n agree to _LOCAL_TOL in |dc0| + |dc1| from its
-    actual start state.
+    idle, c0 = Re(u) and c1 = i Im(u).  The rate, given at the intervals'
+    ends, is linear on each grid interval, of width `steps`.  Each interval
+    takes n = 1, 2, ..., 64 substeps until n and 2n agree to _LOCAL_TOL in
+    |dc0| + |dc1| from its actual start state; `t_at(i)` is the time an
+    error names for interval i.
     """
-    m = h.size
-    a_lo = sched.rate[:m]
-    slope = np.diff(sched.rate[:m + 1]) / steps
-    out = np.empty(m, dtype=complex)
-    u = 1.0 + 0.0j
-    for lo in range(0, m, _BLOCK):
-        args = a_lo[lo:lo + _BLOCK], slope[lo:lo + _BLOCK], h[lo:lo + _BLOCK]
-        n = np.ones(args[2].size, dtype=int)
-        coarse, fine = _rk4_growth(*args, n), _rk4_growth(*args, 2 * n)
-        while True:
-            ends = u * np.cumprod(fine)
-            delta = np.concatenate(([u], ends[:-1])) * (fine - coarse)
-            err = np.abs(delta.real) + np.abs(delta.imag)
-            bad = np.flatnonzero(~(err <= _LOCAL_TOL))
-            if bad.size == 0:
-                break
-            if n[bad[0]] == _MAX_SUBSTEPS:
-                raise IntegrationError(
-                    "detector propagation step size underflow at t = "
-                    f"{sched.t[lo + bad[0]]:.6g}", estimate=float(np.max(err[bad])))
-            bad = bad[n[bad] < _MAX_SUBSTEPS]
-            n[bad] *= 2
-            coarse[bad] = fine[bad]
-            fine[bad] = _rk4_growth(*(a[bad] for a in args), 2 * n[bad])
-        out[lo:lo + _BLOCK] = ends
-        u = ends[-1]
-    return out
+    args = rate[:-1], np.diff(rate) / steps, h
+    n = np.ones(h.size, dtype=int)
+    coarse, fine = _rk4_growth(*args, n), _rk4_growth(*args, 2 * n)
+    while True:
+        ends = u * np.cumprod(fine)
+        delta = np.concatenate(([u], ends[:-1])) * (fine - coarse)
+        err = np.abs(delta.real) + np.abs(delta.imag)
+        bad = np.flatnonzero(~(err <= _LOCAL_TOL))
+        if bad.size == 0:
+            return ends
+        if n[bad[0]] == _MAX_SUBSTEPS:
+            raise IntegrationError(
+                "detector propagation step size underflow at t = "
+                f"{t_at(bad[0]):.6g}", estimate=float(np.max(err[bad])))
+        bad = bad[n[bad] < _MAX_SUBSTEPS]
+        n[bad] *= 2
+        coarse[bad] = fine[bad]
+        fine[bad] = _rk4_growth(*(a[bad] for a in args), 2 * n[bad])
+
+
+class _Closure:
+    """i d(chi)/dt = rate(t) sigma_x chi integrated from idle, with the rate
+    linear between the rows of a schedule fed in order: _BLOCK intervals at
+    a time, once the row after them is in.  It carries the state and the
+    largest |p_triggered - k p_entry| and |norm - 1| so far, and with `keep`
+    the state u = c0 + c1 at every row after the first."""
+
+    def __init__(self, k: float, dt: float, t_at, keep: bool = False):
+        self.k, self.dt, self.t_at = k, dt, t_at
+        self.u, self.row = 1.0 + 0.0j, 0
+        self.rate = self.p_entry = np.empty(0)
+        self.residual = self.unitarity = 0.0
+        self.kept = [] if keep else None
+
+    def feed(self, rate: np.ndarray, p_entry: np.ndarray):
+        """The next rows' rates and entry probabilities."""
+        self.rate = np.concatenate((self.rate, rate))
+        self.p_entry = np.concatenate((self.p_entry, p_entry))
+        while self.rate.size > _BLOCK + 1:
+            self._advance(_BLOCK)
+
+    def finish(self, h_last: float | None = None) -> dict:
+        """The residual maxima once every row is in; `h_last` cuts the last
+        interval short."""
+        self._advance(self.rate.size - 1, h_last)
+        return {"consistency_residual_max": float(self.residual),
+                "unitarity_residual_max": float(self.unitarity)}
+
+    def _advance(self, m: int, h_last: float | None = None):
+        row = self.row
+        steps = np.diff(self.dt * np.arange(row, row + m + 1))
+        h = steps if h_last is None else np.append(steps[:-1], h_last)
+        ends = _integrate_block(self.rate[:m + 1], steps, h, self.u,
+                                lambda i: self.t_at(row + i))
+        states = np.concatenate(([self.u], ends))     # from the block's first row
+        populations = np.abs(states.imag) ** 2
+        self.residual = np.maximum(self.residual, np.max(np.abs(
+            populations - self.k * self.p_entry[:m + 1])))
+        self.unitarity = np.maximum(self.unitarity, np.max(np.abs(
+            np.abs(states.real) ** 2 + populations - 1.0)))
+        if self.kept is not None:
+            self.kept.append(ends)
+        self.u, self.row = ends[-1], row + m
+        self.rate, self.p_entry = self.rate[m:], self.p_entry[m:]
+
+
+def _closure(sched: CouplingSchedule, rows: int, keep: bool = False,
+             h_last: float | None = None) -> tuple:
+    """The closure of the first `rows` rows of `sched`, and its residuals."""
+    closure = _Closure(sched.k, sched.curve.dt, lambda i: float(sched.t[i]), keep)
+    closure.feed(sched.rate[:rows], sched.curve.p_entry[:rows])
+    return closure, closure.finish(h_last)
 
 
 def evolve_ode_trajectory(sched: CouplingSchedule) -> np.ndarray:
     """States at every schedule node from numerically integrating
     i d(chi)/dt = rate(t) sigma_x chi with the rate interpolated linearly."""
-    steps = np.diff(sched.tau)
-    u = _integrate_from_idle(sched, steps, steps)
+    u = np.concatenate(_closure(sched, sched.t.size, keep=True)[0].kept)
     out = np.empty((sched.t.size, 2), dtype=complex)
     out[0] = (1.0, 0.0)
     out[1:, 0] = u.real
@@ -205,18 +286,11 @@ def evolve_ode(sched: CouplingSchedule, t: float) -> DetectorState:
     m = int(np.searchsorted(grid[:-1], t))
     if m == 0:
         return IDLE_STATE
-    h = np.minimum(grid[1:m + 1], t) - grid[:m]
-    u = complex(_integrate_from_idle(sched, h, np.diff(grid[:m + 1]))[-1])
+    u = complex(_closure(sched, m + 1, h_last=min(grid[m], t) - grid[m - 1])[0].u)
     return DetectorState(complex(u.real), 1j * u.imag)
 
 
 def ode_consistency(sched: CouplingSchedule) -> dict:
     """Close the loop: re-integrate the equation of motion and compare the
     triggered population against k * p_entry on the whole grid."""
-    states = evolve_ode_trajectory(sched)
-    populations = np.abs(states[:, 1]) ** 2
-    norms = np.abs(states[:, 0]) ** 2 + populations
-    residual = float(np.max(np.abs(populations - sched.k * sched.curve.p_entry)))
-    unitarity = float(np.max(np.abs(norms - 1.0)))
-    return {"consistency_residual_max": residual,
-            "unitarity_residual_max": unitarity}
+    return _closure(sched, sched.t.size)[1]

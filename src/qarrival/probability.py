@@ -31,8 +31,9 @@ from .wavepacket import MomentumAmplitude, OccupationCurve, _cone_angular_mass, 
     radial_moments
 
 _NORM_TOL = 1e-6
-_CSV_BLOCK = 2048      # rows per write in write_tables: a run holds one block a column
+_CSV_BLOCK = 1024      # rows a run and write_tables write at a time, in one _format_block call
 _CSV_WIDTH = 24        # bytes of the longest %.17g text, -2.2250738585072014e-308
+_GATHER = 512          # values per byte gather in _format_block; bounds its index array
 _E0 = 284              # the kernel's tables hold E in [-_E0, _E0]; 10^(16 + _E0) * 2^27 is finite
 _MAX_GRID_ROWS = 2 ** 22   # output samples; default time controls need <= 2,000,001
 _VANISHES = "detector occupation vanishes; the entry ratio is undefined"
@@ -75,15 +76,10 @@ class EntryProbabilityCurve:
     denominator: SemiInfiniteResult
     dt: float = 0.0
     quad_error: float = 0.0
+    header = "t,p_conditional,p_entry"
 
     def __post_init__(self):
-        if np.any(self.p_conditional < -1e-12) or np.any(self.p_conditional > 1.0 + 1e-12):
-            raise IntegrationError("conditional probabilities leave [0, 1]")
-        p_entry = self.p_entry
-        if np.any(np.diff(p_entry) < -1e-10):
-            raise IntegrationError("entry probability is not nondecreasing")
-        if abs(p_entry[0]) > 1e-300:
-            raise IntegrationError("entry probability must start at 0")
+        _check_entry_rows(self.p_conditional, self.p_entry, starts=True)
 
     @property
     def p_entry(self) -> np.ndarray:
@@ -91,18 +87,58 @@ class EntryProbabilityCurve:
 
     def csv_table(self) -> tuple:
         """Header and float columns of entry_curve.csv."""
-        return "t,p_conditional,p_entry", (self.t, self.p_conditional, self.p_entry)
+        return EntryProbabilityCurve.header, (self.t, self.p_conditional, self.p_entry)
 
     def write_csv(self, path):
         # through the class, so any object with the curve's columns writes
         write_tables([(path, *EntryProbabilityCurve.csv_table(self))])
 
 
+def _check_entry_rows(p_conditional: np.ndarray, p_entry: np.ndarray, starts: bool):
+    """Raise IntegrationError where consecutive rows of an entry curve break
+    its invariants: p_conditional within [0, 1], p_entry nondecreasing and,
+    when the rows `start` the curve, from 0."""
+    if np.any(p_conditional < -1e-12) or np.any(p_conditional > 1.0 + 1e-12):
+        raise IntegrationError("conditional probabilities leave [0, 1]")
+    if np.any(np.diff(p_entry) < -1e-10):
+        raise IntegrationError("entry probability is not nondecreasing")
+    if starts and abs(p_entry[0]) > 1e-300:
+        raise IntegrationError("entry probability must start at 0")
+
+
+@dataclass(frozen=True, eq=False)
+class _CurveRows:
+    """An entry curve's rows, t = t0 + dt k for k < `size`, read off its
+    occupation profile a block at a time."""
+
+    profile: OccupationProfile
+    p_direction: float
+    dt: float
+    size: int
+
+    @property
+    def denominator(self) -> SemiInfiniteResult:
+        result = self.profile.result
+        return replace(result, t_max=self.profile.t0 + result.t_max)
+
+    def rows(self, lo: int, hi: int) -> tuple:
+        """t, p_conditional and p_entry at rows [lo, hi), unchecked."""
+        tau, p = self.dt * np.arange(lo, hi), self.profile
+        conditional = np.interp(tau, p.tau, p.cumulative) / p.result.value
+        return p.t0 + tau, conditional, self.p_direction * conditional
+
+    def whole(self) -> EntryProbabilityCurve:
+        t, conditional, _ = self.rows(0, self.size)
+        return EntryProbabilityCurve(t=t, p_direction=self.p_direction,
+                                     p_conditional=conditional, denominator=self.denominator,
+                                     dt=self.dt, quad_error=self.profile.quad_error)
+
+
 def _two_product(x, hi, lo):
     """x (hi + lo) as p + s with p = fl(x hi): Dekker's error-free product of
     x and hi, plus x lo, so p + s errs by ~2^-104 of the product."""
-    c, d = x * 134217729.0, hi * 134217729.0
-    xh, hh = c - (c - x), d - (d - hi)
+    xh, hh = x * 134217729.0, hi * 134217729.0
+    xh, hh = xh - (xh - x), hh - (hh - hi)
     p = x * hi
     return p, (((xh * hh - p) + xh * (hi - hh)) + (x - xh) * hh) + (x - xh) * (hi - hh) + x * lo
 
@@ -147,7 +183,7 @@ def _csv_tables() -> tuple:
         ((last + 4 * digit[:4, None]) * (last > 0)).ravel(),
         np.frombuffer(b"".join(b"e%+04d\0\0\0" % v for v in e.tolist()), np.uint32).reshape(-1, 2),
         34 * np.where((e >= -4) & (e <= 16), e + 4, 21 + (abs(e) >= 100)),
-        np.stack([text, signed], 2).reshape(-1, _CSV_WIDTH))
+        np.stack([text, signed], 2).reshape(-1, _CSV_WIDTH).astype(np.uint8))
 
 
 def _digits(x, i, hi, lo):
@@ -159,18 +195,10 @@ def _digits(x, i, hi, lo):
     return whole.astype(np.int64) + part.astype(np.int64), s - part
 
 
-def _format_block(block: np.ndarray) -> np.ndarray:
-    """The block's values at %.17g (the bytes of f"{v:.17g}"), one row of
-    _CSV_WIDTH bytes each, padded with zero bytes.
-
-    The 17 digits D of x are x 10^(16 - E) as a double-double, with E from
-    log10 |x| (moved by one where D falls outside [10^16, 10^17)), rounded to
-    nearest (10^17 carries to 10^16 and E + 1) and laid out by a template per
-    (notation, digits kept, sign).  What the product cannot decide (a fraction
-    within 1e-9 of a half, as in exact 18-digit ties, or |x| outside [1e-280,
-    1e280]) gets Python's own dtoa, in one `%` call a block."""
-    hi, lo, quad, lens, exps, modes, templates = _csv_tables()
-    n, x = block.size, np.abs(block)
+def _decimal(block: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> tuple:
+    """The 17 digits D of each value of `block` (0 for a zero), its exponent
+    E as E + _E0, and the values the double-double product cannot decide."""
+    x = np.abs(block)
     decided = (x >= 1e-280) & (x <= 1e280)
     x = np.where(decided, x, 1.0)
     i = np.floor(np.log10(x)).astype(np.int64) + _E0
@@ -186,17 +214,41 @@ def _format_block(block: np.ndarray) -> np.ndarray:
     D[carry] = 10 ** 16
     i += carry
     D[block == 0] = 0       # with E = 0: "0" and "-0"
-    first, rest = np.divmod(D, 10 ** 16)
-    groups = np.stack(np.divmod(np.stack(np.divmod(rest, 10 ** 8)), 10000), 1).reshape(4, n)
+    return D, i, undecided
+
+
+def _format_block(block: np.ndarray) -> np.ndarray:
+    """The block's values at %.17g (the bytes of f"{v:.17g}"), one row of
+    _CSV_WIDTH bytes each, padded with zero bytes.
+
+    The 17 digits D of x are x 10^(16 - E) as a double-double, with E from
+    log10 |x| (moved by one where D falls outside [10^16, 10^17)), rounded to
+    nearest (10^17 carries to 10^16 and E + 1) and laid out by a template per
+    (notation, digits kept, sign).  What the product cannot decide (a fraction
+    within 1e-9 of a half, as in exact 18-digit ties, or |x| outside [1e-280,
+    1e280]) gets Python's own dtoa, in one `%` call a block.  Each array is
+    dropped once read, so a call peaks near 100 bytes a value."""
+    hi, lo, quad, lens, exps, modes, templates = _csv_tables()
+    n = block.size
+    D, i, undecided = _decimal(block, hi, lo)
     src = np.empty((n, 7), np.uint32)   # ".-0", the 17 digits, the exponent, 3 zero bytes
+    first, D = np.divmod(D, 10 ** 16)
     src[:, 0] = (first << 24) + 0x30302D2E
-    src[:, 1:5] = quad.take(groups).T
     src[:, 5:] = exps.take(i, axis=0)
-    groups += 10000 * np.arange(4)[:, None]
-    key = modes.take(i) + 2 * np.maximum.reduce(lens.take(groups)) + np.signbit(block)
-    index = templates.take(key, axis=0)
-    index += np.arange(0, 28 * n, 28)[:, None]
-    text = src.view(np.uint8).ravel().take(index)
+    key = modes.take(i) + np.signbit(block)
+    del first, i
+    kept = np.zeros(n, np.uint8)    # digits up to the last nonzero one, after the first
+    for j in range(4):      # the other 16 digits, 4 a group
+        group = D // 10 ** (12 - 4 * j) % 10000
+        src[:, 1 + j] = quad.take(group)
+        np.maximum(kept, lens.take(group + 10000 * j), out=kept)
+    del D, group
+    key += 2 * kept
+    text, src = np.empty((n, _CSV_WIDTH), np.uint8), src.view(np.uint8).ravel()
+    for lo in range(0, n, _GATHER):     # the byte indices of _GATHER values at a time
+        src.take(templates.take(key[lo:lo + _GATHER], axis=0)
+                 + np.arange(28 * lo, 28 * min(n, lo + _GATHER), 28)[:, None],
+                 out=text[lo:lo + _GATHER])
     if undecided.size:
         held = ("%.17g\n" * undecided.size)[:-1] % tuple(block[undecided].tolist())
         text[undecided] = np.array(held.split("\n"), f"S{_CSV_WIDTH}").view(np.uint8) \
@@ -204,41 +256,75 @@ def _format_block(block: np.ndarray) -> np.ndarray:
     return text
 
 
+def _format_columns(blocks: list) -> list:
+    """The texts of column blocks, formatted in one _format_block call."""
+    cells = _format_block(np.concatenate(blocks))
+    return np.split(cells, np.cumsum([len(block) for block in blocks[:-1]]))
+
+
 def format_columns(*columns: np.ndarray) -> dict:
     """The texts of each _CSV_BLOCK block of float `columns`, by the block's
     bits: columns every row of a sweep writes, for `write_tables` to read."""
-    return {column[lo:lo + _CSV_BLOCK].tobytes(): _format_block(column[lo:lo + _CSV_BLOCK])
-            for column in columns for lo in range(0, len(column), _CSV_BLOCK)}
+    texts = {}
+    for lo in range(0, max(map(len, columns), default=0), _CSV_BLOCK):
+        blocks = [column[lo:lo + _CSV_BLOCK] for column in columns if lo < len(column)]
+        texts.update(zip((block.tobytes() for block in blocks), _format_columns(blocks)))
+    return texts
+
+
+def _open_tables(stack: ExitStack, tables) -> list:
+    """The binary streams of (sink, header) pairs, whose sink is a path or an
+    open binary stream, each with its header written.  The files opened
+    here are removed if `stack` unwinds on an error."""
+    paths = [sink for sink, _ in tables if isinstance(sink, (str, os.PathLike))]
+
+    def remove(error, *_):
+        for path in paths if error else ():
+            if os.path.exists(path):
+                os.remove(path)
+
+    stack.push(remove)
+    sinks = [stack.enter_context(open(sink, "wb"))
+             if isinstance(sink, (str, os.PathLike)) else sink for sink, _ in tables]
+    for fh, (_, header) in zip(sinks, tables):
+        fh.write(header.encode() + b"\n")
+    return sinks
+
+
+def _write_rows(sinks: list, blocks: list, shared: dict):
+    """Write a block of rows to each sink from its float column blocks
+    (none once its table has ended).  Every distinct column block (by its
+    bits) that `shared` does not hold is formatted, in one `_format_columns`
+    call.  Rows are a table's cells side by side, each with its separator,
+    unpadded."""
+    keys = [[block.tobytes() for block in columns] for columns in blocks]
+    todo = {}
+    for columns, names in zip(blocks, keys):
+        for block, key in zip(columns, names):
+            if key not in shared:
+                todo.setdefault(key, block)
+    texts = dict(zip(todo, _format_columns(list(todo.values())))) if todo else {}
+    for fh, columns, names in zip(sinks, blocks, keys):
+        if not columns:
+            continue
+        rows = np.full((len(columns[0]), len(columns), _CSV_WIDTH + 1), ord(","), np.uint8)
+        rows[:, -1, -1] = ord("\n")
+        for j, key in enumerate(names):
+            rows[:, j, :-1] = shared[key] if key in shared else texts[key]
+        fh.write(rows[rows != 0])
 
 
 def write_tables(tables, shared: dict | None = None):
     """Write CSV tables, (sink, header, float columns) triples whose sink is a
-    path or an open binary stream, in step, _CSV_BLOCK rows at a time.
-
-    In each block of rows, every distinct column block (by its bits) is
-    formatted once, whichever tables hold it, or read from `shared`
-    (`format_columns`): the text held is one block per distinct column.  Rows
-    are a table's cells side by side, each with its separator, unpadded."""
-    shared = shared or {}
+    path or an open binary stream, in step, _CSV_BLOCK rows at a time
+    (`_write_rows`), reading the texts of column blocks in `shared`
+    (`format_columns`)."""
     with ExitStack() as stack:
-        sinks = [stack.enter_context(open(sink, "wb"))
-                 if isinstance(sink, (str, os.PathLike)) else sink for sink, _, _ in tables]
-        for fh, (_, header, _) in zip(sinks, tables):
-            fh.write(header.encode() + b"\n")
+        sinks = _open_tables(stack, [(sink, header) for sink, header, _ in tables])
         for lo in range(0, max((len(c[0]) for _, _, c in tables), default=0), _CSV_BLOCK):
-            texts = {}      # this block's value texts, by the block's bits
-            for fh, (_, _, columns) in zip(sinks, tables):
-                if lo >= len(columns[0]):
-                    continue
-                rows = np.full((min(len(columns[0]) - lo, _CSV_BLOCK), len(columns),
-                                _CSV_WIDTH + 1), ord(","), np.uint8)
-                rows[:, -1, -1] = ord("\n")
-                for j, block in enumerate(c[lo:lo + _CSV_BLOCK] for c in columns):
-                    key = block.tobytes()
-                    if key not in texts:
-                        texts[key] = shared[key] if key in shared else _format_block(block)
-                    rows[:, j, :-1] = texts[key]
-                fh.write(rows[rows != 0].tobytes())
+            _write_rows(sinks, [tuple(c[lo:lo + _CSV_BLOCK] for c in columns)
+                                if lo < len(columns[0]) else () for _, _, columns in tables],
+                        shared or {})
 
 
 def resolve_time_controls(amp: MomentumAmplitude, source: EmissionEvent,
@@ -411,28 +497,20 @@ def _grid_steps(grid: TimeGridSpec, t0: float, dt: float, tau_end: float,
                              f"a run {bound}")
 
 
-def _curve_from_profile(profile: OccupationProfile, p_direction: float,
-                        grid: TimeGridSpec | None, *,
-                        allow_unconverged: bool = False, min_samples: int = 1,
-                        quad: QuadratureSpec | None = None) -> EntryProbabilityCurve:
-    """Entry curve on the output grid (see `_grid_steps` for its errors; `quad`
-    is the spec the profile's time controls were resolved from).  A grid
-    with neither field set ends where the occupation mass is in
-    (`_mass_end`); one with either set keeps t_max as its default end."""
+def _curve_rows(profile: OccupationProfile, p_direction: float,
+                grid: TimeGridSpec | None, *, allow_unconverged: bool = False,
+                min_samples: int = 1, quad: QuadratureSpec | None = None) -> _CurveRows:
+    """Rows of the entry curve on the output grid (see `_grid_steps` for its
+    errors; `quad` is the spec the profile's time controls were resolved
+    from).  A grid with neither field set ends where the occupation mass is
+    in (`_mass_end`); one with either set keeps t_max as its default end."""
     _checked_denominator(profile, allow_unconverged)
     grid = grid or TimeGridSpec()
     dt, n = _grid_steps(grid, profile.t0, profile.dt, profile.result.t_max,
                         min_samples, quad)
     if grid.dt is None and grid.t_end is None:
         n = _mass_end(profile, min_samples)
-    tau_out = dt * np.arange(n + 1)
-    conditional = np.interp(tau_out, profile.tau, profile.cumulative) \
-        / profile.result.value
-    return EntryProbabilityCurve(
-        t=profile.t0 + tau_out, p_direction=p_direction,
-        p_conditional=conditional,
-        denominator=replace(profile.result, t_max=profile.t0 + profile.result.t_max),
-        dt=dt, quad_error=profile.quad_error)
+    return _CurveRows(profile=profile, p_direction=p_direction, dt=dt, size=n + 1)
 
 
 def _controls(amp: MomentumAmplitude, det: DetectorGeometry,
@@ -467,8 +545,8 @@ def build_entry_curve(amp: MomentumAmplitude, det: DetectorGeometry,
     The occupation normalizer is computed once and shared by every sample.
     """
     p_direction, profile = _occupation(amp, det, source, quad)
-    return _curve_from_profile(profile, p_direction, grid,
-                               allow_unconverged=allow_unconverged, quad=quad)
+    return _curve_rows(profile, p_direction, grid, allow_unconverged=allow_unconverged,
+                       quad=quad).whole()
 
 
 def point_detector_curve(amp: MomentumAmplitude, x_detector,

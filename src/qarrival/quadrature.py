@@ -203,11 +203,14 @@ def integrate_volume(g, det: DetectorGeometry, spec: QuadratureSpec) -> float:
     return float(weights @ values)
 
 
-def differentiate_sampled(values, dt: float) -> np.ndarray:
-    """Second-order derivative of uniformly sampled values.
+def differentiate_sampled(values, dt: float, first: int = 0,
+                          last: int | None = None) -> np.ndarray:
+    """Second-order derivative of uniformly sampled values at values[first:last].
 
     Central differences in the interior, one-sided second-order stencils at
-    the two ends; exact for quadratics.
+    the two ends of `values`; exact for quadratics.  A block of rows of a
+    longer series passes the rows its stencils read around it: its
+    neighbours, and the two rows before a last block of one row.
     """
     y = np.asarray(values, dtype=float)
     if y.ndim != 1 or y.size < 3:
@@ -215,10 +218,14 @@ def differentiate_sampled(values, dt: float) -> np.ndarray:
     dt = float(dt)
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    out = np.empty_like(y)
-    out[1:-1] = (y[2:] - y[:-2]) / (2.0 * dt)
-    out[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * dt)
-    out[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * dt)
+    last = y.size if last is None else last
+    out = np.empty(last - first)
+    lo, hi = max(first, 1), min(last, y.size - 1)
+    out[lo - first:hi - first] = (y[lo + 1:hi + 1] - y[lo - 1:hi - 1]) / (2.0 * dt)
+    if first == 0:
+        out[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * dt)
+    if last == y.size:
+        out[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * dt)
     return out
 
 

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -408,16 +408,18 @@ def make_detector(s: Scenario, source: EmissionEvent) -> DetectorGeometry | None
 
 # the stages of a run in order; each reads the scenario and the stages before it
 _STAGES = ("amplitude", "detector", "controls", "profile", "arrival", "curve", "schedule")
-# each output CSV with the stage whose result writes it
-_FILES = (("entry_curve.csv", "curve"), ("schedule.csv", "schedule"),
-          ("arrival.csv", "arrival"))
+# each output CSV with the stage whose result writes it and its header, in
+# the order of `detector._run_blocks`
+_FILES = (("entry_curve.csv", "curve", prob_mod.EntryProbabilityCurve.header),
+          ("schedule.csv", "schedule", detector_mod.CouplingSchedule.header),
+          ("arrival.csv", "arrival", arrival_mod.ArrivalTimeStats.header))
 
 
 def _check_grid(s: Scenario, source: EmissionEvent, quad: QuadratureSpec):
     """Refuse an output grid that cannot hold the 3 samples a run needs, or
     holds more than the row budget, on the run's own time controls `quad`: the
     end is grid.t_end when set, else the time cap (t_max <= t_cap), and the step
-    grid.dt, else quad.dt.  `_curve_from_profile` repeats it on the exact end.
+    grid.dt, else quad.dt.  `_curve_rows` repeats it on the exact end.
     A step within the float spacing of the grid's times is an error of
     grid.dt when set, else of emission.t0."""
     dt, n = prob_mod._grid_steps(s.grid, source.t0, quad.dt, quad.t_cap, min_samples=3,
@@ -434,8 +436,9 @@ def _prepare(s: Scenario, until: str = "schedule", shared: dict | None = None) -
 
     amplitude: source and amplitude; detector: its geometry (a point's too);
     controls: direction factor and resolved time controls; profile: the
-    occupation profile on those controls; curve: the entry curve; arrival:
-    statistics of a point, None for a volume or when they did not converge.
+    occupation profile on those controls; curve: the entry curve's rows;
+    arrival: the statistics of a point and the rows of its density, None for
+    a volume or when they did not converge.
     When the curve is computed here, `_check_grid` runs on the controls
     first, before any profile, so a sweep row whose profile is shared is
     checked against its own grid.
@@ -461,14 +464,14 @@ def _prepare(s: Scenario, until: str = "schedule", shared: dict | None = None) -
         r["profile"] = prob_mod._occupation_profile(
             wp.detector_occupation(amp, det, source, quad), source, quad)
     if "curve" in todo:
-        r["curve"] = prob_mod._curve_from_profile(r["profile"], r["controls"][0], s.grid,
-                                                  allow_unconverged=True, min_samples=3,
-                                                  quad=s.quadrature)
+        r["curve"] = prob_mod._curve_rows(r["profile"], r["controls"][0], s.grid,
+                                          allow_unconverged=True, min_samples=3,
+                                          quad=s.quadrature)
     if "arrival" in todo:
         r["arrival"] = None
         if s.is_point:
             try:
-                r["arrival"] = arrival_mod._stats_from_profile(
+                r["arrival"] = arrival_mod._arrival_rows(
                     r["profile"], arrival_mod._classical_flight(*r["amplitude"], r["detector"]))
             except IntegrationError:
                 pass
@@ -498,22 +501,32 @@ def run_scenario(s: Scenario, out_dir) -> dict:
 def _run(s: Scenario, out_dir, prepared: dict | None = None) -> dict:
     """`run_scenario`, from the stages a sweep shares in `prepared`: `_prepare`
     results, plus the bytes of each file (by name) that they write and, under
-    "columns", the texts of columns every row writes (`_share_texts`)."""
+    "columns", the texts of columns every row writes (`_share_texts`).  The
+    files a run writes itself are computed and written a block of rows at a
+    time, so it holds its occupation profile and one block."""
     os.makedirs(out_dir, exist_ok=True)
     r = _prepare(s, shared=prepared)
     (source, amp), det = r["amplitude"], r["detector"]
-    curve, arrival_stats = r["curve"], r["arrival"]
-    sched = r["schedule"] = detector_mod.coupling_schedule(curve, s.coupling_k)
-    closure = detector_mod.ode_consistency(sched)
-
-    tables = []
-    for name, stage in _FILES:
-        path = os.path.join(out_dir, name)
+    curve, arrival = r["curve"], r["arrival"]
+    closure = detector_mod._Closure(s.coupling_k, curve.dt,
+                                    lambda i: curve.rows(i, i + 1)[0][0])
+    # the files the run writes itself, by their place in _FILES; on an error
+    # they are removed, and the shared ones not written
+    tables = [(j, os.path.join(out_dir, name), header)
+              for j, (name, stage, header) in enumerate(_FILES)
+              if name not in r and (stage == "schedule" or r[stage] is not None)]
+    with ExitStack() as stack:
+        sinks = prob_mod._open_tables(stack, [table[1:] for table in tables])
+        for blocks in detector_mod._run_blocks(curve, s.coupling_k, prob_mod._CSV_BLOCK,
+                                               closure, arrival):
+            prob_mod._write_rows(sinks, [blocks[j] for j, _, _ in tables],
+                                 r.get("columns", {}))
+            if blocks[0]:   # the curve's last block gives the final values
+                (_, conditional, p_entry), angle = blocks[0], blocks[1][2]
+        residuals = closure.finish()
+    for name, _, _ in _FILES:
         if name in r:
-            _write_bytes(path, r[name])
-        elif r[stage] is not None:
-            tables.append((path, *r[stage].csv_table()))
-    prob_mod.write_tables(tables, r.get("columns"))
+            _write_bytes(os.path.join(out_dir, name), r[name])
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -525,21 +538,19 @@ def _run(s: Scenario, out_dir, prepared: dict | None = None) -> dict:
         "omega": det.omega,
         "volume": det.volume,
         "p_direction": curve.p_direction,
-        "p_conditional_final": float(curve.p_conditional[-1]),
-        "p_entry_final": float(curve.p_entry[-1]),
-        "p_registered_final": float(np.sin(sched.angle[-1]) ** 2),
-        "mean_arrival": None if arrival_stats is None else arrival_stats.mean_time,
+        "p_conditional_final": float(conditional[-1]),
+        "p_entry_final": float(p_entry[-1]),
+        "p_registered_final": float(np.sin(angle[-1]) ** 2),
+        "mean_arrival": None if arrival is None else arrival.mean_time,
         "classical_flight": arrival_mod._classical_flight(source, amp, det),
         "dt": curve.dt,
         "t_max": curve.denominator.t_max,
         "denominator": curve.denominator.as_dict(),
-        "normalizer": None if arrival_stats is None
-        else arrival_stats.normalizer.as_dict(),
-        "quad_error": curve.quad_error,
-        "consistency_residual_max": closure["consistency_residual_max"],
-        "unitarity_residual_max": closure["unitarity_residual_max"],
+        "normalizer": None if arrival is None else arrival.normalizer.as_dict(),
+        "quad_error": curve.profile.quad_error,
+        **residuals,
         "converged": bool(curve.denominator.converged
-                          and (arrival_stats is not None or not s.is_point)),
+                          and (arrival is not None or not s.is_point)),
     }
     _write_bytes(os.path.join(out_dir, "summary.json"),
                  (json.dumps(summary, indent=2) + "\n").encode())
@@ -667,12 +678,13 @@ def _share_texts(template: Scenario, prepared: dict) -> dict:
     one pass.  When they include the entry curve, the schedule's columns
     that do not depend on k (`t`, `entry_rate`) are formatted once too, and
     kept under "columns" for every row's schedule.csv to read."""
+    whole = {stage: prepared[stage].whole() for stage in ("curve", "arrival")
+             if prepared.get(stage) is not None}
     shared = {}
-    if "curve" in prepared:
-        sched = detector_mod.coupling_schedule(prepared["curve"], template.coupling_k)
+    if "curve" in whole:
+        sched = detector_mod.coupling_schedule(whole["curve"], template.coupling_k)
         shared = prob_mod.format_columns(sched.t, sched.entry_rate)
-    files = [(name, io.BytesIO(), prepared[stage]) for name, stage in _FILES
-             if prepared.get(stage) is not None]
+    files = [(name, io.BytesIO(), whole[stage]) for name, stage, _ in _FILES if stage in whole]
     prob_mod.write_tables([(buf, *result.csv_table()) for _, buf, result in files], shared)
     return prepared | {name: buf.getvalue() for name, buf, _ in files} | {"columns": shared}
 

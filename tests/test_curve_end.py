@@ -35,8 +35,8 @@ def test_default_curve_is_prefix_of_full_grid(request, occupation, point):
     assert (p_direction == 1.0) == point     # a point without a cone has no direction factor
     # past the profile's end: a certified stop can leave the mass end at t_max
     full_grid = qa.TimeGridSpec(t_end=profile.t0 + 2.0 * profile.result.t_max)
-    short = prob._curve_from_profile(profile, p_direction, None, min_samples=3)
-    full = prob._curve_from_profile(profile, p_direction, full_grid, min_samples=3)
+    short = prob._curve_rows(profile, p_direction, None, min_samples=3).whole()
+    full = prob._curve_rows(profile, p_direction, full_grid, min_samples=3).whole()
     n = short.t.size
     assert 3 <= n < full.t.size
     for name in ("t", "p_conditional", "p_entry"):
@@ -62,21 +62,21 @@ def synthetic_profile(values, dt=0.5, t0=2.0) -> prob.OccupationProfile:
 
 def test_mass_at_first_node_keeps_three_samples():
     profile = synthetic_profile(np.r_[1.0, np.zeros(200)])
-    curve = prob._curve_from_profile(profile, 1.0, None, min_samples=3)
+    curve = prob._curve_rows(profile, 1.0, None, min_samples=3).whole()
     assert curve.t.size == 3
     assert curve.p_conditional[-1] == 1.0
 
 
 def test_slow_tail_keeps_full_grid():
     profile = synthetic_profile(1.0 / (1.0 + 0.5 * np.arange(401)))
-    curve = prob._curve_from_profile(profile, 1.0, None, min_samples=3)
+    curve = prob._curve_rows(profile, 1.0, None, min_samples=3).whole()
     assert curve.t.size == round(profile.result.t_max / profile.dt) + 1
 
 
 @pytest.mark.parametrize("grid", [qa.TimeGridSpec(dt=0.5), qa.TimeGridSpec(t_end=102.0)])
 def test_explicit_grid_keeps_integration_limit(grid):
     profile = synthetic_profile(np.r_[1.0, np.zeros(200)])
-    curve = prob._curve_from_profile(profile, 1.0, grid, min_samples=3)
+    curve = prob._curve_rows(profile, 1.0, grid, min_samples=3).whole()
     assert curve.t.size == 201
     assert curve.t[-1] == profile.t0 + profile.result.t_max
 
@@ -95,7 +95,7 @@ def test_volume_curve_end_is_scale_invariant(iso_amp, source):
     profiles = [prob._occupation_profile(wp.detector_occupation(amp, det, source, quad),
                                          source, quad)
                 for amp in (iso_amp, scaled)]
-    curves = [prob._curve_from_profile(profile, bound, None, min_samples=3)
+    curves = [prob._curve_rows(profile, bound, None, min_samples=3).whole()
               for profile in profiles]
     assert curves[0].t.size < round(curves[0].denominator.t_max / quad.dt) + 1
     assert curves[1].t.size == curves[0].t.size
@@ -159,7 +159,7 @@ def test_row_budget_reads_the_runs_own_step(tmp_path, capsys, monkeypatch):
     path = tmp_path / "scn.txt"
     path.write_text(ISO_SPHERE + "grid.t_end = 20000\n")
     assert cli_main(["validate", str(path)]) == 0
-    assert scenario_mod._prepare(qa.parse_scenario(path))["curve"].t.size == 1651549
+    assert scenario_mod._prepare(qa.parse_scenario(path))["curve"].size == 1651549
     assert os.listdir(tmp_path) == ["scn.txt"]
     calls = []
     monkeypatch.setattr(quad_mod, "semiinfinite_profile", lambda *a, **k: calls.append(1))
@@ -188,7 +188,7 @@ def test_row_budget_after_profile_names_key(grid, quad, key):
     profile = dataclasses.replace(profile, result=dataclasses.replace(
         profile.result, t_max=0.5 * prob._MAX_GRID_ROWS))
     with pytest.raises(qa.ScenarioError) as err:
-        prob._curve_from_profile(profile, 1.0, grid, min_samples=3, quad=quad)
+        prob._curve_rows(profile, 1.0, grid, min_samples=3, quad=quad).whole()
     assert err.value.field == key
 
 

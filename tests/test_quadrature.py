@@ -186,6 +186,19 @@ def test_differentiate_sine():
     assert np.max(np.abs(d - np.cos(t))) <= 1e-6
 
 
+@pytest.mark.parametrize("n, block", [(3, 2), (5, 2), (7, 3), (1025, 1024), (1026, 1024)])
+def test_differentiate_blocks_match_the_whole_series(n, block):
+    # a block passes its rows with two before and one after, as a run does;
+    # every last block holds one row but 1026's, which holds two
+    y = np.sin(np.linspace(0.0, 3.0, n)) ** 3
+    blocks = []
+    for lo in range(0, n, block):
+        a = max(lo - 2, 0)
+        blocks.append(differentiate_sampled(y[a:min(lo + block + 1, n)], 0.01, lo - a,
+                                            min(lo + block, n) - a))
+    assert np.concatenate(blocks).tobytes() == differentiate_sampled(y, 0.01).tobytes()
+
+
 def test_differentiate_contract():
     with pytest.raises(ValueError):
         differentiate_sampled([1.0, 2.0], 0.1)

@@ -396,15 +396,16 @@ def test_time_controls_resolved_once(tmp_path, monkeypatch, text):
 
 def count_column_formats(monkeypatch) -> list:
     """Record each column block the CSV writers format, whether its table
-    is written to a file or kept as text."""
-    real = prob_mod._format_block
+    is written to a file or kept as text: the blocks of a block of rows go
+    to `_format_columns` together, and to one `_format_block` call."""
+    real = prob_mod._format_columns
     blocks = []
 
-    def counted(block):
-        blocks.append(block.tobytes())
-        return real(block)
+    def counted(group):
+        blocks.extend(block.tobytes() for block in group)
+        return real(group)
 
-    monkeypatch.setattr(prob_mod, "_format_block", counted)
+    monkeypatch.setattr(prob_mod, "_format_columns", counted)
     return blocks
 
 
@@ -423,7 +424,7 @@ def test_coupling_sweep_formats_each_column_once(tmp_path, monkeypatch):
     rows = qa.run_sweep(qa.parse_sweep(tmp_path / "sweep.txt"), tmp_path / "out", jobs=1)
     assert [row["status"] for row in rows] == ["ok"] * 3
     r = scenario_mod._prepare(qa.parse_scenario_text(POINT_FAST))
-    curve, arrival = r["curve"], r["arrival"]
+    curve, arrival = r["curve"].whole(), r["arrival"].whole()
     scheds = [detector_mod.coupling_schedule(curve, k) for k in (0.25, 0.5, 0.75)]
     # p_direction is 1, so p_entry has the bits of p_conditional and is never
     # formatted on its own; t, p_conditional, density and entry_rate once in
@@ -871,6 +872,7 @@ def test_cli_closure_underflow_is_numerical_error(tmp_path, capsys):
                     "grid.dt = 60\ngrid.t_end = 180\n")
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "numerical error: detector propagation" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "out") == []
 
 
 @pytest.mark.parametrize("lines, key", [
@@ -991,7 +993,8 @@ def test_run_csvs_match_per_value_format(tmp_path, text):
     s = qa.parse_scenario_text(text)
     qa.run_scenario(s, tmp_path)
     r = scenario_mod._prepare(s)
-    curve, arrival = r["curve"], r["arrival"]
+    curve = r["curve"].whole()
+    arrival = r["arrival"] and r["arrival"].whole()
     sched = detector_mod.coupling_schedule(curve, s.coupling_k)
     files = {"entry_curve.csv": ("t,p_conditional,p_entry",
                                  (curve.t, curve.p_conditional, curve.p_entry)),

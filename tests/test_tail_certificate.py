@@ -105,7 +105,7 @@ def check_certificate(amp, det, source, quad):
         assert on.result.error_estimate >= off.value - on.result.value, (on.result, off)
         assert abs(on.result.value / off.value - 1.0) <= quad.eps_tail
     if on.result.converged:
-        entry = prob._curve_from_profile(on, p_direction, None, min_samples=3)
+        entry = prob._curve_rows(on, p_direction, None, min_samples=3).whole()
         assert abs(entry.p_conditional[-1] - 1.0) <= quad.eps_tail
 
 

@@ -156,8 +156,8 @@ def _panel_samples(omega, h):
 
 
 @pytest.mark.parametrize("n_t, h, t0, columns, panels", [
-    (3001, 0.004, 26.8, None, True),   # several panels, partial last one
-    (3001, 0.004, 26.8, 3, True),      # the same with 2-d coefficients
+    (3001, 0.004, -38.8, None, True),  # before the emission, as a mirrored window's
+    (3001, 0.004, 26.8, 3, True),      # several panels, partial last one; 2-d coefficients
     (3001, 0.004, 26.8, 1, True),      # one column; 401 samples per panel
     (2000, 0.0025, 26.8, 19, True),    # 641 per panel: two row blocks and a part
     (700, 0.03, 0.0, 2, True),         # short panels near the branch threshold
@@ -492,12 +492,14 @@ def test_compressed_fold_blocks_match_whole_coefficients(iso_amp, source):
 
 
 @pytest.mark.parametrize("radius, nodes, bound_mib", [(0.5, 8, 8), (0.5, 12, 16),
-                                                      (12.0, 4, 40), (12.0, 8, 10)])
+                                                      (12.0, 4, 8), (12.0, 8, 10)])
 def test_occupation_memory_is_bounded(iso_amp, source, radius, nodes, bound_mib):
     # traced peaks of the whole folds were 15.9, 116.6 and 183.0 MiB: the
     # (X*A, C) map of the r = 0.5 spheres and the (X, 8, P) phases of the
     # radius-12 sphere's direct profile; its compressed profile at 8 x 8 nodes
-    # peaked at 22.7 MiB with whole (P, C) coefficients
+    # peaked at 22.7 MiB with whole (P, C) coefficients.  The radius-12
+    # sphere at 4 x 4 nodes folds onto Chebyshev nodes in blocks and peaks at
+    # 5.7 MiB (10.5 with the direct fold)
     det = qa.sphere_detector([0.0, 0.0, 20.0], radius, source)
     quad = QuadratureSpec(polar_nodes=nodes, azimuth_nodes=nodes)
     tracemalloc.start()
