@@ -117,11 +117,12 @@ def _arrival_rows(profile: OccupationProfile,
     n = _mass_end(profile, min_samples=3)   # a run's entry curve ends here too
     taus = profile.dt * np.arange(n + 1)
     values = np.interp(taus, profile.tau, profile.values)
-    mass = float(np.trapezoid(values, taus))
-    if not mass > 0.0:
+    try:
+        stats = stats_from_samples(taus, values)
+    except IntegrationError:    # raised only for samples of zero mass
         raise IntegrationError("arrival density vanishes along the line of sight",
-                               estimate=tail.error_estimate)
-    stats = stats_from_samples(taus, values)
+                               estimate=tail.error_estimate) from None
+    mass = stats.normalizer.value
     normalizer = SemiInfiniteResult(
         value=mass,
         error_estimate=max(tail.error_estimate, abs(tail.value - mass)),

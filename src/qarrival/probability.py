@@ -262,16 +262,6 @@ def _format_columns(blocks: list) -> list:
     return np.split(cells, np.cumsum([len(block) for block in blocks[:-1]]))
 
 
-def format_columns(*columns: np.ndarray) -> dict:
-    """The texts of each _CSV_BLOCK block of float `columns`, by the block's
-    bits: columns every row of a sweep writes, for `write_tables` to read."""
-    texts = {}
-    for lo in range(0, max(map(len, columns), default=0), _CSV_BLOCK):
-        blocks = [column[lo:lo + _CSV_BLOCK] for column in columns if lo < len(column)]
-        texts.update(zip((block.tobytes() for block in blocks), _format_columns(blocks)))
-    return texts
-
-
 def _open_tables(stack: ExitStack, tables) -> list:
     """The binary streams of (sink, header) pairs, whose sink is a path or an
     open binary stream, each with its header written.  The files opened
@@ -314,17 +304,16 @@ def _write_rows(sinks: list, blocks: list, shared: dict):
         fh.write(rows[rows != 0])
 
 
-def write_tables(tables, shared: dict | None = None):
+def write_tables(tables):
     """Write CSV tables, (sink, header, float columns) triples whose sink is a
     path or an open binary stream, in step, _CSV_BLOCK rows at a time
-    (`_write_rows`), reading the texts of column blocks in `shared`
-    (`format_columns`)."""
+    (`_write_rows`)."""
     with ExitStack() as stack:
         sinks = _open_tables(stack, [(sink, header) for sink, header, _ in tables])
         for lo in range(0, max((len(c[0]) for _, _, c in tables), default=0), _CSV_BLOCK):
             _write_rows(sinks, [tuple(c[lo:lo + _CSV_BLOCK] for c in columns)
                                 if lo < len(columns[0]) else () for _, _, columns in tables],
-                        shared or {})
+                        {})
 
 
 def resolve_time_controls(amp: MomentumAmplitude, source: EmissionEvent,

@@ -9,8 +9,6 @@ JSON summary.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 from contextlib import ExitStack, contextmanager
@@ -307,11 +305,6 @@ def emit_scenario(s: Scenario) -> str:
     return "".join(lines)
 
 
-def _write_bytes(path, data: bytes):
-    with open(path, "wb") as fh:
-        fh.write(data)
-
-
 # --- building the physics objects -------------------------------------------
 
 def load_table(path) -> tuple[np.ndarray, np.ndarray]:
@@ -500,10 +493,11 @@ def run_scenario(s: Scenario, out_dir) -> dict:
 
 def _run(s: Scenario, out_dir, prepared: dict | None = None) -> dict:
     """`run_scenario`, from the stages a sweep shares in `prepared`: `_prepare`
-    results, plus the bytes of each file (by name) that they write and, under
-    "columns", the texts of columns every row writes (`_share_texts`).  The
-    files a run writes itself are computed and written a block of rows at a
-    time, so it holds its occupation profile and one block."""
+    results, plus a function that writes each file (by name) that they write
+    to a path and, under "columns", one giving the texts of columns every row
+    writes (`sweepfiles.share`).  The files a run writes itself are computed
+    and written a block of rows at a time, so it holds its occupation profile
+    and one block."""
     os.makedirs(out_dir, exist_ok=True)
     r = _prepare(s, shared=prepared)
     (source, amp), det = r["amplitude"], r["detector"]
@@ -515,18 +509,20 @@ def _run(s: Scenario, out_dir, prepared: dict | None = None) -> dict:
     tables = [(j, os.path.join(out_dir, name), header)
               for j, (name, stage, header) in enumerate(_FILES)
               if name not in r and (stage == "schedule" or r[stage] is not None)]
+    columns = r.get("columns", lambda i, schedule: {})
     with ExitStack() as stack:
         sinks = prob_mod._open_tables(stack, [table[1:] for table in tables])
-        for blocks in detector_mod._run_blocks(curve, s.coupling_k, prob_mod._CSV_BLOCK,
-                                               closure, arrival):
+        for i, blocks in enumerate(detector_mod._run_blocks(
+                curve, s.coupling_k, prob_mod._CSV_BLOCK, closure,
+                None if "arrival.csv" in r else arrival)):
             prob_mod._write_rows(sinks, [blocks[j] for j, _, _ in tables],
-                                 r.get("columns", {}))
+                                 columns(i, blocks[1]))
             if blocks[0]:   # the curve's last block gives the final values
                 (_, conditional, p_entry), angle = blocks[0], blocks[1][2]
         residuals = closure.finish()
     for name, _, _ in _FILES:
         if name in r:
-            _write_bytes(os.path.join(out_dir, name), r[name])
+            r[name](os.path.join(out_dir, name))
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -552,8 +548,8 @@ def _run(s: Scenario, out_dir, prepared: dict | None = None) -> dict:
         "converged": bool(curve.denominator.converged
                           and (arrival is not None or not s.is_point)),
     }
-    _write_bytes(os.path.join(out_dir, "summary.json"),
-                 (json.dumps(summary, indent=2) + "\n").encode())
+    with open(os.path.join(out_dir, "summary.json"), "wb") as fh:
+        fh.write((json.dumps(summary, indent=2) + "\n").encode())
     return summary
 
 
@@ -673,22 +669,6 @@ def _sweep_row(template: Scenario, parameter: str, out_dir, value: float,
     return row
 
 
-def _share_texts(template: Scenario, prepared: dict) -> dict:
-    """`prepared` with the bytes of each file its stages write, formatted in
-    one pass.  When they include the entry curve, the schedule's columns
-    that do not depend on k (`t`, `entry_rate`) are formatted once too, and
-    kept under "columns" for every row's schedule.csv to read."""
-    whole = {stage: prepared[stage].whole() for stage in ("curve", "arrival")
-             if prepared.get(stage) is not None}
-    shared = {}
-    if "curve" in whole:
-        sched = detector_mod.coupling_schedule(whole["curve"], template.coupling_k)
-        shared = prob_mod.format_columns(sched.t, sched.entry_rate)
-    files = [(name, io.BytesIO(), whole[stage]) for name, stage, _ in _FILES if stage in whole]
-    prob_mod.write_tables([(buf, *result.csv_table()) for _, buf, result in files], shared)
-    return prepared | {name: buf.getvalue() for name, buf, _ in files} | {"columns": shared}
-
-
 def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
     """One scenario run per value, one after another in this process; rows
     are independent and sorted by value.  `jobs` is accepted and ignored.
@@ -696,21 +676,27 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
     Per-row failures are recorded in the row and the sweep continues.  The
     stages of a run before the first one the swept key changes (`_SWEEPABLE`)
     are computed once here from the template, with the text of the files they
-    write, and every row reads them.  If that fails, every row whose own
-    value passes records the template's error.  A `grid.*` sweep's template
-    stops before the entry curve, so only each row's own grid is checked.
+    write (streamed to temporary files), and every row reads them.  If that
+    fails, every row whose own value passes records the template's error.  A
+    `grid.*` sweep's template stops before the entry curve, so only each
+    row's own grid is checked.
     """
+    import csv      # imported here, so a single run loads and compiles neither
+    from . import sweepfiles
     template = parse_scenario(spec.scenario_path)
     if spec.parameter == "detector.distance":
         _apply_distance(template, 1.0)     # refuses a template without a line of sight
     os.makedirs(out_dir, exist_ok=True)
     prepared = failure = None
-    try:
-        prepared = _share_texts(template, _prepare(template, _SWEEPABLE[spec.parameter]))
-    except Exception as exc:  # noqa: BLE001 - the rows record it
-        failure = exc
-    rows = [_sweep_row(template, spec.parameter, out_dir, v, prepared, failure)
-            for v in sorted(spec.values)]
+    with ExitStack() as stack:
+        try:
+            prepared = sweepfiles.share(_prepare(template, _SWEEPABLE[spec.parameter]),
+                                        _FILES, template.coupling_k, out_dir, stack)
+        except Exception as exc:  # noqa: BLE001 - the rows record it
+            failure = exc
+            stack.close()
+        rows = [_sweep_row(template, spec.parameter, out_dir, v, prepared, failure)
+                for v in sorted(spec.values)]
 
     with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8",
               newline="") as fh:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qarrival as qa
+from qarrival import arrival as arrival_mod
 from qarrival import probability as prob
 from qarrival import quadrature as quad_mod
 from qarrival import scenario as scenario_mod
@@ -71,6 +72,15 @@ def test_slow_tail_keeps_full_grid():
     profile = synthetic_profile(1.0 / (1.0 + 0.5 * np.arange(401)))
     curve = prob._curve_rows(profile, 1.0, None, min_samples=3).whole()
     assert curve.t.size == round(profile.result.t_max / profile.dt) + 1
+
+
+def test_massless_arrival_keeps_its_messages():
+    # one integral of the mass serves both checks; each keeps its message
+    profile = synthetic_profile(np.zeros(20))
+    with pytest.raises(qa.IntegrationError, match="vanishes along the line of sight"):
+        arrival_mod._arrival_rows(profile)
+    with pytest.raises(qa.IntegrationError, match="has zero mass"):
+        arrival_mod.stats_from_samples(profile.tau, profile.values)
 
 
 @pytest.mark.parametrize("grid", [qa.TimeGridSpec(dt=0.5), qa.TimeGridSpec(t_end=102.0)])

@@ -238,8 +238,32 @@ def test_panel_breaks():
     assert abs(float(w0 @ (np.abs(x0 - 2.9) * (x0 - 1.0))) - exact) > 1e-6
 
 
-@pytest.mark.parametrize("n", [*range(1, 65), 100, 200])
+LEGGAUSS_ORDERS = [*range(1, 65), 100, 200]
+# the orders whose rule fails its checks when long double is plain double
+LEGGAUSS_NEEDS_LONG_DOUBLE = {41, 44, 50, 56, 57, 60, 61, 63, 100, 200}
+
+
+@pytest.mark.parametrize("n", LEGGAUSS_ORDERS)
 def test_leggauss_rule(n):
+    check_leggauss_rule(n)
+
+
+@pytest.mark.parametrize("n", [
+    pytest.param(n, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 4: _leggauss needs a long double wider than double"))
+    if n in LEGGAUSS_NEEDS_LONG_DOUBLE else n for n in LEGGAUSS_ORDERS])
+def test_leggauss_rule_where_long_double_is_double(n, monkeypatch):
+    # emulates MSVC and macOS arm64, whose long double is plain double; the
+    # cache is cleared on both sides so no rule crosses the emulation
+    _leggauss.cache_clear()
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    try:
+        check_leggauss_rule(n)
+    finally:
+        _leggauss.cache_clear()
+
+
+def check_leggauss_rule(n):
     # the rule integrates x^k, k <= 2n - 1, to 1e-14 of Integral |x|^k; its
     # nodes ascend and mirror to the bit; it agrees with numpy's leggauss,
     # whose weights are the less exact (2e-11 relative at n = 200)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qarrival as qa
-from qarrival import ScenarioError
+from qarrival import IntegrationError, ScenarioError
 from qarrival import arrival as arrival_mod
 from qarrival import detector as detector_mod
 from qarrival import probability as prob_mod
@@ -442,6 +442,64 @@ def test_coupling_sweep_formats_each_column_once(tmp_path, monkeypatch):
                         tmp_path / "single" / k)
         assert _tree_bytes(tmp_path / "out" / f"coupling.k={k}") \
             == _tree_bytes(tmp_path / "single" / k)
+
+
+def write_k_sweep(tmp_path, text: str, values: str):
+    (tmp_path / "scn.txt").write_text(text)
+    (tmp_path / "sweep.txt").write_text(
+        "sweep.scenario = scn.txt\nsweep.parameter = coupling.k\n"
+        f"sweep.values = {values}\n")
+    return qa.parse_sweep(tmp_path / "sweep.txt")
+
+
+def test_coupling_sweep_holds_what_one_run_holds(tmp_path):
+    # the template streams its shared files, and the texts of the schedule's
+    # t and entry_rate, to temporary files, and each row reads them back a
+    # block at a time; held whole, at ~150 B a row, they would lift the
+    # sweep's peak to ~5x a run's at this grid
+    text = POINT_FAST + "grid.t_end = 200\n"
+    spec = write_k_sweep(tmp_path, text, "0.25 0.5 0.75")
+    peaks = []
+    # the sweep goes first, so it also builds the module caches
+    for run in (lambda: qa.run_sweep(spec, tmp_path / "sweep"),
+                lambda: qa.run_scenario(qa.parse_scenario_text(text), tmp_path / "run")):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    rows = (tmp_path / "run" / "schedule.csv").read_bytes().count(b"\n") - 1
+    assert rows > 30 * prob_mod._CSV_BLOCK
+    assert peaks[0] <= 1.25 * peaks[1]
+
+
+def fail_after_first_block(p_conditional, p_entry, starts):
+    if not starts:
+        raise IntegrationError("entry probability is not nondecreasing")
+
+
+@pytest.mark.parametrize("case", ["ok", "template fails", "rows fail"])
+def test_coupling_sweep_leaves_only_its_rows(tmp_path, monkeypatch, case):
+    # the template's shared files are unnamed temporary files in the output
+    # directory: none is left, none stays open, and a failed row writes no CSV
+    if case == "template fails":    # in its shared pass, past the first block
+        monkeypatch.setattr(detector_mod, "_check_entry_rows", fail_after_first_block)
+    elif case == "rows fail":       # in each row's closure; the template has none
+        monkeypatch.setattr(detector_mod, "_LOCAL_TOL", 1e-300)
+    spec = write_k_sweep(tmp_path, POINT_FAST, "0.25 0.5")
+    open_files = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    rows = qa.run_sweep(spec, tmp_path / "out")
+    if open_files is not None:
+        assert len(os.listdir("/proc/self/fd")) == open_files
+    names = ["coupling.k=0.25", "coupling.k=0.5"]
+    assert sorted(os.listdir(tmp_path / "out")) == names + ["sweep.csv"]
+    error = {"ok": "", "template fails": "entry probability is not nondecreasing",
+             "rows fail": "detector propagation step size underflow"}[case]
+    for name, row in zip(names, rows):
+        assert row["error"].startswith(error)
+        assert sorted(os.listdir(tmp_path / "out" / name)) == ([] if error else [
+            "arrival.csv", "entry_curve.csv", "schedule.csv", "summary.json"])
 
 
 def test_grid_sweep_rows_share_arrival_csv(tmp_path):
@@ -956,17 +1014,15 @@ def test_csv_columns_merge_only_equal_bits(tmp_path, monkeypatch, value, twin):
 
 def test_csv_tables_in_step_across_block_boundaries(tmp_path, monkeypatch):
     # the long tables cross two block boundaries; the short one shares its
-    # first block of t, but not its shorter second one, and t and d are
-    # formatted ahead, as a sweep formats its shared columns
+    # first block of t, but not its shorter second one
     cols = csv_columns()
     short = prob_mod._CSV_BLOCK + 904
     t, a, b, c, d = np.concatenate((cols, cols), axis=1)[:, :2 * prob_mod._CSV_BLOCK + 808]
     tables = {"long.csv": ("t,a,b", (t, a, b)), "short.csv": ("t,c", (t[:short], c[:short])),
               "other.csv": ("t,d,a", (t, d, a))}
     formatted = count_column_formats(monkeypatch)
-    shared = prob_mod.format_columns(t, d)
     prob_mod.write_tables([(tmp_path / name, header, columns)
-                           for name, (header, columns) in tables.items()], shared)
+                           for name, (header, columns) in tables.items()])
     for name, (header, columns) in tables.items():
         assert (tmp_path / name).read_bytes() == per_value_csv(header, columns)
     blocks = {column[lo:lo + prob_mod._CSV_BLOCK].tobytes()
