@@ -122,18 +122,20 @@ def _schedule_rows(p_entry: np.ndarray, k: float, dt: float, first: int = 0,
 def _run_blocks(curve, k: float, rows: int, closure=None, arrival=None):
     """The columns of a run's tables a block of `rows` rows at a time, each
     an empty tuple past its table's end: the entry curve's (t, p_conditional,
-    p_entry), read off `curve` (a `probability._CurveRows`) and checked; the
-    schedule's (t, rate, angle, p_registered, entry_rate), whose rows are
-    fed to `closure` when given; and the arrival density's (t, density), off
-    `arrival`.  Either source may be None.  The rates read the rows around a
-    block, one after it and two before."""
+    p_entry), read off `curve` (a `probability._CurveRows`) and checked,
+    unless a pass checked it before (`curve.checked`); the schedule's (t,
+    rate, angle, p_registered, entry_rate), whose rows are fed to `closure`
+    when given; and the arrival density's (t, density), off `arrival`.
+    Either source may be None.  The rates read the rows around a block, one
+    after it and two before."""
     size = 0 if curve is None else curve.size
     for lo in range(0, max(size, 0 if arrival is None else arrival.size), rows):
         entry = schedule = density = ()
         if lo < size:
             a = max(lo - 2, 0)
             t, conditional, p_entry = curve.rows(a, min(lo + rows + 1, curve.size))
-            _check_entry_rows(conditional, p_entry, starts=a == 0)
+            if not curve.checked:
+                _check_entry_rows(conditional, p_entry, starts=a == 0)
             block = slice(lo - a, min(lo + rows, curve.size) - a)
             angle, rate, entry_rate = _schedule_rows(p_entry, k, curve.dt, block.start,
                                                      block.stop)

@@ -109,12 +109,15 @@ def _check_entry_rows(p_conditional: np.ndarray, p_entry: np.ndarray, starts: bo
 @dataclass(frozen=True, eq=False)
 class _CurveRows:
     """An entry curve's rows, t = t0 + dt k for k < `size`, read off its
-    occupation profile a block at a time."""
+    occupation profile a block at a time.  `checked` when a pass has
+    checked every block (`_check_entry_rows`): a sweep's template, whose
+    rows read the same blocks."""
 
     profile: OccupationProfile
     p_direction: float
     dt: float
     size: int
+    checked: bool = False
 
     @property
     def denominator(self) -> SemiInfiniteResult:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -25,9 +26,9 @@ def share(prepared: dict, tables, k: float, out_dir, stack) -> dict:
     """`prepared` with, by name, a function that writes each file its stages
     write to a path and, under "columns" when they include the entry curve,
     one that gives the texts of the `t` and `entry_rate` of block i of a
-    row's schedule.  `tables` are a run's (name, stage, header) triples in
-    the order of `detector._run_blocks`; the temporary files are closed by
-    `stack`."""
+    row's schedule, with the curve marked checked.  `tables` are a run's
+    (name, stage, header) triples in the order of `detector._run_blocks`;
+    the temporary files are closed by `stack`."""
     files = [(j, name, header) for j, (name, stage, header) in enumerate(tables)
              if prepared.get(stage) is not None]
     if not files:
@@ -47,7 +48,9 @@ def share(prepared: dict, tables, k: float, out_dir, stack) -> dict:
         prob_mod._write_rows(sinks, [blocks[j] for j, _, _ in files], columns)
     shared = {name: partial(_copy, fh) for fh, (_, name, _) in zip(temp, files)}
     if texts is not None:
-        shared["columns"] = partial(_read_columns, texts)
+        # this pass checked every block of the curve the rows read
+        shared |= {"columns": partial(_read_columns, texts),
+                   "curve": replace(curve, checked=True)}
     return prepared | shared
 
 

@@ -12,7 +12,8 @@ and its superposition over the detector's direction cone (hbar = 1).
 psi at a point and every occupation curve take one path: a composite
 Gauss-Legendre radial rule of 32 nodes per panel, sized by the phase rate
 |n.(x - x0) - p (t - t0) / m| (at least 8 nodes per period) and refined by
-doubling, one channel fold onto Chebyshev nodes in r, and one phase-sum kernel.
+doubling, one channel fold onto Chebyshev nodes in r (over a volume's rings
+of points and their azimuthal frequencies), and one phase-sum kernel.
 """
 
 from __future__ import annotations
@@ -326,8 +327,12 @@ def _radial_rule(amp: MomentumAmplitude, panels: int) -> tuple[np.ndarray, np.nd
 
 _P_BLOCK = 1024         # momentum columns per block of the phase-sum kernel
 _FOLD_CELLS = 2 ** 16   # cells of the largest temporary of a channel fold
+_SUM_CELLS = 2 ** 14    # sums per block of the kernel's reduction: a point's
+                        # window of at most 8192 samples is one block
 _ROW_BLOCK = 256        # samples per block of the kernel's direct sums and
                         # of its panel interpolation
+_RING_DROP = 1e-12      # a ring frequency whose every gain is at most this
+                        # much of the sum of their magnitudes is dropped
 _PANEL_PHASE = 16.0     # phase half-width [rad] of one Chebyshev tau-panel
 _PANEL_NODES = 44       # its Chebyshev nodes: interpolates exp(i k x), |k x| <= 16,
                         # to ~3e-15 (the 1.4 * 16 + 16 = 39 rule leaves 3.5e-12)
@@ -402,24 +407,35 @@ def _panel_node_sums(detuning: np.ndarray, half_span: float, centres: np.ndarray
     return node_sums
 
 
-def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs) -> np.ndarray:
-    """(taus, columns) sums Sum_p exp(-i omega_p tau_i) coeffs[p, :] for every
-    tau_i, the coefficients read through `coeffs`, a function of a slice of
-    momenta that returns those rows as a (rows, columns) array.
+def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs,
+                reduce=lambda sums: sums) -> np.ndarray:
+    """reduce(S) of the (taus, columns) sums S_i = Sum_p exp(-i omega_p tau_i)
+    coeffs[p, :] for every tau_i, the coefficients read through `coeffs`, a
+    function of a slice of momenta that returns those rows as a (rows,
+    columns) array.  `reduce` maps a block of rows of S to those rows of the
+    output (the sums themselves by default); it sees blocks of at most
+    _SUM_CELLS sums, so no (taus, columns) array is held unless it keeps one.
 
     The sum is band-limited in tau.  On a uniform grid the samples are split
     into panels over which the band-centred sum turns by at most
     _PANEL_PHASE radians either way from the panel centre; it is evaluated
     exactly on the panel's Chebyshev nodes and mapped onto the samples by one
-    barycentric matrix shared by all panels (the band-limited compression
-    behind NUFFTs), built and applied _ROW_BLOCK sample offsets at a time.
-    Short, non-uniform or undersampled grids are summed directly.  Both
-    branches walk the momentum axis in blocks of _P_BLOCK columns and the
+    barycentric matrix shared by the panels of a block (the band-limited
+    compression behind NUFFTs), built and applied _ROW_BLOCK sample offsets
+    at a time.  Short, non-uniform or undersampled grids are summed directly.
+    Both branches walk the momentum axis in blocks of _P_BLOCK columns and the
     samples in blocks of _ROW_BLOCK, so no time-by-momentum or time-by-node
-    matrix is ever held, and read each block of coefficients once.
+    matrix is ever held.  The panel branch reads each block of coefficients
+    once; the direct branch once per block of the reduction, so once when
+    the samples times the columns fit _SUM_CELLS (a point's window), and
+    otherwise its C P cosines and sines again per block of _SUM_CELLS / C
+    samples, beside the block's _SUM_CELLS P / C exponentials.
     """
     taus = np.asarray(taus, dtype=float)
-    n_t = taus.size
+    n_t, n_cols = taus.size, coeffs(slice(0)).shape[1]
+    rows = max(1, _SUM_CELLS // n_cols)         # samples per block of the reduction
+    empty = reduce(np.zeros((0, n_cols), dtype=complex))
+    out = np.empty((n_t, *empty.shape[1:]), dtype=empty.dtype)
     h = _uniform_step(taus)
     w_mid = 0.5 * (omega.max() + omega.min())
     half_band = 0.5 * (omega.max() - omega.min())
@@ -430,31 +446,47 @@ def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs) -> np.ndarray:
     # with fewer samples per panel than half its node count, the node sums
     # cost more than summing the samples directly
     if per_panel < _PANEL_NODES // 2:
-        out = np.zeros((n_t, coeffs(slice(0)).shape[1]), dtype=complex)
-        for p0 in range(0, omega.size, _P_BLOCK):
-            cols = slice(p0, p0 + _P_BLOCK)
-            block = coeffs(cols)
-            for t0 in range(0, n_t, _ROW_BLOCK):
-                rows = slice(t0, t0 + _ROW_BLOCK)
-                out[rows] += np.exp(np.outer(taus[rows], -1j * omega[cols])) @ block
+        for b0 in range(0, n_t, rows):
+            at = taus[b0:b0 + rows]
+            sums = np.zeros((at.size, n_cols), dtype=complex)
+            for p0 in range(0, omega.size, _P_BLOCK):
+                cols = slice(p0, p0 + _P_BLOCK)
+                block = coeffs(cols)
+                for t0 in range(0, at.size, _ROW_BLOCK):
+                    phases = np.outer(at[t0:t0 + _ROW_BLOCK], -1j * omega[cols])
+                    sums[t0:t0 + _ROW_BLOCK] += np.exp(phases, out=phases) @ block
+                    del phases      # each temporary before the next is built
+                del block
+            out[b0:b0 + at.size] = reduce(sums)
+            del sums
         return out
     n_panels = -(-n_t // per_panel)
     half_span = 0.5 * (per_panel - 1) * h
     centres = taus[0] + half_span + h * per_panel * np.arange(n_panels)
     node_sums = _panel_node_sums(omega - w_mid, half_span, centres, coeffs)
-    # the interpolation matrix depends on the sample's offset in its panel
-    # only, so each block of offsets serves every panel
-    samples = np.empty((n_panels, per_panel, node_sums.shape[2]), dtype=complex)
-    for r0 in range(0, per_panel, _ROW_BLOCK):
-        rows = slice(r0, r0 + _ROW_BLOCK)
-        offsets = h * np.arange(r0, min(r0 + _ROW_BLOCK, per_panel)) - half_span
-        np.matmul(_cheb_interp_matrix(-half_span, half_span, _PANEL_NODES, offsets),
-                  node_sums, out=samples[:, rows])
-    samples = samples.reshape(n_panels * per_panel, -1)[:n_t]
-    for t0 in range(0, n_t, _ROW_BLOCK):
-        rows = slice(t0, t0 + _ROW_BLOCK)
-        samples[rows] *= np.exp(-1j * w_mid * taus[rows])[:, None]
-    return samples
+    # a block of the reduction holds whole panels, or a run of one panel's samples
+    panels, run = max(1, rows // per_panel), min(rows, per_panel)
+    for k0 in range(0, n_panels, panels):
+        for j0 in range(0, per_panel, run):
+            b0 = k0 * per_panel + j0
+            if b0 >= n_t:
+                break
+            sums = np.empty((min(panels, n_panels - k0), min(run, per_panel - j0), n_cols),
+                            dtype=complex)
+            # the interpolation matrix depends on the sample's offset in its
+            # panel only, so each block of offsets serves every panel
+            for r0 in range(0, sums.shape[1], _ROW_BLOCK):
+                offsets = h * np.arange(j0 + r0, j0 + min(r0 + _ROW_BLOCK, sums.shape[1])) \
+                    - half_span
+                np.matmul(_cheb_interp_matrix(-half_span, half_span, _PANEL_NODES, offsets),
+                          node_sums[k0:k0 + panels], out=sums[:, r0:r0 + _ROW_BLOCK])
+            sums = sums.reshape(-1, n_cols)[:n_t - b0]
+            at = taus[b0:b0 + sums.shape[0]]
+            for t0 in range(0, at.size, _ROW_BLOCK):
+                sums[t0:t0 + _ROW_BLOCK] *= np.exp(-1j * w_mid * at[t0:t0 + _ROW_BLOCK])[:, None]
+            out[b0:b0 + sums.shape[0]] = reduce(sums)
+            del sums
+    return out
 
 
 def _fold_nodes(amp: MomentumAmplitude, r_lo: float, r_hi: float) -> np.ndarray:
@@ -470,23 +502,53 @@ def _fold_nodes(amp: MomentumAmplitude, r_lo: float, r_hi: float) -> np.ndarray:
 
 def _channel_map(r_chan: np.ndarray, gains: np.ndarray, r_lo: float, r_hi: float,
                  order: int, p_mid: float) -> np.ndarray:
-    """The channel fold's (points, order) map from the Chebyshev r-nodes of
-    [r_lo, r_hi] to the points: Sum_a gains[a] exp(i p_mid r[x, a]) times the
-    barycentric row of r[x, a].  Each row depends on its own distances only,
-    so it is built a block of points and of channels at a time, at most
-    _FOLD_CELLS cells per block, and summed over the channel blocks."""
+    """The channel fold's (points, F, order) map from the Chebyshev r-nodes
+    of [r_lo, r_hi] to the points: Sum_a gains[a, f] exp(i p_mid r[x, a])
+    times the barycentric row of r[x, a], for each column f of the (channels,
+    F) `gains`.  Each barycentric row depends on its own distance only, so it
+    is built once per point and channel, a block of points and of channels
+    at a time, at most _FOLD_CELLS cells per block, and contracted with all
+    F columns of gains by one product per point, summed over the blocks."""
     n_points, n_chan = r_chan.shape
-    mix = np.zeros((n_points, order), dtype=complex)
+    mix = np.zeros((n_points, gains.shape[1], order), dtype=complex)
     chans = max(1, min(n_chan, _FOLD_CELLS // order))
     step = max(1, _FOLD_CELLS // (chans * order))
     for x0 in range(0, n_points, step):
         for a0 in range(0, n_chan, chans):
             r = r_chan[x0:x0 + step, a0:a0 + chans]                       # (x, a)
-            interp = _cheb_interp_matrix(r_lo, r_hi, order, r.ravel())
-            carrier = gains[None, a0:a0 + chans] * np.exp(1j * p_mid * r)
-            mix[x0:x0 + step] += (interp.reshape(*r.shape, order)
-                                  * carrier[:, :, None]).sum(axis=1)
+            terms = _cheb_interp_matrix(r_lo, r_hi, order, r.ravel()).reshape(*r.shape, order) \
+                * np.exp(1j * p_mid * r)[:, :, None]
+            mix[x0:x0 + step] += gains[a0:a0 + chans].T @ terms
     return mix
+
+
+def _ring_gains(gains: np.ndarray, n_az: int) -> np.ndarray:
+    """The (channels, F) gains of a volume's ring fold, from the gains of its
+    cap channels (polar-major, `n_az` azimuths each).
+
+    `volume_grid` and `cap_directions` share `det.axis`'s frame and azimuth
+    nodes, and the grid's origin lies on the axis through the source, so the
+    distance from point k of a ring to channel (theta, m) depends on m - k
+    only.  The field at point k is then the cyclic correlation
+    F_k = Sum_theta,m g_theta,m h_theta(m - k), and by Parseval
+    Sum_k |F_k|^2 = (1 / n_az) Sum_f |Phi_f|^2 with
+    Phi_f = Sum_theta,m ghat_theta,f exp(2 pi i f m / n_az) h_theta(m), where
+    ghat_theta,f = Sum_m g_theta,m exp(-2 pi i f m / n_az) and h_theta(m) is
+    the channel's term at the ring's k = 0 point.  So a ring folds as its
+    k = 0 point, one row per frequency f with the gains
+    ghat_theta,f exp(2 pi i f m / n_az) returned here, of weight w_ring / n_az.
+
+    A frequency whose every |ghat_theta,f| is at most _RING_DROP Sum|ghat| is
+    dropped: the field it leaves out at any point is at most
+    _RING_DROP Sum|ghat| Sum_a |h_a| <= _RING_DROP n_az Sum|g| Sum_a |h_a|,
+    the h_a the channels' terms.  Isotropic and axis-aligned beams keep
+    f = 0 alone: one point per ring."""
+    m = np.arange(n_az)
+    dft = np.exp(-2j * np.pi * (np.outer(m, m) % n_az) / n_az)          # (m, f)
+    g_hat = gains.reshape(-1, n_az) @ dft                               # (theta, f)
+    size = np.abs(g_hat)
+    kept = np.flatnonzero(np.any(size > _RING_DROP * size.sum(), axis=0))
+    return (g_hat[:, None, kept] * dft[:, kept].conj()).reshape(gains.size, kept.size)
 
 
 def _fold_coefficients(amp: MomentumAmplitude, mass: float, panels: int,
@@ -522,13 +584,14 @@ def _psi(amp: MomentumAmplitude, source: EmissionEvent, quad: QuadratureSpec,
     # the rule's budget bounds the band, so the nodes, before they are laid out
     panels = _radial_panels(amp, r_lo, r_hi, tau, source.mass)
     p_mid, r_nodes = 0.5 * sum(amp.p_support), _fold_nodes(amp, r_lo, r_hi)
-    mix = _channel_map(r, gains, r_lo, r_hi, r_nodes.size, p_mid)[0]
+    mix = _channel_map(r, gains[:, None], r_lo, r_hi, r_nodes.size, p_mid)[0, 0]
 
     def at(panels: int) -> tuple[complex, float]:
         omega, rows = _fold_coefficients(amp, source.mass, panels, p_mid, r_nodes)
         floor = sum(np.abs(rows(slice(p0, p0 + _P_BLOCK)) @ mix).sum()
                     for p0 in range(0, omega.size, _P_BLOCK))
-        return complex(_phase_sums(omega, [tau], rows)[0] @ mix), 1e-3 * floor
+        return complex(_phase_sums(omega, [tau], rows, lambda sums: sums @ mix)[0]), \
+            1e-3 * floor
 
     return refine_by_doubling(at, panels, _RADIAL_DOUBLINGS, quad.rtol,
                               "radial quadrature")[0]
@@ -560,16 +623,19 @@ def eval_detector_wavefunction(amp: MomentumAmplitude, position, time: float,
 
 
 class OccupationCurve:
-    """Sum_x w_x |Sum_a g_a psi(r[x, a], tau)|^2 over arrays of elapsed times
-    tau: points x of weight w_x, direction channels a of gain g_a at distance
-    r[x, a] = n_a.(x - x0).  Every batch is one `refine_by_doubling` of its
-    radial rule, judged against the running scale; the next batch starts
+    """Sum_x w_x Sum_f |Sum_a g_af psi(r[x, a], tau)|^2 over arrays of elapsed
+    times tau: points x of weight w_x, direction channels a at distance
+    r[x, a] = n_a.(x - x0) with gains g_af, one column per row f of a point
+    (a volume's ring frequencies, `_ring_gains`).  `distances` is a function
+    that returns r, called once.  Every batch is one `refine_by_doubling` of
+    its radial rule, judged against the running scale; the next batch starts
     from no fewer panels than the coarser rule that agreed.  The channel
     phases exp(i p r) are folded onto Chebyshev nodes in r (`_fold_nodes`),
     which keeps the time-by-momentum product small.  The curve keeps
-    neither the distances nor the map: with more points than nodes only
-    the map's QR factor, else the weighted map itself; its coefficients
-    are computed one block of momenta at a time.
+    neither the distances nor the map: with more rows than nodes only the
+    map's QR factor, else the weighted map itself; its coefficients are
+    computed one block of momenta at a time, and its samples reduced over
+    the rows a block of _SUM_CELLS sums at a time.
 
     `full_mass` is the curve's integral over all tau, known without
     sampling: psi is Sum_p c_p exp(-i omega_p tau) with omega_p = p^2 / 2m,
@@ -579,11 +645,9 @@ class OccupationCurve:
     """
 
     def __init__(self, amp: MomentumAmplitude, source: EmissionEvent,
-                 quad: QuadratureSpec, r_chan: np.ndarray, gains: np.ndarray,
-                 weights: np.ndarray):
+                 quad: QuadratureSpec, distances, gains: np.ndarray, weights: np.ndarray):
         self.amp, self.source, self.quad = amp, source, quad
-        # r_chan is (points, channels)
-        self._gains, self._weights = gains, weights
+        r_chan = distances()                    # (points, channels)
         self._r_lo, self._r_hi = float(r_chan.min()), float(r_chan.max())
         self._panels = 0            # panels of the last batch's accepted rule
         self.scale = self.abs_error = 0.0
@@ -594,10 +658,11 @@ class OccupationCurve:
         # depends on the geometry only, so every _build shares it
         self._p_mid, self._r_nodes = 0.5 * (p_lo + p_hi), _fold_nodes(amp, self._r_lo, self._r_hi)
         mix = _channel_map(r_chan, gains, self._r_lo, self._r_hi, self._r_nodes.size,
-                           self._p_mid)
+                           self._p_mid).reshape(weights.size, -1)
+        del r_chan
         mix *= np.sqrt(weights)[:, None]
         # sum_x w_x |(s M)_x|^2 = |R s|^2 with diag(sqrt w) M^T = Q R, so with
-        # more points X than nodes C the density costs C^2 per sample, not C X
+        # more rows X than nodes C the density costs C^2 per sample, not C X
         self._mix_r = np.linalg.qr(mix, mode="r").T if mix.shape[0] > mix.shape[1] else mix.T
         del mix
         # anchor the relative-error scale at the arrival peak: this probe batch
@@ -619,7 +684,7 @@ class OccupationCurve:
 
     def _field_square(self, state, taus: np.ndarray) -> np.ndarray:
         omega, coeffs = state
-        return self._density(_phase_sums(omega, taus, coeffs))  # (T, C)
+        return _phase_sums(omega, taus, coeffs, self._density)
 
     def _full_mass(self, panels: int) -> tuple[float, float]:
         """The Plancherel sum 2 pi m Sum_p |c_p|^2 / (w_p p) of the radial
@@ -663,15 +728,20 @@ class OccupationCurve:
 def detector_occupation(amp: MomentumAmplitude, det: DetectorGeometry,
                         source: EmissionEvent, quad: QuadratureSpec) -> OccupationCurve:
     """The occupation integrand of `det`.  A volume integrates |psi_D(x, t)|^2
-    over its grid points, each a superposition of the cap directions.  A
-    point is |psi_nD(x_D, t)|^2: one channel at the detector distance,
-    weighted by the angular density |G(n.axis)|^2 of the line of sight n."""
+    over its grid points, each a superposition of the cap directions, ring
+    by ring: the k = 0 point of each ring of `azimuth_nodes` points, one row
+    per kept azimuthal frequency of the gains, of weight w_ring / n_az
+    (`_ring_gains`).  A point is |psi_nD(x_D, t)|^2: one channel at the
+    detector distance, weighted by the angular density |G(n.axis)|^2 of the
+    line of sight n."""
     if det.kind == "point":
         g2 = 1.0 if amp.is_isotropic else \
             float(np.abs(amp.angular_profile(det.axis @ amp.axis)) ** 2)
-        return OccupationCurve(amp, source, quad, np.array([[det.distance]]),
-                               np.ones(1, dtype=complex), np.array([g2]))
+        return OccupationCurve(amp, source, quad, lambda: np.array([[det.distance]]),
+                               np.ones((1, 1), dtype=complex), np.array([g2]))
     dirs, gains = _cap_channels(amp, det, quad)
     points, vol_w = volume_grid(det, quad)
-    return OccupationCurve(amp, source, quad, (points - source.x0) @ dirs.T,
-                           gains, vol_w)
+    n_az = quad.azimuth_nodes
+    gains = _ring_gains(gains, n_az)
+    return OccupationCurve(amp, source, quad, lambda: (points[::n_az] - source.x0) @ dirs.T,
+                           gains, np.repeat(vol_w[::n_az] / n_az, gains.shape[1]))

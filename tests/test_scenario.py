@@ -474,6 +474,31 @@ def test_coupling_sweep_holds_what_one_run_holds(tmp_path):
     assert peaks[0] <= 1.25 * peaks[1]
 
 
+def test_coupling_sweep_checks_each_curve_block_once(tmp_path, monkeypatch):
+    # the template's shared pass checks every block of the entry curve the
+    # rows share; the rows read the same blocks without checking them again,
+    # and a single run checks every block
+    calls = []
+    check = detector_mod._check_entry_rows
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["starts"])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(detector_mod, "_check_entry_rows", counted)
+    text = POINT_FAST + "grid.t_end = 200\n"
+    spec = write_k_sweep(tmp_path, text, "0.25 0.5 0.75")
+    assert [row["status"] for row in qa.run_sweep(spec, tmp_path / "sweep")] == ["ok"] * 3
+    swept = list(calls)
+    calls.clear()
+    qa.run_scenario(qa.parse_scenario_text(text), tmp_path / "run")
+    rows = (tmp_path / "run" / "entry_curve.csv").read_bytes().count(b"\n") - 1
+    blocks = -(-rows // prob_mod._CSV_BLOCK)
+    assert blocks > 30
+    assert swept == calls == [True] + [False] * (blocks - 1)
+    assert _tree_bytes(tmp_path / "sweep" / "coupling.k=0.5") == _tree_bytes(tmp_path / "run")
+
+
 def fail_after_first_block(p_conditional, p_entry, starts):
     if not starts:
         raise IntegrationError("entry probability is not nondecreasing")
@@ -845,19 +870,25 @@ def test_cli_run(tmp_path):
     assert (out / "summary.json").exists()
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "tabulated"])
+@pytest.mark.parametrize("kind", ["gaussian", "tabulated", "sphere"])
 def test_cli_run_does_not_import_numpy_ma(tmp_path, kind):
     # np.unique and friends import numpy.ma on first use, which costs every
     # run about 1.5 MB of peak memory; numpy's leggauss imports numpy.polynomial
-    # and calls LAPACK (~0.9 MB), which the Gauss-Legendre rule does not
+    # and calls LAPACK (~0.9 MB), which the Gauss-Legendre rule does not; a
+    # volume's ring fold transforms its gains by a small matrix product, not
+    # numpy.fft (~0.6 MB on import and first call)
     (tmp_path / "radial.txt").write_text("4 0.5\n5 1\n6 0.5\n")
-    (tmp_path / "scn.txt").write_text(POINT_FAST if kind == "gaussian" else
-                                      "amplitude.kind = tabulated\n"
-                                      "amplitude.radial_file = radial.txt\n"
-                                      "detector.position = 0 0 30\n")
+    (tmp_path / "scn.txt").write_text({
+        "gaussian": POINT_FAST,
+        "tabulated": "amplitude.kind = tabulated\namplitude.radial_file = radial.txt\n"
+                     "detector.position = 0 0 30\n",
+        "sphere": "amplitude.kind = separable\namplitude.axis = 0.6 0 0.8\n"
+                  "amplitude.angular_sigma = 0.2\ndetector.kind = sphere\n"
+                  "detector.center = 0 0 20\ndetector.radius = 0.5\n"}[kind])
     code = ("import sys; from qarrival.cli import main; "
             "status = main(['run', sys.argv[1], '--out', sys.argv[2]]); "
-            "print([m for m in ('numpy.ma', 'numpy.polynomial') if m in sys.modules]); "
+            "print([m for m in ('numpy.ma', 'numpy.polynomial', 'numpy.fft') "
+            "if m in sys.modules]); "
             "sys.exit(status)")
     src = os.path.dirname(os.path.dirname(os.path.abspath(qa.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -143,10 +143,20 @@ def _rows(coeffs):
     return lambda cols: coeffs.reshape(len(coeffs), -1)[cols]
 
 
-def _distances(amp, det, source, quad):
-    """r[x, a] of a volume's occupation, recomputed from its geometry."""
-    dirs, _ = wp._cap_channels(amp, det, quad)
-    return (volume_grid(det, quad)[0] - source.x0) @ dirs.T
+def _per_point(amp, det, source, quad):
+    """A volume's occupation folded point by point: the distances r[x, a] of
+    every grid point to every channel, the channels' gains and the points'
+    weights, from its geometry."""
+    dirs, gains = wp._cap_channels(amp, det, quad)
+    points, weights = volume_grid(det, quad)
+    return (points - source.x0) @ dirs.T, gains, weights
+
+
+def _per_point_density(curve, sums, r, gains, weights):
+    """Sum_x w_x |field_x|^2 of rows of node sums through the per-point map."""
+    fields = sums @ wp._channel_map(r, gains[:, None], curve._r_lo, curve._r_hi,
+                                    curve._r_nodes.size, curve._p_mid)[:, 0].T
+    return (np.abs(fields) ** 2) @ weights
 
 
 def _panel_samples(omega, h):
@@ -261,21 +271,88 @@ def test_phase_sums_band_edges_and_non_uniform_grid():
 def test_curve_evaluators_match_exact_phases(iso_amp, narrow_amp, standard_det,
                                              source):
     # both evaluators against their own momentum state summed with exact
-    # phases, on a uniform tail window long enough for the panel branch
+    # phases and folded point by point, on a uniform tail window long enough
+    # for the panel branch
     quad = QuadratureSpec(polar_nodes=4, azimuth_nodes=4)
     point = wp.detector_occupation(narrow_amp, point_detector([0.0, 0.0, 100.0], source),
                                    source, quad)
     volume = wp.detector_occupation(iso_amp, standard_det, source, quad)
-    for curve, r, taus in ((point, np.array([[100.0]]), np.linspace(14.0, 26.0, 3001)),
-                           (volume, _distances(iso_amp, standard_det, source, quad),
-                            np.linspace(2.0, 8.0, 3001))):
+    for curve, fold, taus in ((point, (np.array([[100.0]]), np.ones(1), np.ones(1)),
+                               np.linspace(14.0, 26.0, 3001)),
+                              (volume, _per_point(iso_amp, standard_det, source, quad),
+                               np.linspace(2.0, 8.0, 3001))):
         values = curve(taus)
         omega, coeffs = curve._build(curve._panels)
-        sums = _brute_phase_sums(omega, taus, coeffs(slice(None)))
-        fields = sums @ wp._channel_map(r, curve._gains, curve._r_lo, curve._r_hi,
-                                        curve._r_nodes.size, curve._p_mid).T
-        ref = (np.abs(fields) ** 2) @ curve._weights
+        ref = _per_point_density(curve, _brute_phase_sums(omega, taus, coeffs(slice(None))),
+                                 *fold)
         assert np.max(np.abs(values - ref)) <= 1e-11 * ref.max()
+
+
+@pytest.mark.parametrize("case", ["tilted sphere", "rotated aligned sphere", "cap"])
+def test_ring_fold_matches_the_per_point_sum(source, case):
+    # the ring fold (each ring's k = 0 point, one row per kept azimuthal
+    # frequency, weight w_ring / n_az) against the full per-point map summed
+    # over every grid point and channel, on the same node sums: a tilted beam
+    # keeps every frequency, one aligned with a rotated detector axis f = 0
+    # alone, and a cap's grid has its origin at the apex, on the source
+    quad = QuadratureSpec(polar_nodes=6, azimuth_nodes=8)
+    axis = np.array([1.0, 2.0, 2.0]) / 3.0
+    tilted = wp.separable_gaussian(5.0, 0.5, [0.6, 0.0, 0.8], 0.2)
+    amp, det = {
+        "tilted sphere": (tilted, qa.sphere_detector([0.0, 0.0, 20.0], 6.0, source)),
+        "rotated aligned sphere": (wp.separable_gaussian(5.0, 0.5, axis, 0.1),
+                                   qa.sphere_detector(20.0 * axis, 6.0, source)),
+        "cap": (tilted, qa.cap_detector([0.0, 0.0, 1.0], 0.3, 17.0, 23.0, source)),
+    }[case]
+    r, gains, weights = _per_point(amp, det, source, quad)
+    kept = wp._ring_gains(gains, quad.azimuth_nodes).shape[1]
+    assert kept == (1 if case == "rotated aligned sphere" else quad.azimuth_nodes)
+    curve = wp.detector_occupation(amp, det, source, quad)
+    omega, coeffs = curve._build(curve._panels)
+    sums = _brute_phase_sums(omega, np.linspace(2.0, 6.0, 41), coeffs(slice(None)))
+    ref = _per_point_density(curve, sums, r, gains, weights)
+    assert np.max(np.abs(curve._density(sums) - ref)) <= 1e-14 * ref.max()
+
+
+def test_ring_gains_keep_a_1e_10_frequency_and_drop_a_1e_16_one():
+    # three polar rings of 16 azimuths: f = 3 (and its mirror 13) planted at
+    # 1e-10 of the gains' scale is kept, f = 5 at 1e-16 dropped with the
+    # rounding of the transform
+    n_az, phi = 16, 2.0 * np.pi * np.arange(16) / 16
+    rings = np.array([1.0 + 1e-10 * np.cos(3.0 * phi), 0.5 + 0.0 * phi,
+                      1e-16 * np.cos(5.0 * phi)])
+    ring_gains = wp._ring_gains(rings.ravel().astype(complex), n_az)
+    # column j is ghat_f exp(2 pi i f m / n_az): f from its step in m
+    steps = ring_gains[1] / ring_gains[0]
+    assert sorted(np.round(np.angle(steps) * n_az / (2.0 * np.pi)).astype(int) % n_az) \
+        == [0, 3, 13]
+    # the kept rows give back the gains but the dropped 1e-16 ring
+    np.testing.assert_allclose(ring_gains.sum(axis=1).reshape(3, n_az) / n_az,
+                               rings * [[1.0], [1.0], [0.0]], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("step", [7.3e-4, 0.3])     # tau-panels; undersampled, summed directly
+def test_occupation_window_memory_is_bounded(iso_amp, source, step):
+    # one 8192-sample window of the radius-12 sphere at 4 x 4 nodes, C = 86
+    # r-nodes: the kernel reduces each block of at most _SUM_CELLS node sums
+    # to its densities, so beyond the float output the traced peak stays
+    # within 6 MiB (3.8 over tau-panels; 4.8 summed directly, with its 4 MiB
+    # phase table); with the (T, C) sums and fields held whole it was 27.5
+    # MiB (tau-panels) and 26.7 MiB (direct)
+    det = qa.sphere_detector([0.0, 0.0, 20.0], 12.0, source)
+    curve = wp.detector_occupation(iso_amp, det, source,
+                                   QuadratureSpec(polar_nodes=4, azimuth_nodes=4))
+    assert curve._r_nodes.size >= 19
+    state = curve._build(curve._panels)
+    taus = 2.0 + step * np.arange(8192)
+    tracemalloc.start()
+    try:
+        out = curve._field_square(state, taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == taus.shape and out.dtype == float
+    assert peak <= out.nbytes + 6 * 2 ** 20
 
 
 def test_linearity(source):
@@ -399,25 +476,26 @@ def test_interp_matrix_in_place_matches_reference_bits(lo, hi, n):
     assert np.count_nonzero(np.all((ref == 0.0) | (ref == 1.0), axis=1)) >= n
 
 
-def _one_shot_mix(curve, r):
-    """The compressed fold's map built whole: the (X*A, C) barycentric map
-    times the carriers, summed over channels."""
+def _one_shot_mix(curve, r, gains):
+    """The fold's map built whole: the (X*A, C) barycentric map times the
+    carriers, contracted with the (A, F) gains point by point."""
     order = curve._r_nodes.size
     interp = _reference_interp(wp._cheb_points(curve._r_lo, curve._r_hi, order), r.ravel())
-    carrier = (curve._gains[None, :] * np.exp(1j * curve._p_mid * r)).ravel()
-    return (interp * carrier[:, None]).reshape(*r.shape, order).sum(axis=1)
+    return gains.T @ (interp.reshape(*r.shape, order)
+                      * np.exp(1j * curve._p_mid * r)[:, :, None])
 
 
 def test_blocked_folds_match_one_shot_bits(iso_amp, standard_det, source):
     # 12 x 12 nodes: X = 1,728 points of A = 144 channels, many point blocks,
-    # whose distances the curve does not keep
+    # whose distances the curve does not keep; three columns of gains
     quad = QuadratureSpec(polar_nodes=12, azimuth_nodes=12)
     curve = wp.detector_occupation(iso_amp, standard_det, source, quad)
-    r = _distances(iso_amp, standard_det, source, quad)
+    r, gains, _ = _per_point(iso_amp, standard_det, source, quad)
+    gains = gains[:, None] * np.array([1.0, 0.5j, -2.0 + 1.0j])
     assert r.size * curve._r_nodes.size > 8 * wp._FOLD_CELLS
-    assert np.array_equal(wp._channel_map(r, curve._gains, curve._r_lo, curve._r_hi,
+    assert np.array_equal(wp._channel_map(r, gains, curve._r_lo, curve._r_hi,
                                           curve._r_nodes.size, curve._p_mid),
-                          _one_shot_mix(curve, r))
+                          _one_shot_mix(curve, r, gains))
 
 
 def test_channel_map_of_one_point_is_blocked_by_channels(iso_amp, source):
@@ -432,7 +510,7 @@ def test_channel_map_of_one_point_is_blocked_by_channels(iso_amp, source):
     nodes = wp._fold_nodes(iso_amp, lo, hi)
     tracemalloc.start()
     try:
-        got = wp._channel_map(r, gains, lo, hi, nodes.size, p_mid)
+        got = wp._channel_map(r, gains[:, None], lo, hi, nodes.size, p_mid)[:, 0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
