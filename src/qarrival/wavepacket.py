@@ -325,10 +325,10 @@ def _radial_rule(amp: MomentumAmplitude, panels: int) -> tuple[np.ndarray, np.nd
 # psi and the occupation curves: one channel fold, one phase-sum kernel
 # ---------------------------------------------------------------------------
 
-_P_BLOCK = 1024         # momentum columns per block of the phase-sum kernel
-_FOLD_CELLS = 2 ** 16   # cells of the largest temporary of a channel fold
-_SUM_CELLS = 2 ** 14    # sums per block of the kernel's reduction: a point's
-                        # window of at most 8192 samples is one block
+_P_BLOCK = 256          # momentum columns per block of the phase-sum kernel
+_CELLS = 2 ** 14        # cells per block of a channel fold and sums per block of
+                        # the kernel's reduction: a point's window of at most
+                        # 8192 samples is one block
 _ROW_BLOCK = 256        # samples per block of the kernel's direct sums and
                         # of its panel interpolation
 _RING_DROP = 1e-12      # a ring frequency whose every gain is at most this
@@ -384,11 +384,11 @@ def _panel_node_sums(detuning: np.ndarray, half_span: float, centres: np.ndarray
     """(panels, nodes, columns) sums Sum_p exp(-i d_p (c_k + x_j)) coeffs[p, :]
     over the detunings d_p, on the Chebyshev nodes x_j of [-half_span,
     half_span] about every panel centre c_k, in blocks of _P_BLOCK momenta,
-    each block of coefficients read once (`coeffs(cols)`).
-    The nodes are mirrored, so each block evaluates half the node table and
-    takes the other half by conjugation, exact in IEEE arithmetic.  The
-    table's buffer is freed on return, before the kernel allocates its
-    samples."""
+    each block of coefficients read once (`coeffs(cols)`) and dropped before
+    the next is read.  The nodes are mirrored, so each block evaluates half
+    the node table and takes the other half by conjugation, exact in IEEE
+    arithmetic.  The table's buffer is freed on return, before the kernel
+    allocates its samples."""
     nodes = _cheb_points(-half_span, half_span, _PANEL_NODES)
     half = _PANEL_NODES // 2
     node_sums = np.zeros((centres.size, _PANEL_NODES, coeffs(slice(0)).shape[1]),
@@ -396,14 +396,14 @@ def _panel_node_sums(detuning: np.ndarray, half_span: float, centres: np.ndarray
     buffer = np.empty(_PANEL_NODES * min(detuning.size, _P_BLOCK), dtype=complex)
     for p0 in range(0, detuning.size, _P_BLOCK):
         cols = slice(p0, p0 + _P_BLOCK)
-        block = coeffs(cols)
-        shifted = -1j * detuning[cols]
+        block, shifted = coeffs(cols), -1j * detuning[cols]
         table = buffer[:_PANEL_NODES * shifted.size].reshape(_PANEL_NODES, -1)
         top = np.multiply.outer(nodes[:half], shifted, out=table[:half])
         np.exp(top, out=top)
         np.conjugate(table[half - 1::-1], out=table[half:])
         for k in range(centres.size):
             node_sums[k] += table @ (np.exp(centres[k] * shifted)[:, None] * block)
+        del block
     return node_sums
 
 
@@ -414,7 +414,7 @@ def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs,
     function of a slice of momenta that returns those rows as a (rows,
     columns) array.  `reduce` maps a block of rows of S to those rows of the
     output (the sums themselves by default); it sees blocks of at most
-    _SUM_CELLS sums, so no (taus, columns) array is held unless it keeps one.
+    _CELLS sums, so no (taus, columns) array is held unless it keeps one.
 
     The sum is band-limited in tau.  On a uniform grid the samples are split
     into panels over which the band-centred sum turns by at most
@@ -427,13 +427,13 @@ def _phase_sums(omega: np.ndarray, taus: np.ndarray, coeffs,
     samples in blocks of _ROW_BLOCK, so no time-by-momentum or time-by-node
     matrix is ever held.  The panel branch reads each block of coefficients
     once; the direct branch once per block of the reduction, so once when
-    the samples times the columns fit _SUM_CELLS (a point's window), and
-    otherwise its C P cosines and sines again per block of _SUM_CELLS / C
-    samples, beside the block's _SUM_CELLS P / C exponentials.
+    the samples times the columns fit _CELLS (a point's window), and
+    otherwise its C P cosines and sines again per block of _CELLS / C
+    samples, beside the block's _CELLS P / C exponentials.
     """
     taus = np.asarray(taus, dtype=float)
     n_t, n_cols = taus.size, coeffs(slice(0)).shape[1]
-    rows = max(1, _SUM_CELLS // n_cols)         # samples per block of the reduction
+    rows = max(1, _CELLS // n_cols)         # samples per block of the reduction
     empty = reduce(np.zeros((0, n_cols), dtype=complex))
     out = np.empty((n_t, *empty.shape[1:]), dtype=empty.dtype)
     h = _uniform_step(taus)
@@ -507,12 +507,12 @@ def _channel_map(r_chan: np.ndarray, gains: np.ndarray, r_lo: float, r_hi: float
     times the barycentric row of r[x, a], for each column f of the (channels,
     F) `gains`.  Each barycentric row depends on its own distance only, so it
     is built once per point and channel, a block of points and of channels
-    at a time, at most _FOLD_CELLS cells per block, and contracted with all
+    at a time, at most _CELLS cells per block, and contracted with all
     F columns of gains by one product per point, summed over the blocks."""
     n_points, n_chan = r_chan.shape
     mix = np.zeros((n_points, gains.shape[1], order), dtype=complex)
-    chans = max(1, min(n_chan, _FOLD_CELLS // order))
-    step = max(1, _FOLD_CELLS // (chans * order))
+    chans = max(1, min(n_chan, _CELLS // order))
+    step = max(1, _CELLS // (chans * order))
     for x0 in range(0, n_points, step):
         for a0 in range(0, n_chan, chans):
             r = r_chan[x0:x0 + step, a0:a0 + chans]                       # (x, a)
@@ -635,7 +635,7 @@ class OccupationCurve:
     neither the distances nor the map: with more rows than nodes only the
     map's QR factor, else the weighted map itself; its coefficients are
     computed one block of momenta at a time, and its samples reduced over
-    the rows a block of _SUM_CELLS sums at a time.
+    the rows a block of _CELLS sums at a time.
 
     `full_mass` is the curve's integral over all tau, known without
     sampling: psi is Sum_p c_p exp(-i omega_p tau) with omega_p = p^2 / 2m,

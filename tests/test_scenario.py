@@ -1122,6 +1122,30 @@ def test_csv_writer_holds_one_block_per_distinct_column():
     assert peak <= 4 * 7 * prob_mod._CSV_BLOCK * 100
 
 
+SPHERE_20 = "detector.kind = sphere\ndetector.center = 0 0 20\n"
+
+
+@pytest.mark.parametrize("text, bound_mib", [
+    (SPHERE_20 + "detector.radius = 0.5\n", 1.25),
+    ("amplitude.kind = separable\namplitude.axis = 0 0 1\namplitude.angular_sigma = 0.0375\n"
+     + SPHERE_20 + "detector.radius = 0.5\n", 1.25),
+    (SPHERE_20 + "detector.radius = 12\ngrid.dt = 0.05\n", 3.5),
+], ids=["iso", "sep", "r12"])
+def test_occupation_build_memory_is_bounded(text, bound_mib):
+    # the stages before the schedule, at default keys: the occupation's
+    # folds hold at most _CELLS cells a block and its kernel _P_BLOCK = 256
+    # momenta, so the traced peaks are 1.02, 0.94 and 2.70 MiB (1.86, 1.86
+    # and 6.13 with 1024-momentum blocks and 2^16-cell folds)
+    s = qa.parse_scenario_text(text)
+    tracemalloc.start()
+    try:
+        scenario_mod._prepare(s, "schedule")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2 ** 20
+
+
 @pytest.mark.parametrize("command, lines, key", [
     ("validate", "detector.center = 0 0 0.3\ndetector.radius = 0.5\n",
      "detector.center"),

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -196,12 +197,15 @@ def test_phase_sums_match_brute_force(n_t, h, t0, columns, panels):
 
 @pytest.mark.parametrize("columns", [1, 19])
 def test_phase_sums_memory_is_bounded(columns):
-    # one 8192-sample window held by a single tau-panel (the per-panel cap):
-    # beyond its output the kernel's traced peak stays under two complex
-    # (nodes, _P_BLOCK) tables; built as one (8192, 44) interpolation matrix
-    # with whole temporaries it peaked at 8.8 MiB (C = 1) and 10.7 MiB (C = 19)
+    # one 8192-sample window held by a single tau-panel (the per-panel cap)
+    # over 2085 momenta: beyond its output the kernel's traced peak stays
+    # under two complex (44, 1024) node tables, 1,441,792 bytes, and under
+    # 640 KiB in blocks of _P_BLOCK = 256 momenta (400 and 537 KiB; 999 and
+    # 1,201 KiB in blocks of 1024); built as one (8192, 44) interpolation
+    # matrix with whole temporaries it peaked at 8.8 MiB (C = 1) and 10.7 MiB
+    # (C = 19)
     rng = np.random.default_rng(columns)
-    p = np.sort(rng.uniform(4.0, 6.0, 2 * wp._P_BLOCK + 37))
+    p = np.sort(rng.uniform(4.0, 6.0, 2085))
     omega = p * p / 2.0
     n_t = 8192
     h = 2.0 * wp._PANEL_PHASE / (0.5 * (omega.max() - omega.min()) * n_t)
@@ -215,7 +219,32 @@ def test_phase_sums_memory_is_bounded(columns):
     finally:
         tracemalloc.stop()
     assert out.shape == (n_t, columns)
-    assert peak <= out.nbytes + 2 * wp._PANEL_NODES * wp._P_BLOCK * 16
+    assert peak <= out.nbytes + 1_441_792
+    assert peak <= out.nbytes + 640 * 2 ** 10
+
+
+def test_panel_node_sums_hold_one_coefficient_block():
+    # each (_P_BLOCK, C) block of coefficients is dropped before the next is
+    # read; two alive at once held a block more, 2.4 MB in blocks of 1024
+    # momenta at wide16's C = 148
+    rng = np.random.default_rng(148)
+    detuning = rng.uniform(-2.0, 2.0, 2085)
+    whole = rng.normal(size=(detuning.size, 148)) + 1j * rng.normal(size=(detuning.size, 148))
+    blocks, alive = [], []
+
+    def coeffs(cols):
+        alive.append(sum(ref() is not None for ref in blocks))
+        block = whole[cols].copy()
+        blocks.append(weakref.ref(block))
+        return block
+
+    centres = np.array([-3.0, 0.5, 4.0])
+    got = wp._panel_node_sums(detuning, 0.7, centres, coeffs)
+    assert len(blocks) == 1 + -(-detuning.size // wp._P_BLOCK) >= 4
+    assert alive == [0] * len(blocks)
+    nodes = wp._cheb_points(-0.7, 0.7, wp._PANEL_NODES)
+    expected = np.exp(-1j * np.add.outer(centres, nodes)[:, :, None] * detuning) @ whole
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class _ExpCounter:
@@ -334,11 +363,11 @@ def test_ring_gains_keep_a_1e_10_frequency_and_drop_a_1e_16_one():
 @pytest.mark.parametrize("step", [7.3e-4, 0.3])     # tau-panels; undersampled, summed directly
 def test_occupation_window_memory_is_bounded(iso_amp, source, step):
     # one 8192-sample window of the radius-12 sphere at 4 x 4 nodes, C = 86
-    # r-nodes: the kernel reduces each block of at most _SUM_CELLS node sums
-    # to its densities, so beyond the float output the traced peak stays
-    # within 6 MiB (3.8 over tau-panels; 4.8 summed directly, with its 4 MiB
-    # phase table); with the (T, C) sums and fields held whole it was 27.5
-    # MiB (tau-panels) and 26.7 MiB (direct)
+    # r-nodes: the kernel reduces each block of at most _CELLS node sums to
+    # its densities, so beyond the float output the traced peak stays within
+    # 2 MiB (1.2 over tau-panels; 1.6 summed directly, with its 1 MiB phase
+    # table; 3.8 and 4.8 in blocks of 1024 momenta); with the (T, C) sums and
+    # fields held whole it was 27.5 MiB (tau-panels) and 26.7 MiB (direct)
     det = qa.sphere_detector([0.0, 0.0, 20.0], 12.0, source)
     curve = wp.detector_occupation(iso_amp, det, source,
                                    QuadratureSpec(polar_nodes=4, azimuth_nodes=4))
@@ -352,7 +381,7 @@ def test_occupation_window_memory_is_bounded(iso_amp, source, step):
     finally:
         tracemalloc.stop()
     assert out.shape == taus.shape and out.dtype == float
-    assert peak <= out.nbytes + 6 * 2 ** 20
+    assert peak <= out.nbytes + 2 * 2 ** 20
 
 
 def test_linearity(source):
@@ -492,7 +521,7 @@ def test_blocked_folds_match_one_shot_bits(iso_amp, standard_det, source):
     curve = wp.detector_occupation(iso_amp, standard_det, source, quad)
     r, gains, _ = _per_point(iso_amp, standard_det, source, quad)
     gains = gains[:, None] * np.array([1.0, 0.5j, -2.0 + 1.0j])
-    assert r.size * curve._r_nodes.size > 8 * wp._FOLD_CELLS
+    assert r.size * curve._r_nodes.size > 32 * wp._CELLS
     assert np.array_equal(wp._channel_map(r, gains, curve._r_lo, curve._r_hi,
                                           curve._r_nodes.size, curve._p_mid),
                           _one_shot_mix(curve, r, gains))
@@ -514,7 +543,7 @@ def test_channel_map_of_one_point_is_blocked_by_channels(iso_amp, source):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert r.size * nodes.size > 16 * wp._FOLD_CELLS
+    assert r.size * nodes.size > 64 * wp._CELLS
     assert peak <= 4 * 2 ** 20
     # the whole map's channel sums, taken pairwise along contiguous rows
     terms = _reference_interp(nodes, r.ravel()) * (gains * np.exp(1j * p_mid * r.ravel()))[:, None]
@@ -551,10 +580,11 @@ def test_compressed_fold_blocks_match_whole_coefficients(iso_amp, source):
     # the radius-12 sphere at 8 x 8 nodes folds compressed: its coefficients,
     # computed one block of momenta at a time, are the whole (P, C) matrix
     # base_p exp(i (p - p_mid) r_k) to the bit, and so are the phase sums and
-    # the Plancherel sum the kernel reads through them
+    # the Plancherel sum the kernel reads through them; one panel more than
+    # twice the accepted rule leaves a partial last block
     det = qa.sphere_detector([0.0, 0.0, 20.0], 12.0, source)
     curve = wp.detector_occupation(iso_amp, det, source, QuadratureSpec())
-    panels = 2 * curve._panels
+    panels = 2 * curve._panels + 1
     omega, rows = curve._build(panels)
     p, base = wp._radial_rule(iso_amp, panels)
     whole = base[:, None] * np.exp(1j * np.outer(p - curve._p_mid, curve._r_nodes))
@@ -577,7 +607,7 @@ def test_occupation_memory_is_bounded(iso_amp, source, radius, nodes, bound_mib)
     # radius-12 sphere's direct profile; its compressed profile at 8 x 8 nodes
     # peaked at 22.7 MiB with whole (P, C) coefficients.  The radius-12
     # sphere at 4 x 4 nodes folds onto Chebyshev nodes in blocks and peaks at
-    # 5.7 MiB (10.5 with the direct fold)
+    # 2.5 MiB (5.7 in blocks of 1024 momenta, 10.5 with the direct fold)
     det = qa.sphere_detector([0.0, 0.0, 20.0], radius, source)
     quad = QuadratureSpec(polar_nodes=nodes, azimuth_nodes=nodes)
     tracemalloc.start()
