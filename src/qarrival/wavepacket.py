@@ -632,10 +632,9 @@ class OccupationCurve:
     from no fewer panels than the coarser rule that agreed.  The channel
     phases exp(i p r) are folded onto Chebyshev nodes in r (`_fold_nodes`),
     which keeps the time-by-momentum product small.  The curve keeps
-    neither the distances nor the map: with more rows than nodes only the
-    map's QR factor, else the weighted map itself; its coefficients are
-    computed one block of momenta at a time, and its samples reduced over
-    the rows a block of _CELLS sums at a time.
+    neither the distances nor the map, only its C x C Gram over the nodes,
+    so a density costs C^2 a sample whatever the rows; coefficients come a
+    block of momenta at a time, and samples reduce _CELLS sums at a time.
 
     `full_mass` is the curve's integral over all tau, known without
     sampling: psi is Sum_p c_p exp(-i omega_p tau) with omega_p = p^2 / 2m,
@@ -654,17 +653,17 @@ class OccupationCurve:
         p_lo, p_hi = amp.p_support
         # the tau = 0 rule's budget bounds the band, so the nodes, before they are laid out
         mass_panels = _radial_panels(amp, self._r_lo, self._r_hi, 0.0, source.mass)
-        # exact values on Chebyshev r-nodes, mapped to the points; the map
-        # depends on the geometry only, so every _build shares it
+        # exact values s on Chebyshev r-nodes, mapped to the points by M: Sum_x w_x |(M s)_x|^2
+        # = Re s^T G conj(s), and every _build shares the map's Gram G = M^T W conj(M)
         self._p_mid, self._r_nodes = 0.5 * (p_lo + p_hi), _fold_nodes(amp, self._r_lo, self._r_hi)
-        mix = _channel_map(r_chan, gains, self._r_lo, self._r_hi, self._r_nodes.size,
-                           self._p_mid).reshape(weights.size, -1)
+        order, rows = self._r_nodes.size, gains.shape[1]
+        self._gram = np.zeros((order, order), dtype=complex)
+        step = max(1, _CELLS // max(1, rows * order))       # points of a block of the map
+        for x0 in range(0, r_chan.shape[0], step):
+            mix = _channel_map(r_chan[x0:x0 + step], gains, self._r_lo, self._r_hi, order,
+                               self._p_mid).reshape(-1, order)
+            self._gram += mix.T @ (weights[x0 * rows:(x0 + step) * rows, None] * mix.conj())
         del r_chan
-        mix *= np.sqrt(weights)[:, None]
-        # sum_x w_x |(s M)_x|^2 = |R s|^2 with diag(sqrt w) M^T = Q R, so with
-        # more rows X than nodes C the density costs C^2 per sample, not C X
-        self._mix_r = np.linalg.qr(mix, mode="r").T if mix.shape[0] > mix.shape[1] else mix.T
-        del mix
         # anchor the relative-error scale at the arrival peak: this probe batch
         # is judged against its own maximum, and later batches, typically ~0
         # early on, against the scale it leaves
@@ -679,8 +678,8 @@ class OccupationCurve:
 
     def _density(self, sums: np.ndarray) -> np.ndarray:
         """Sum_x w_x |field_x|^2 of rows of Chebyshev-node sums."""
-        fields = sums @ self._mix_r                 # (T, C) @ (C, C) or (C, X)
-        return (fields.real ** 2 + fields.imag ** 2).sum(axis=1)
+        fields = sums @ self._gram
+        return (fields.real * sums.real + fields.imag * sums.imag).sum(axis=1)
 
     def _field_square(self, state, taus: np.ndarray) -> np.ndarray:
         omega, coeffs = state

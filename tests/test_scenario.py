@@ -876,7 +876,11 @@ def test_cli_run_does_not_import_numpy_ma(tmp_path, kind):
     # run about 1.5 MB of peak memory; numpy's leggauss imports numpy.polynomial
     # and calls LAPACK (~0.9 MB), which the Gauss-Legendre rule does not; a
     # volume's ring fold transforms its gains by a small matrix product, not
-    # numpy.fft (~0.6 MB on import and first call)
+    # numpy.fft (~0.6 MB on import and first call); and the occupation's Gram
+    # is not factored: after one matrix product, the resident pages that one
+    # LAPACK call adds are 0.77 MB for a QR of a (64, 19) map, 1.22 MB for
+    # eigh of 19 x 19 (0.13 MB of 1 x 1) and 0.32 MB for a Cholesky, so the
+    # child's numpy.linalg factorizations and solvers raise
     (tmp_path / "radial.txt").write_text("4 0.5\n5 1\n6 0.5\n")
     (tmp_path / "scn.txt").write_text({
         "gaussian": POINT_FAST,
@@ -885,7 +889,10 @@ def test_cli_run_does_not_import_numpy_ma(tmp_path, kind):
         "sphere": "amplitude.kind = separable\namplitude.axis = 0.6 0 0.8\n"
                   "amplitude.angular_sigma = 0.2\ndetector.kind = sphere\n"
                   "detector.center = 0 0 20\ndetector.radius = 0.5\n"}[kind])
-    code = ("import sys; from qarrival.cli import main; "
+    code = ("import sys, numpy.linalg as la; from qarrival.cli import main\n"
+            "def stub(*args, **kwargs): raise AssertionError('LAPACK called')\n"
+            "for name in ('qr', 'eigh', 'eigvalsh', 'svd', 'cholesky', 'eig', 'solve', "
+            "'lstsq', 'inv'): setattr(la, name, stub)\n"
             "status = main(['run', sys.argv[1], '--out', sys.argv[2]]); "
             "print([m for m in ('numpy.ma', 'numpy.polynomial', 'numpy.fft') "
             "if m in sys.modules]); "
@@ -1206,6 +1213,19 @@ def test_cli_unresolved_refinement_is_numerical_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and " did not converge" in err
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_cli_beam_that_misses_the_sphere_channels_vanishes(tmp_path, capsys):
+    # a 0.002 beam along the axis leaves every cap channel of a radius-18
+    # sphere a zero gain, so the ring fold keeps no frequency and its Gram is
+    # zero; this exited 2 with numpy's "cannot reshape array of size 0"
+    path = tmp_path / "scn.txt"
+    path.write_text("amplitude.kind = separable\namplitude.axis = 0 0 1\n"
+                    "amplitude.angular_sigma = 0.002\ndetector.kind = sphere\n"
+                    "detector.center = 0 0 20\ndetector.radius = 18\n")
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and "detector occupation vanishes" in err, err
 
 
 def test_cli_time_curve_refinement_is_numerical_error(tmp_path, capsys):

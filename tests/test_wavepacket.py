@@ -573,7 +573,7 @@ def test_point_fold_has_one_node_at_its_distance(narrow_amp, source):
     det = point_detector([3.0, -4.0, 99.7], source)
     curve = wp.detector_occupation(narrow_amp, det, source, QuadratureSpec())
     assert curve._r_nodes.tolist() == [det.distance]
-    assert curve._mix_r.shape == (1, 1)
+    assert curve._gram.shape == (1, 1)
 
 
 def test_compressed_fold_blocks_match_whole_coefficients(iso_amp, source):
