@@ -632,9 +632,10 @@ class OccupationCurve:
     from no fewer panels than the coarser rule that agreed.  The channel
     phases exp(i p r) are folded onto Chebyshev nodes in r (`_fold_nodes`),
     which keeps the time-by-momentum product small.  The curve keeps
-    neither the distances nor the map, only its C x C Gram over the nodes,
-    so a density costs C^2 a sample whatever the rows; coefficients come a
-    block of momenta at a time, and samples reduce _CELLS sums at a time.
+    neither the distances nor the map, only the map's C x C Gram over its
+    C nodes, so a density costs C^2 per sample whatever the rows; its
+    coefficients are computed one block of momenta at a time, and its
+    samples reduced a block of _CELLS sums at a time.
 
     `full_mass` is the curve's integral over all tau, known without
     sampling: psi is Sum_p c_p exp(-i omega_p tau) with omega_p = p^2 / 2m,
