@@ -8,13 +8,18 @@ under --strict; a failed integral that leaves no outputs always is),
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+
+# one BLAS thread, read when numpy loads, so the bytes depend on the inputs alone
+if "numpy" not in sys.modules:
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 from .errors import IntegrationError
 from .scenario import check_scenario, parse_scenario, parse_sweep, run_scenario, \
     run_sweep
+
+import argparse    # after numpy: imported before it, argparse lifts a run's maxrss ~0.4 MB
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

@@ -464,10 +464,13 @@ def _grid_steps(grid: TimeGridSpec, t0: float, dt: float, tau_end: float,
     """Step and last index of the output grid, with `dt` and the elapsed
     `tau_end` standing in for unset fields.  A grid that starts before the
     emission time t0 or holds fewer than `min_samples` samples is an error
-    naming `grid.t_end` when it is set, else `grid.dt`.  One over
-    _MAX_GRID_ROWS names the step's key if set (`grid.dt`, else `quadrature.dt`
-    of the given `quad`), else the end's (`grid.t_end`, else `quadrature.t_cap`)."""
-    key = "grid.t_end" if grid.t_end is not None else "grid.dt"
+    naming `grid.t_end` when it is set, else the step's key (`grid.dt` unless
+    `quadrature.dt` of the given `quad` set the step).  One over
+    _MAX_GRID_ROWS names the step's key if either is set, else the end's
+    (`grid.t_end`, else `quadrature.t_cap`)."""
+    step_key = ("grid.dt" if grid.dt is not None
+                else "quadrature.dt" if quad is not None and quad.dt is not None else None)
+    key = "grid.t_end" if grid.t_end is not None else step_key or "grid.dt"
     dt = grid.dt if grid.dt is not None else dt
     tau_end = (grid.t_end - t0) if grid.t_end is not None else tau_end
     if tau_end < 0.0:
@@ -476,9 +479,7 @@ def _grid_steps(grid: TimeGridSpec, t0: float, dt: float, tau_end: float,
     steps = tau_end / dt if tau_end > 0.0 else 0.0
     n = int(round(steps)) if steps < _MAX_GRID_ROWS else _MAX_GRID_ROWS   # NaN: over
     if n + 1 > _MAX_GRID_ROWS:
-        key = ("grid.dt" if grid.dt is not None
-               else "quadrature.dt" if quad is not None and quad.dt is not None
-               else "grid.t_end" if grid.t_end is not None else "quadrature.t_cap")
+        key = step_key or ("grid.t_end" if grid.t_end is not None else "quadrature.t_cap")
         bound = f"lays out at most {_MAX_GRID_ROWS}"
     elif n + 1 < min_samples:
         bound = f"needs at least {min_samples}"

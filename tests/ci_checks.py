@@ -25,6 +25,9 @@ SRC, BENCH = ROOT / "src", ROOT / "bench"
 ENV = {**os.environ,
        "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 SPHERE = "detector.kind = sphere\ndetector.center = 0 0 20\n"
+TILT16 = ("amplitude.kind = separable\namplitude.axis = 0.6 0 0.8\n"
+          "amplitude.angular_sigma = 0.2\n" + SPHERE + "detector.radius = 12\n"
+          "quadrature.polar_nodes = 16\nquadrature.azimuth_nodes = 16\ngrid.dt = 0.05\n")
 
 
 def require(ok: bool, what: str):
@@ -32,11 +35,11 @@ def require(ok: bool, what: str):
         sys.exit(f"check failed: {what}")
 
 
-def child(*args, limit: bool = False) -> float:
+def child(*args, limit: bool = False, env: dict = ENV) -> float:
     """`python ARGS` in a fresh interpreter, its address space capped at 1 GiB if `limit`
     (as `ulimit -v 1048576`); requires exit 0 and returns the child's maxrss in MB."""
     cap = partial(resource.setrlimit, resource.RLIMIT_AS, (2 ** 30, 2 ** 30)) if limit else None
-    proc = subprocess.Popen([sys.executable, *map(str, args)], env=ENV, preexec_fn=cap)
+    proc = subprocess.Popen([sys.executable, *map(str, args)], env=env, preexec_fn=cap)
     _, status, usage = os.wait4(proc.pid, 0)
     code = os.waitstatus_to_exitcode(status)
     shown = " ".join(str(arg).splitlines()[0] for arg in args)    # a program by its first line
@@ -44,8 +47,8 @@ def child(*args, limit: bool = False) -> float:
     return usage.ru_maxrss / 1024.0
 
 
-def cli(*args, limit: bool = False) -> float:
-    return child("-m", "qarrival.cli", *args, limit=limit)
+def cli(*args, limit: bool = False, env: dict = ENV) -> float:
+    return child("-m", "qarrival.cli", *args, limit=limit, env=env)
 
 
 def run(scenario: Path, out: Path, limit: bool = False) -> dict:
@@ -226,11 +229,24 @@ def wide16(work: Path):
 
 
 def tilt16(work: Path):
-    text = ("amplitude.kind = separable\namplitude.axis = 0.6 0 0.8\n"
-            "amplitude.angular_sigma = 0.2\n" + SPHERE + "detector.radius = 12\n"
-            "quadrature.polar_nodes = 16\nquadrature.azimuth_nodes = 16\ngrid.dt = 0.05\n")
-    s = traced_run(work, text, 12.0)
+    s = traced_run(work, TILT16, 12.0)
     enters(s, s["p_direction"])
+
+
+def threads(work: Path):
+    """`qarrival run` writes the same bytes whatever BLAS thread count its environment
+    asks for: the volume workload's iso.txt at seed 0, and the tilted sphere."""
+    from workloads import WORKLOADS, write_inputs
+    write_inputs(WORKLOADS["volume"], 0, str(work))
+    unset = {k: v for k, v in ENV.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    envs = {"unset": unset, "openblas1": {**unset, "OPENBLAS_NUM_THREADS": "1"},
+            "openblas2": {**unset, "OPENBLAS_NUM_THREADS": "2"},
+            "omp2": {**unset, "OMP_NUM_THREADS": "2"}}
+    for scenario in (work / "iso.txt", write(work / "tilt16.txt", TILT16)):
+        for name, env in envs.items():
+            cli("run", scenario, "--out", work / f"{scenario.stem}-{name}", env=env)
+            identical(work / f"{scenario.stem}-unset", work / f"{scenario.stem}-{name}")
 
 
 # a cap's psi_D at 256 x 256 channels equals it at 32 x 32 to 1e-12
@@ -307,7 +323,7 @@ def long_sweep(work: Path):
 
 CHECKS = {check.__name__: check for check in (
     csv_kernel, sweep_jobs, shared_rows, grid_dt_row, fine_step, sigma_row, sphere_certified,
-    blocked_fold, sphere12, sphere18, wide16, tilt16, cap_psi, two_sided, coarse_step,
+    blocked_fold, sphere12, sphere18, wide16, tilt16, threads, cap_psi, two_sided, coarse_step,
     long_grid, long_sweep)} | {
     "bench_sweep_k": partial(bench_gate, "sweep-k", 0),
     "bench_volume": partial(bench_gate, "volume", 0),

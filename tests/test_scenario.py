@@ -975,6 +975,7 @@ def test_cli_closure_underflow_is_numerical_error(tmp_path, capsys):
     ("grid.t_end = 0.001\n", "grid.t_end"),
     ("grid.dt = 1000\n", "grid.dt"),
     ("emission.t0 = 5\ngrid.t_end = 1\n", "grid.t_end"),
+    ("quadrature.dt = 1e300\n", "quadrature.dt"),
 ])
 def test_cli_short_grid_names_key(tmp_path, capsys, lines, key):
     path = tmp_path / "scn.txt"
